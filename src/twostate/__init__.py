@@ -7,27 +7,22 @@ function yields closed forms for the transmission and reflection
 amplitudes, the tunneling-time taxonomy and the transition time, all of
 which are cross-checked here by independent numerical oracles and a
 time-dependent wave-packet experiment.
+
+The closed forms need only ``math``, so ``import twostate`` loads no
+scipy: the names exported from ``oracle`` and ``wavepacket`` are imported
+on first use.
 """
 
+import importlib
+
 from .greens import GreensValue, effective_strength, greens_constant
-from .oracle import (
-    ConvergenceReport,
-    RegularizedSolution,
-    convergence_study,
-    dwell_time_regularized,
-    dwell_time_window,
-    extremum_search,
-    fd_group_delay,
-    greens_grid,
-    greens_grid_extrapolated,
-    solve_regularized,
-)
 from .params import (
     ConventionError,
     DegenerateCouplingError,
     DomainError,
     ModelParams,
     ReducedParams,
+    RunGuardError,
     WaveNumbers,
     expand_reduced,
     make_reduced,
@@ -47,14 +42,52 @@ from .times import (
     time_taxonomy,
     transition_time,
 )
-from .wavepacket import (
-    BoundaryContaminationError,
-    DelayResult,
-    GridSpec,
-    NormDriftError,
-    PacketSpec,
-    propagate,
-)
+
+# exported name -> submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ConvergenceReport",
+            "RegularizedSolution",
+            "convergence_study",
+            "dwell_time_regularized",
+            "dwell_time_window",
+            "extremum_search",
+            "fd_group_delay",
+            "greens_grid",
+            "greens_grid_extrapolated",
+            "solve_regularized",
+        ),
+        "oracle",
+    ),
+    **dict.fromkeys(
+        (
+            "BoundaryContaminationError",
+            "DelayResult",
+            "GridSpec",
+            "NoCrossingError",
+            "NormDriftError",
+            "PacketSpec",
+            "propagate",
+        ),
+        "wavepacket",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """Import an oracle or wave-packet export on first access (PEP 562)."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 
@@ -69,10 +102,12 @@ __all__ = [
     "GreensValue",
     "GridSpec",
     "ModelParams",
+    "NoCrossingError",
     "NormDriftError",
     "PacketSpec",
     "ReducedParams",
     "RegularizedSolution",
+    "RunGuardError",
     "SweepSpec",
     "SweepVariable",
     "TimeTaxonomy",

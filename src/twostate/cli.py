@@ -9,7 +9,11 @@ Subcommands:
 
 An optional JSON config file mirrors the long flag names (hyphens or
 underscores); explicit flags take precedence over config values.  Exit
-codes: 0 success, 1 verification failure, 2 usage or domain error.
+codes: 0 success, 1 verification failure, 2 usage or domain error, or a
+tripped wave-packet run guard.
+
+Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
+``wavepacket``), so that ``sweep`` loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import checks, greens, oracle, sweep, times, wavepacket
-from .params import ModelParams, make_reduced
+from . import greens, sweep, times
+from .params import ModelParams, RunGuardError, make_reduced
 
 __all__ = ["main"]
 
@@ -56,6 +60,20 @@ class _Resolver:
         if name in self.config:
             return self.config[name]
         return default
+
+    def numbers(self, name: str) -> tuple[float, ...] | None:
+        """A list-valued setting; a bare number in the config is one value."""
+        val = self.get(name)
+        if val is None:
+            return None
+        items = val if isinstance(val, list) else [val]
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
+        ):
+            raise ValueError(
+                f"{name} must be a number or a list of numbers, got {val!r}"
+            )
+        return tuple(float(v) for v in items)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,26 +151,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(
                 "tau_vs_coupling sweeps the coupling; fix epsilon instead"
             )
-        eps = res.get("epsilon")
-        fixed["epsilon"] = (
-            tuple(float(v) for v in eps)
-            if eps is not None
-            else base.fixed["epsilon"]
-        )
+        eps = res.numbers("epsilon")
+        fixed["epsilon"] = eps if eps is not None else base.fixed["epsilon"]
         lo, hi = 0.0, 10.0
     else:
         if res.get("epsilon") is not None:
             raise ValueError(
                 f"{quantity} sweeps epsilon; fix the coupling instead"
             )
-        ksq = res.get("coupling_sq")
-        k0 = res.get("coupling")
+        ksq = res.numbers("coupling_sq")
+        k0 = res.numbers("coupling")
         if ksq is not None and k0 is not None:
             raise ValueError("give either --coupling or --coupling-sq, not both")
         if ksq is not None:
-            series = tuple(float(v) for v in ksq)
+            series = ksq
         elif k0 is not None:
-            series = tuple(float(v) ** 2 for v in k0)
+            series = tuple(v**2 for v in k0)
         elif quantity == "transmission":
             series = tuple(potential * math.sqrt(q) for q in (0.4, 4.0, 40.0))
         elif quantity == "phase":
@@ -182,6 +196,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     results = checks.run_verification()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -195,6 +211,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_wavepacket(args: argparse.Namespace) -> int:
+    from . import wavepacket
+
     res = _Resolver(args)
     energy = float(res.get("energy", 0.25))
     p = ModelParams(
@@ -238,6 +256,8 @@ def _cmd_wavepacket(args: argparse.Namespace) -> int:
 
 
 def _cmd_greens(args: argparse.Namespace) -> int:
+    from . import oracle
+
     res = _Resolver(args)
     p = ModelParams(
         energy=float(res.get("energy", 0.5)),
@@ -264,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RunGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.linalg import solve_banded
 
 from . import scatter, times
 from .params import DomainError, ModelParams, wave_numbers
@@ -51,13 +49,17 @@ __all__ = [
 def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     """Group delay hbar * d(phi_t)/dE by symmetric differencing.
 
-    ``step`` defaults to 1e-6 * V and must stay below min(E, V - E) / 10
-    so that both probe energies remain strictly inside (0, V).
+    ``step`` must stay below min(E, V - E) / 10 so that both probe
+    energies remain strictly inside (0, V).  It defaults to
+    min(1e-6 * V, 1e-3 * min(E, V - E)), which is 1e-6 * V wherever
+    1e-3 <= E / V <= 1 - 1e-3 and shrinks with the distance to the
+    nearer end of (0, V) outside that range, so it is always valid.
     """
     if p.coupling == 0.0:
         raise DomainError("group delay oracle needs a nonzero coupling")
-    h = 1e-6 * p.potential if step is None else step
-    limit = min(p.energy, p.potential - p.energy) / 10.0
+    gap = min(p.energy, p.potential - p.energy)
+    h = min(1e-6 * p.potential, 1e-3 * gap) if step is None else step
+    limit = gap / 10.0
     if not 0.0 < h < limit:
         raise ValueError(
             f"finite-difference step must lie in (0, {limit!r}), got {h!r}"
@@ -78,6 +80,8 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     L = 20 / kappa, so the truncated tails are ~exp(-40) and invisible at
     the tolerances of interest.
     """
+    from scipy.linalg import solve_banded
+
     gap = p.potential - p.energy
     kappa = math.sqrt(2.0 * p.mass * gap) / p.hbar
     half = 20.0 / kappa
@@ -320,6 +324,8 @@ def dwell_time_regularized(p: ModelParams, width: float) -> float:
     strip, j_inc = hbar k / m.  Decays linearly as the strip shrinks; the
     uncoupled value is exactly w * m / (hbar k).
     """
+    from scipy import integrate
+
     sol = solve_regularized(p, width)
 
     def density(y: float) -> float:
@@ -341,6 +347,8 @@ def dwell_time_window(p: ModelParams, width: float, half_window: float) -> float
     """
     if half_window < width / 2.0:
         raise ValueError("window must contain the coupling strip")
+    from scipy import integrate
+
     sol = solve_regularized(p, width)
 
     def density(y: float) -> float:
@@ -369,6 +377,8 @@ def extremum_search(
     Returns (k0_sq_at_max, tau_at_max).  Independent of the closed-form
     extremum, which it is used to verify.
     """
+    from scipy import optimize
+
     from .params import ReducedParams
 
     def negmag(ksq: float) -> float:

@@ -22,6 +22,7 @@ __all__ = [
     "DomainError",
     "ModelParams",
     "ReducedParams",
+    "RunGuardError",
     "WaveNumbers",
     "expand_reduced",
     "make_reduced",
@@ -31,6 +32,14 @@ __all__ = [
 
 class DomainError(ValueError):
     """Parameters outside the sub-threshold scattering regime."""
+
+
+class RunGuardError(RuntimeError):
+    """A numerical run stopped because one of its guards tripped.
+
+    Raised by the wave-packet experiment; defined here so that callers
+    can catch it without importing the solver.
+    """
 
 
 class ConventionError(ValueError):

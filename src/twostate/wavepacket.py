@@ -26,12 +26,13 @@ import numpy as np
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
-from .params import DomainError, ModelParams
+from .params import DomainError, ModelParams, RunGuardError
 
 __all__ = [
     "BoundaryContaminationError",
     "DelayResult",
     "GridSpec",
+    "NoCrossingError",
     "NormDriftError",
     "PacketSpec",
     "propagate",
@@ -42,12 +43,16 @@ _DRIFT_TOL = 1e-6
 _MASS_FLOOR = 1e-3
 
 
-class BoundaryContaminationError(RuntimeError):
+class BoundaryContaminationError(RunGuardError):
     """Probability density reached the grid edge above tolerance."""
 
 
-class NormDriftError(RuntimeError):
+class NormDriftError(RunGuardError):
     """Total norm drifted beyond tolerance during the run."""
+
+
+class NoCrossingError(RunGuardError):
+    """The transmitted centroid never reached the detector plane."""
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ def _crossing_time(ts: np.ndarray, cs: np.ndarray, plane: float) -> float:
         if cs[i - 1] < plane <= cs[i]:
             frac = (plane - cs[i - 1]) / (cs[i] - cs[i - 1])
             return float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
-    raise RuntimeError(
+    raise NoCrossingError(
         "transmitted centroid never crossed the detector plane; "
         "increase grid.steps or enlarge the domain"
     )

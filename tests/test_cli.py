@@ -95,6 +95,39 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert np.loadtxt(out_flag, delimiter=",", skiprows=1).shape == (5, 2)
 
 
+@pytest.mark.parametrize(
+    ("quantity", "key", "value"),
+    [
+        ("transmission", "coupling_sq", 1),
+        ("transmission", "coupling", 1.5),
+        ("tau_vs_coupling", "epsilon", 0.25),
+    ],
+)
+def test_config_scalar_is_a_one_element_list(quantity, key, value, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    argv = ["sweep", quantity, "--count", "5"]
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(from_config)]) == 0
+    flag = "--" + key.replace("_", "-")
+    assert cli.main([*argv, flag, str(value), "--out", str(from_flag)]) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["1,4", "abc", True, [1, "x"], {"a": 1}, [[1]]])
+def test_config_non_numeric_series_exits_2(value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling_sq": value}), encoding="utf-8")
+    rc = cli.main(
+        ["sweep", "transmission", "--config", str(cfg),
+         "--out", str(tmp_path / "x.csv")]
+    )
+    assert rc == 2
+    assert "coupling_sq must be a number or a list of numbers" in (
+        capsys.readouterr().err
+    )
+
+
 def test_verify_reports_pass(monkeypatch, capsys):
     fake = [checks.CheckResult("alpha", True, "fine")]
     monkeypatch.setattr(checks, "run_verification", lambda: fake)
@@ -141,6 +174,23 @@ def test_wavepacket_coupled_run(tmp_path, capsys):
     assert float(vals["norm_drift"]) <= 1e-8
     assert float(vals["analytic_transition_time"]) == 0.0
     assert frames.read_text(encoding="utf-8").startswith("t,x,density1,density2\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--steps", "3000", "--points", "1025"], "edge density"),
+        ([*WP_FAST, "--steps", "30"], "never crossed"),
+    ],
+)
+def test_wavepacket_run_guard_exits_2(argv, message, capsys):
+    rc = cli.main(["wavepacket", *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
 
 
 def test_greens_defaults(capsys):

@@ -1,0 +1,120 @@
+"""Import cost: scipy is loaded only by the code paths that use it.
+
+Every check runs in a fresh interpreter, because the test process itself
+has long since imported everything.  The absolute ``src`` of the tree
+under test goes first on PYTHONPATH, so the child imports the same code
+whatever the caller's working directory and PYTHONPATH.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twostate
+
+SRC = str(Path(twostate.__file__).resolve().parents[1])
+
+# appended to each probe: report the scipy modules the process loaded
+REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _fresh(code: str, cwd: Path) -> str:
+    """Last stdout line of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, cwd=cwd, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def _scipy_loaded_by(code: str, cwd: Path) -> list[str]:
+    return json.loads(_fresh(code + REPORT, cwd))
+
+
+def _cli(argv: list[str]) -> str:
+    return (
+        "import sys\nfrom twostate.cli import main\n"
+        f"rc = main({argv!r})\nif rc:\n    sys.exit(rc)\n"
+    )
+
+
+@pytest.mark.parametrize("module", ["twostate", "twostate.cli"])
+def test_import_loads_no_scipy(module, tmp_path):
+    assert _scipy_loaded_by(f"import {module}", tmp_path) == []
+
+
+def test_sweep_loads_no_scipy(tmp_path):
+    code = _cli(["sweep", "phase", "--out", str(tmp_path / "phase.csv")])
+    assert _scipy_loaded_by(code, tmp_path) == []
+    assert (tmp_path / "phase.csv").is_file()
+
+
+def test_greens_loads_only_the_solver_it_uses(tmp_path):
+    loaded = _scipy_loaded_by(_cli(["greens"]), tmp_path)
+    assert "scipy.linalg" in loaded
+    for unused in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
+        assert unused not in loaded
+
+
+FROM_IMPORT = """
+for name in twostate.__all__:
+    exec(f"from twostate import {name}", ns)
+"""
+GETATTR = """
+via_getattr = {name: getattr(twostate, name) for name in twostate.__all__}
+"""
+
+
+@pytest.mark.parametrize("first", ["from_import", "getattr"])
+def test_exports_resolve_to_their_submodules(first, tmp_path):
+    # Whichever lookup runs first goes through the package's lazy
+    # resolution; both must give the object defined by the submodule.
+    lookups = FROM_IMPORT + GETATTR if first == "from_import" else GETATTR + FROM_IMPORT
+    code = """
+import importlib, json, twostate
+ns = {}
+""" + lookups + """
+owners = {}
+for sub in ("params", "greens", "scatter", "times", "sweep", "oracle", "wavepacket"):
+    mod = importlib.import_module(f"twostate.{sub}")
+    for name in mod.__all__:
+        if name in twostate.__all__:
+            owners[name] = mod
+try:
+    twostate.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({
+    "unowned": sorted(set(twostate.__all__) - set(owners)),
+    "from_mismatch": sorted(
+        n for n in twostate.__all__ if ns[n] is not getattr(owners[n], n, None)
+    ),
+    "getattr_mismatch": sorted(
+        n for n in twostate.__all__
+        if via_getattr[n] is not getattr(owners[n], n, None)
+    ),
+    "missing_from_dir": sorted(set(twostate.__all__) - set(dir(twostate))),
+    "unknown": unknown,
+}))
+"""
+    report = json.loads(_fresh(code, tmp_path))
+    assert report == {
+        "unowned": [],
+        "from_mismatch": [],
+        "getattr_mismatch": [],
+        "missing_from_dir": [],
+        "unknown": "AttributeError",
+    }

@@ -40,6 +40,13 @@ def test_fd_delay_second_order_convergence():
     assert 3.5 <= coarse / fine <= 4.5
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1.0 - 1e-9])
+def test_fd_delay_default_step_near_threshold(eps):
+    # the default step shrinks with min(E, V - E), so it stays inside (0, V)
+    p = expand_reduced(ReducedParams(eps, 1.0, 1.0))
+    assert fd_group_delay(p) == pytest.approx(group_delays(p)[0], rel=1e-4)
+
+
 def test_fd_delay_step_validation():
     p = expand_reduced(ReducedParams(0.25, 1.0, 1.0))
     with pytest.raises(ValueError):

@@ -8,9 +8,11 @@ from twostate import (
     DomainError,
     GridSpec,
     ModelParams,
+    NoCrossingError,
     NormDriftError,
     PacketSpec,
     ReducedParams,
+    RunGuardError,
     propagate,
     transmission_probability,
 )
@@ -78,8 +80,9 @@ def test_snapshots_written(tmp_path):
 
 def test_detector_never_reached():
     grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=30)
-    with pytest.raises(RuntimeError, match="never crossed"):
+    with pytest.raises(RuntimeError, match="never crossed") as info:
         propagate(PACKET, P_COUPLED, width=1e-3, grid=grid)
+    assert info.type is NoCrossingError
 
 
 def test_boundary_contamination_detected():
@@ -91,6 +94,8 @@ def test_boundary_contamination_detected():
 def test_error_types():
     assert issubclass(BoundaryContaminationError, RuntimeError)
     assert issubclass(NormDriftError, RuntimeError)
+    for guard in (BoundaryContaminationError, NormDriftError, NoCrossingError):
+        assert issubclass(guard, RunGuardError)
 
 
 @pytest.mark.parametrize(
