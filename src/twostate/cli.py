@@ -7,10 +7,10 @@ Subcommands:
 * ``wavepacket`` measure the arrival delay of a narrow-band packet
 * ``greens``     evaluate the closed-channel Green's function
 
-An optional JSON config file mirrors the long flag names (hyphens or
-underscores); explicit flags take precedence over config values.  Exit
-codes: 0 success, 1 verification failure, 2 usage or domain error, or a
-tripped wave-packet run guard.
+An optional JSON config file takes the long flag names as keys (hyphens
+or underscores), each value type-checked; explicit flags take precedence
+over config values.  Exit codes: 0 success, 1 verification failure, 2
+usage, config, domain or overflow error, or a tripped wave-packet guard.
 
 Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
 ``wavepacket``), so that ``sweep`` loads no scipy.
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import greens, sweep, times
 from .params import ModelParams, RunGuardError, make_reduced
@@ -30,11 +30,77 @@ from .params import ModelParams, RunGuardError, make_reduced
 __all__ = ["main"]
 
 
-def _float_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str) -> tuple[float, ...]:
+    vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not vals:
         raise argparse.ArgumentTypeError("expected a comma-separated float list")
     return vals
+
+
+class _Option(NamedTuple):
+    """One ``--name`` flag, also read from the config key ``name``."""
+
+    name: str
+    type: Callable[[str], Any]  # parses the flag text
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+
+
+# flag type -> the JSON types its config value may have, and their name;
+# a list-valued option also takes a bare number, meaning a one-element list
+_CONFIG_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    _float_list: ((int, float), "a number or a list of numbers"),
+}
+
+_MODEL_OPTIONS = (
+    _Option("potential", float, 1.0),
+    _Option("coupling", float, 1.0),
+    _Option("mass", float, ModelParams.mass),
+    _Option("hbar", float, ModelParams.hbar),
+)
+
+# Every option of every subcommand, with its built-in default.  Unset
+# sweep --from/--to span the swept variable's raw domain and an unset
+# series takes its default for the potential, both from the quantity's
+# row in sweep.QUANTITY_ROWS.
+_OPTIONS: dict[str, tuple[_Option, ...]] = {
+    "sweep": (
+        _Option("potential", float, sweep.DEFAULT_POTENTIAL),
+        _Option("epsilon", _float_list),
+        _Option("coupling", _float_list),
+        _Option("coupling_sq", _float_list),
+        _Option("from", float),
+        _Option("to", float),
+        _Option("count", int, sweep.DEFAULT_COUNT),
+        _Option("margin", float, sweep.SweepSpec.margin),
+        _Option("out", str),
+        _Option("format", str, sweep.SweepSpec.format, ("csv", "svg", "both")),
+    ),
+    "verify": (),
+    "wavepacket": (
+        _Option("energy", float, 0.25),
+        *_MODEL_OPTIONS,
+        _Option("width", float, 1e-3),
+        _Option("sigma", float, 60.0),
+        _Option("x0", float, -300.0),
+        _Option("half_domain", float, 720.0),
+        # odd point count keeps the coupling strip centered on a grid site
+        _Option("points", int, 8193),
+        _Option("dt", float, 0.5),
+        _Option("steps", int, 1380),
+        _Option("snapshots", str),
+        _Option("stride", int, 50),
+    ),
+    "greens": (
+        _Option("x1", float, ModelParams.center),
+        _Option("x2", float, ModelParams.center),
+        _Option("energy", float, 0.5),
+        *_MODEL_OPTIONS,
+    ),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -46,34 +112,30 @@ def _load_config(path: str | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in data.items()}
 
 
-class _Resolver:
-    """Flag value, else config value, else built-in default."""
+def _config_value(opt: _Option, value):
+    types, expected = _CONFIG_TYPES[opt.type]
+    listed = opt.type is _float_list and isinstance(value, list)
+    items = value if listed else [value]
+    if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{opt.name} must be {expected}, got {value!r}")
+    return tuple(map(float, items)) if opt.type is _float_list else opt.type(value)
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None))
 
-    def get(self, name: str, default=None):
-        val = getattr(self.args, name, None)
-        if val is not None:
-            return val
-        if name in self.config:
-            return self.config[name]
-        return default
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each option's flag value, else its config value, else its default.
 
-    def numbers(self, name: str) -> tuple[float, ...] | None:
-        """A list-valued setting; a bare number in the config is one value."""
-        val = self.get(name)
-        if val is None:
-            return None
-        items = val if isinstance(val, list) else [val]
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
-        ):
-            raise ValueError(
-                f"{name} must be a number or a list of numbers, got {val!r}"
-            )
-        return tuple(float(v) for v in items)
+    Every config value of an option is type-checked, also when a flag
+    overrides it.  Config keys that are not options of the subcommand are
+    ignored, so one file can serve several subcommands.
+    """
+    opts = dict(vars(args))
+    config = _load_config(args.config)
+    for opt in _OPTIONS[args.command]:
+        if opt.name in config:
+            config[opt.name] = _config_value(opt, config[opt.name])
+        if opts[opt.name] is None:
+            opts[opt.name] = config.get(opt.name, opt.default)
+    return opts
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,120 +144,72 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-channel point-coupling scattering model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sw = sub.add_parser("sweep", help="emit a parameter sweep as CSV/SVG")
-    sw.add_argument("quantity", choices=sweep.QUANTITIES)
-    sw.add_argument("--potential", type=float)
-    sw.add_argument("--epsilon", type=_float_list, metavar="LIST")
-    sw.add_argument("--coupling", type=_float_list, metavar="LIST")
-    sw.add_argument("--coupling-sq", dest="coupling_sq", type=_float_list,
-                    metavar="LIST")
-    sw.add_argument("--from", dest="start", type=float)
-    sw.add_argument("--to", dest="stop", type=float)
-    sw.add_argument("--count", type=int)
-    sw.add_argument("--margin", type=float)
-    sw.add_argument("--out", type=str)
-    sw.add_argument("--format", choices=("csv", "svg", "both"))
-    sw.add_argument("--config", type=str)
-    sw.set_defaults(func=_cmd_sweep)
-
-    vf = sub.add_parser("verify", help="run the oracle verification suite")
-    vf.add_argument("--config", type=str)
-    vf.set_defaults(func=_cmd_verify)
-
-    wp = sub.add_parser("wavepacket", help="narrow-band arrival-delay run")
-    wp.add_argument("--energy", type=float)
-    wp.add_argument("--potential", type=float)
-    wp.add_argument("--coupling", type=float)
-    wp.add_argument("--width", type=float)
-    wp.add_argument("--mass", type=float)
-    wp.add_argument("--hbar", type=float)
-    wp.add_argument("--sigma", type=float)
-    wp.add_argument("--x0", type=float)
-    wp.add_argument("--half-domain", dest="half_domain", type=float)
-    wp.add_argument("--points", type=int)
-    wp.add_argument("--dt", type=float)
-    wp.add_argument("--steps", type=int)
-    wp.add_argument("--snapshots", type=str)
-    wp.add_argument("--stride", type=int)
-    wp.add_argument("--config", type=str)
-    wp.set_defaults(func=_cmd_wavepacket)
-
-    gr = sub.add_parser("greens", help="closed-channel Green's function")
-    gr.add_argument("--x1", type=float)
-    gr.add_argument("--x2", type=float)
-    gr.add_argument("--energy", type=float)
-    gr.add_argument("--potential", type=float)
-    gr.add_argument("--coupling", type=float)
-    gr.add_argument("--mass", type=float)
-    gr.add_argument("--hbar", type=float)
-    gr.add_argument("--config", type=str)
-    gr.set_defaults(func=_cmd_greens)
-
+    for name, help_text, func in (
+        ("sweep", "emit a parameter sweep as CSV/SVG", _cmd_sweep),
+        ("verify", "run the oracle verification suite", _cmd_verify),
+        ("wavepacket", "narrow-band arrival-delay run", _cmd_wavepacket),
+        ("greens", "closed-channel Green's function", _cmd_greens),
+    ):
+        cmd = sub.add_parser(name, help=help_text)
+        if name == "sweep":
+            cmd.add_argument("quantity", choices=sweep.QUANTITIES)
+        for opt in _OPTIONS[name]:
+            cmd.add_argument(
+                "--" + opt.name.replace("_", "-"),
+                dest=opt.name,
+                type=opt.type,
+                choices=opt.choices,
+                metavar="LIST" if opt.type is _float_list else None,
+            )
+        cmd.add_argument("--config", type=str)
+        cmd.set_defaults(func=func)
     return parser
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    out = res.get("out")
-    if out is None:
+def _model_params(opts: dict) -> ModelParams:
+    fields = ("energy", *(opt.name for opt in _MODEL_OPTIONS))
+    return ModelParams(**{name: opts[name] for name in fields})
+
+
+def _cmd_sweep(opts: dict) -> int:
+    if opts["out"] is None:
         raise ValueError("sweep needs an output path (--out)")
-    quantity = args.quantity
-    base = sweep.default_spec(quantity, Path(out), res.get("format", "csv"))
-    margin = float(res.get("margin", base.margin))
-
-    potential = float(res.get("potential", 1.0))
-    fixed = {"potential": potential}
-    if quantity == "tau_vs_coupling":
-        if res.get("coupling") is not None or res.get("coupling_sq") is not None:
-            raise ValueError(
-                "tau_vs_coupling sweeps the coupling; fix epsilon instead"
-            )
-        eps = res.numbers("epsilon")
-        fixed["epsilon"] = eps if eps is not None else base.fixed["epsilon"]
-        lo, hi = 0.0, 10.0
+    quantity = opts["quantity"]
+    row = sweep.QUANTITY_ROWS[quantity]
+    if row.series == "epsilon":
+        if opts["coupling"] is not None or opts["coupling_sq"] is not None:
+            raise ValueError(f"{quantity} sweeps the coupling; fix epsilon instead")
     else:
-        if res.get("epsilon") is not None:
-            raise ValueError(
-                f"{quantity} sweeps epsilon; fix the coupling instead"
-            )
-        ksq = res.numbers("coupling_sq")
-        k0 = res.numbers("coupling")
-        if ksq is not None and k0 is not None:
-            raise ValueError("give either --coupling or --coupling-sq, not both")
-        if ksq is not None:
-            series = ksq
-        elif k0 is not None:
-            series = tuple(v**2 for v in k0)
-        elif quantity == "transmission":
-            series = tuple(potential * math.sqrt(q) for q in (0.4, 4.0, 40.0))
-        elif quantity == "phase":
-            series = (4.0 * potential,)
-        else:
-            series = base.fixed["coupling_sq"]
-        fixed["coupling_sq"] = series
-        lo, hi = 0.0, 1.0
-
-    variable = sweep.SweepVariable(
-        name=base.variable.name,
-        start=float(res.get("start", lo)),
-        stop=float(res.get("stop", hi)),
-        count=int(res.get("count", base.variable.count)),
-    )
+        if opts["epsilon"] is not None:
+            raise ValueError(f"{quantity} sweeps epsilon; fix the coupling instead")
+        if opts["coupling"] is not None:
+            if opts["coupling_sq"] is not None:
+                raise ValueError("give either --coupling or --coupling-sq, not both")
+            opts["coupling_sq"] = tuple(v**2 for v in opts["coupling"])
+    potential = opts["potential"]
+    series = opts[row.series]
     spec = sweep.SweepSpec(
         quantity=quantity,
-        variable=variable,
-        fixed=fixed,
-        output=Path(out),
-        format=res.get("format", "csv"),
-        margin=margin,
+        variable=sweep.SweepVariable(
+            name=row.variable,
+            start=row.domain[0] if opts["from"] is None else opts["from"],
+            stop=row.domain[1] if opts["to"] is None else opts["to"],
+            count=opts["count"],
+        ),
+        fixed={
+            "potential": potential,
+            row.series: row.default_series(potential) if series is None else series,
+        },
+        output=Path(opts["out"]),
+        format=opts["format"],
+        margin=opts["margin"],
     )
     for path in sweep.run_sweep(spec):
         print(path)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(opts: dict) -> int:
     from . import checks
 
     results = checks.run_verification()
@@ -210,36 +224,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_wavepacket(args: argparse.Namespace) -> int:
+def _cmd_wavepacket(opts: dict) -> int:
     from . import wavepacket
 
-    res = _Resolver(args)
-    energy = float(res.get("energy", 0.25))
-    p = ModelParams(
-        energy=energy,
-        potential=float(res.get("potential", 1.0)),
-        coupling=float(res.get("coupling", 1.0)),
-        mass=float(res.get("mass", 0.5)),
-        hbar=float(res.get("hbar", 1.0)),
-    )
+    p = _model_params(opts)
     packet = wavepacket.PacketSpec.for_energy(
-        energy, p, sigma=float(res.get("sigma", 60.0)),
-        center=float(res.get("x0", -300.0)),
+        p.energy, p, sigma=opts["sigma"], center=opts["x0"]
     )
-    # odd point count keeps the coupling strip centered on a grid site
     grid = wavepacket.GridSpec(
-        half_length=float(res.get("half_domain", 720.0)),
-        points=int(res.get("points", 8193)),
-        dt=float(res.get("dt", 0.5)),
-        steps=int(res.get("steps", 1380)),
+        half_length=opts["half_domain"],
+        points=opts["points"],
+        dt=opts["dt"],
+        steps=opts["steps"],
     )
     result = wavepacket.propagate(
         packet,
         p,
-        width=float(res.get("width", 1e-3)),
+        width=opts["width"],
         grid=grid,
-        snapshot_path=res.get("snapshots"),
-        snapshot_stride=int(res.get("stride", 50)),
+        snapshot_path=opts["snapshots"],
+        snapshot_stride=opts["stride"],
     )
     print(f"t_arrival = {result.t_arrival:.15g}")
     print(f"t_free = {result.t_free:.15g}")
@@ -255,20 +259,11 @@ def _cmd_wavepacket(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_greens(args: argparse.Namespace) -> int:
+def _cmd_greens(opts: dict) -> int:
     from . import oracle
 
-    res = _Resolver(args)
-    p = ModelParams(
-        energy=float(res.get("energy", 0.5)),
-        potential=float(res.get("potential", 1.0)),
-        coupling=float(res.get("coupling", 1.0)),
-        mass=float(res.get("mass", 0.5)),
-        hbar=float(res.get("hbar", 1.0)),
-    )
-    x1 = float(res.get("x1", p.center))
-    x2 = float(res.get("x2", p.center))
-    value = greens.greens_constant(x1, x2, p).value
+    p = _model_params(opts)
+    value = greens.greens_constant(opts["x1"], opts["x2"], p).value
     alpha = greens.effective_strength(p)
     print(f"greens_value = {value:.15g}")
     print(f"effective_strength = {alpha:.15g}")
@@ -283,9 +278,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ValueError, OSError, RunGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # e.g. k0 = 1e200 overflows a float power in the closed forms
+        print(
+            f"error: floating-point range exceeded ({type(exc).__name__}: {exc})",
+            file=sys.stderr,
+        )
         return 2
 
 

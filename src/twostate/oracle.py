@@ -73,6 +73,12 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
 # grid solve of the closed-channel resolvent
 # ---------------------------------------------------------------------------
 
+def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
+    """Grid half-width 20 / kappa and spacing (0.005 / kappa by default)."""
+    kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
+    return 20.0 / kappa, 0.005 / kappa if spacing is None else spacing
+
+
 def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     """Diagonal value G(xc, xc) from a Dirichlet finite-difference solve.
 
@@ -82,10 +88,7 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     """
     from scipy.linalg import solve_banded
 
-    gap = p.potential - p.energy
-    kappa = math.sqrt(2.0 * p.mass * gap) / p.hbar
-    half = 20.0 / kappa
-    h = 0.005 / kappa if spacing is None else spacing
+    half, h = _grid_scales(p, spacing)
     if h <= 0.0:
         raise ValueError(f"grid spacing must be positive, got {h!r}")
     n = max(4, int(math.ceil(half / h)))
@@ -105,9 +108,7 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
 
 def greens_grid_extrapolated(p: ModelParams, spacing: float | None = None) -> float:
     """Richardson combination (4 G(h/2) - G(h)) / 3 of two grid solves."""
-    gap = p.potential - p.energy
-    kappa = math.sqrt(2.0 * p.mass * gap) / p.hbar
-    h = 0.005 / kappa if spacing is None else spacing
+    _, h = _grid_scales(p, spacing)
     coarse = greens_grid(p, h)
     fine = greens_grid(p, h / 2.0)
     return (4.0 * fine - coarse) / 3.0
@@ -317,12 +318,11 @@ def convergence_study(
     )
 
 
-def dwell_time_regularized(p: ModelParams, width: float) -> float:
-    """Dwell time over the coupling strip for the regularized solution.
+def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
+    """Dwell integral of the regularized solution over the given pieces.
 
-    tau_d(w) = (1 / j_inc) * integral of |phi1|^2 + |phi2|^2 over the
-    strip, j_inc = hbar k / m.  Decays linearly as the strip shrinks; the
-    uncoupled value is exactly w * m / (hbar k).
+    (m / hbar k) times the integral of |phi1|^2 + |phi2|^2 over each
+    nonempty (a, b) in ``pieces``, y measured from the coupling center.
     """
     from scipy import integrate
 
@@ -332,10 +332,22 @@ def dwell_time_regularized(p: ModelParams, width: float) -> float:
         phi1, phi2 = sol.wavefunction(y + p.center)
         return float(abs(phi1[0]) ** 2 + abs(phi2[0]) ** 2)
 
+    total = sum(
+        integrate.quad(density, a, b, epsabs=1e-13, epsrel=1e-11)[0]
+        for a, b in pieces if b > a
+    )
+    return total * p.mass / (p.hbar * wave_numbers(p).k)
+
+
+def dwell_time_regularized(p: ModelParams, width: float) -> float:
+    """Dwell time over the coupling strip for the regularized solution.
+
+    tau_d(w) = (1 / j_inc) * integral of |phi1|^2 + |phi2|^2 over the
+    strip, j_inc = hbar k / m.  Decays linearly as the strip shrinks; the
+    uncoupled value is exactly w * m / (hbar k).
+    """
     half = width / 2.0
-    total, _ = integrate.quad(density, -half, half, epsabs=1e-13, epsrel=1e-11)
-    kn = wave_numbers(p)
-    return total * p.mass / (p.hbar * kn.k)
+    return _strip_dwell(p, width, ((-half, half),))
 
 
 def dwell_time_window(p: ModelParams, width: float, half_window: float) -> float:
@@ -347,22 +359,10 @@ def dwell_time_window(p: ModelParams, width: float, half_window: float) -> float
     """
     if half_window < width / 2.0:
         raise ValueError("window must contain the coupling strip")
-    from scipy import integrate
-
-    sol = solve_regularized(p, width)
-
-    def density(y: float) -> float:
-        phi1, phi2 = sol.wavefunction(y + p.center)
-        return float(abs(phi1[0]) ** 2 + abs(phi2[0]) ** 2)
-
     half = width / 2.0
-    pieces = []
-    for a, b in ((-half_window, -half), (-half, half), (half, half_window)):
-        if b > a:
-            val, _ = integrate.quad(density, a, b, epsabs=1e-13, epsrel=1e-11)
-            pieces.append(val)
-    kn = wave_numbers(p)
-    return sum(pieces) * p.mass / (p.hbar * kn.k)
+    return _strip_dwell(
+        p, width, ((-half_window, -half), (-half, half), (half, half_window))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,26 +26,51 @@ from .params import ReducedParams, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
-QUANTITIES = ("transmission", "phase", "tau_vs_energy", "tau_vs_coupling")
 
-_COLUMN = {
-    "transmission": "transmission",
-    "phase": "phase",
-    "tau_vs_energy": "tau",
-    "tau_vs_coupling": "tau",
+@dataclass(frozen=True)
+class QuantityRow:
+    """How one quantity is swept, labelled, defaulted and evaluated.
+
+    ``domain`` is the raw range of the swept variable, before the margin
+    clips its open ends; ``default_series`` maps the potential V to the
+    default values of the ``series`` key; ``evaluate`` is one closed-form
+    call per point, looked up through its module at call time.
+    """
+
+    variable: str
+    series: str
+    column: str
+    domain: tuple[float, float]
+    default_series: Callable[[float], tuple[float, ...]]
+    evaluate: Callable[[ReducedParams], float]
+
+
+QUANTITY_ROWS = {
+    "transmission": QuantityRow(
+        "epsilon", "coupling_sq", "transmission", (0.0, 1.0),
+        # k0^4 / V^2 in {0.4, 4, 40}
+        lambda v: tuple(v * math.sqrt(q) for q in (0.4, 4.0, 40.0)),
+        lambda r: scatter.transmission_probability(r),
+    ),
+    "phase": QuantityRow(
+        "epsilon", "coupling_sq", "phase", (0.0, 1.0),
+        lambda v: (4.0 * v,),  # k0^2 / (4 V) = 1
+        lambda r: scatter.scattering_phases(expand_reduced(r))[0],
+    ),
+    "tau_vs_energy": QuantityRow(
+        "epsilon", "coupling_sq", "tau", (0.0, 1.0),
+        lambda v: (0.5, 1.0, 2.0),
+        lambda r: times.transition_time(r),
+    ),
+    "tau_vs_coupling": QuantityRow(
+        "coupling_sq", "epsilon", "tau", (0.0, 10.0),
+        lambda v: (0.6, 0.7, 0.8, 0.9),
+        lambda r: times.transition_time(r),
+    ),
 }
-_VARIABLE = {
-    "transmission": "epsilon",
-    "phase": "epsilon",
-    "tau_vs_energy": "epsilon",
-    "tau_vs_coupling": "coupling_sq",
-}
-_SERIES = {
-    "transmission": "coupling_sq",
-    "phase": "coupling_sq",
-    "tau_vs_energy": "coupling_sq",
-    "tau_vs_coupling": "epsilon",
-}
+QUANTITIES = tuple(QUANTITY_ROWS)
+DEFAULT_POTENTIAL = 1.0
+DEFAULT_COUNT = 999
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -78,42 +103,32 @@ class SweepSpec:
     margin: float = 1e-4
 
 
-def default_spec(quantity: str, output: Path, fmt: str = "csv") -> SweepSpec:
+def _row(quantity: str) -> QuantityRow:
+    if quantity not in QUANTITY_ROWS:
+        raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+    return QUANTITY_ROWS[quantity]
+
+
+def default_spec(quantity: str, output: Path, fmt: str = SweepSpec.format) -> SweepSpec:
     """Sweep specs reproducing the canonical figures of the model."""
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    margin = 1e-4
-    potential = 1.0
-    if quantity == "tau_vs_coupling":
-        variable = SweepVariable("coupling_sq", margin, 10.0, 999)
-        fixed = {"potential": potential, "epsilon": (0.6, 0.7, 0.8, 0.9)}
-    else:
-        variable = SweepVariable("epsilon", margin, 1.0 - margin, 999)
-        if quantity == "transmission":
-            series = tuple(
-                potential * math.sqrt(q) for q in (0.4, 4.0, 40.0)
-            )  # k0^4 / V^2 in {0.4, 4, 40}
-        elif quantity == "phase":
-            series = (4.0 * potential,)  # k0^2 / (4 V) = 1
-        else:
-            series = (0.5, 1.0, 2.0)
-        fixed = {"potential": potential, "coupling_sq": series}
+    row = _row(quantity)
     return SweepSpec(
         quantity=quantity,
-        variable=variable,
-        fixed=fixed,
+        variable=SweepVariable(row.variable, *row.domain, DEFAULT_COUNT),
+        fixed={
+            "potential": DEFAULT_POTENTIAL,
+            row.series: row.default_series(DEFAULT_POTENTIAL),
+        },
         output=Path(output),
         format=fmt,
-        margin=margin,
     )
 
 
-def _series_values(spec: SweepSpec) -> tuple[float, ...]:
-    raw = spec.fixed.get(_SERIES[spec.quantity])
+def _series_values(spec: SweepSpec, row: QuantityRow) -> tuple[float, ...]:
+    raw = spec.fixed.get(row.series)
     if raw is None:
         raise ValueError(
-            f"sweep over {spec.quantity!r} needs fixed "
-            f"{_SERIES[spec.quantity]!r} value(s)"
+            f"sweep over {spec.quantity!r} needs fixed {row.series!r} value(s)"
         )
     if isinstance(raw, (int, float)):
         return (float(raw),)
@@ -124,12 +139,10 @@ def _series_values(spec: SweepSpec) -> tuple[float, ...]:
 
 
 def _clip_grid(spec: SweepSpec) -> np.ndarray:
-    lo, hi = spec.variable.start, spec.variable.stop
+    lo = max(spec.variable.start, spec.margin)
+    hi = spec.variable.stop
     if spec.variable.name == "epsilon":
-        lo = max(lo, spec.margin)
         hi = min(hi, 1.0 - spec.margin)
-    else:
-        lo = max(lo, spec.margin)
     if not lo < hi:
         raise ValueError(
             f"empty sweep range after clipping: [{lo}, {hi}] for "
@@ -138,38 +151,26 @@ def _clip_grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(lo, hi, spec.variable.count)
 
 
-def _evaluate(spec: SweepSpec, grid: np.ndarray, series: tuple[float, ...]):
-    potential = float(spec.fixed.get("potential", 1.0))
+def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
+    potential = float(spec.fixed.get("potential", DEFAULT_POTENTIAL))
     columns: list[np.ndarray] = []
     for s in series:
         out = np.empty(grid.size)
         for i, v in enumerate(grid):
-            if spec.variable.name == "epsilon":
-                r = ReducedParams(
-                    epsilon=float(v),
-                    potential=potential,
-                    coupling=math.sqrt(s),
+            eps, ksq = (float(v), s) if row.variable == "epsilon" else (s, float(v))
+            out[i] = row.evaluate(
+                ReducedParams(
+                    epsilon=eps, potential=potential, coupling=math.sqrt(ksq)
                 )
-            else:
-                r = ReducedParams(
-                    epsilon=s, potential=potential, coupling=math.sqrt(float(v))
-                )
-            if spec.quantity == "transmission":
-                out[i] = scatter.transmission_probability(r)
-            elif spec.quantity == "phase":
-                out[i] = scatter.scattering_phases(expand_reduced(r))[0]
-            else:
-                out[i] = times.transition_time(r)
+            )
         columns.append(out)
     return columns
 
 
-def _labels(spec: SweepSpec, series: tuple[float, ...]) -> list[str]:
-    base = _COLUMN[spec.quantity]
+def _labels(row: QuantityRow, series: tuple[float, ...]) -> list[str]:
     if len(series) == 1:
-        return [base]
-    key = _SERIES[spec.quantity]
-    return [f"{base}[{key}={v:.6g}]" for v in series]
+        return [row.column]
+    return [f"{row.column}[{row.series}={v:.6g}]" for v in series]
 
 
 def _csv_text(grid, columns, labels, varname) -> str:
@@ -246,13 +247,10 @@ def _svg_text(grid, columns, labels, varname, colname) -> str:
 
 def run_sweep(spec: SweepSpec) -> list[Path]:
     """Evaluate the sweep and write the requested artifact files."""
-    if spec.quantity not in QUANTITIES:
+    row = _row(spec.quantity)
+    if spec.variable.name != row.variable:
         raise ValueError(
-            f"unknown quantity {spec.quantity!r}; choose from {QUANTITIES}"
-        )
-    if spec.variable.name != _VARIABLE[spec.quantity]:
-        raise ValueError(
-            f"quantity {spec.quantity!r} sweeps {_VARIABLE[spec.quantity]!r}, "
+            f"quantity {spec.quantity!r} sweeps {row.variable!r}, "
             f"got variable {spec.variable.name!r}"
         )
     if spec.format not in ("csv", "svg", "both"):
@@ -260,10 +258,10 @@ def run_sweep(spec: SweepSpec) -> list[Path]:
     if not 0.0 < spec.margin < 0.5:
         raise ValueError(f"margin must lie in (0, 0.5), got {spec.margin}")
 
-    series = _series_values(spec)
+    series = _series_values(spec, row)
     grid = _clip_grid(spec)
-    columns = _evaluate(spec, grid, series)
-    labels = _labels(spec, series)
+    columns = _evaluate(spec, row, grid, series)
+    labels = _labels(row, series)
 
     out = Path(spec.output)
     written: list[Path] = []
@@ -278,9 +276,7 @@ def run_sweep(spec: SweepSpec) -> list[Path]:
     if spec.format in ("svg", "both"):
         path = out.with_suffix(".svg") if spec.format == "both" else out
         path.write_text(
-            _svg_text(
-                grid, columns, labels, spec.variable.name, _COLUMN[spec.quantity]
-            ),
+            _svg_text(grid, columns, labels, spec.variable.name, row.column),
             encoding="utf-8",
             newline="\n",
         )

@@ -128,6 +128,69 @@ def test_config_non_numeric_series_exits_2(value, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    ("command", "config", "message"),
+    [
+        ("sweep", {"potential": [1]}, "potential must be a number, got [1]"),
+        ("sweep", {"count": 2.7}, "count must be an integer, got 2.7"),
+        ("sweep", {"count": True}, "count must be an integer, got True"),
+        ("wavepacket", {"points": "8193"}, "points must be an integer, got '8193'"),
+        ("sweep", {"out": 5}, "out must be a string, got 5"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(
+    command, config, message, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        # a flag does not excuse a config value of the wrong type
+        argv = [command, "transmission", "--config", str(cfg),
+                "--out", str(tmp_path / "x.csv")]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("quantity", ["tau_vs_energy", "tau_vs_coupling"])
+def test_config_from_to_match_flags(quantity, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"from": 0.4, "to": 0.6, "count": 3}), encoding="utf-8")
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    argv = ["sweep", quantity]
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert cli.main(
+        [*argv, "--from", "0.4", "--to", "0.6", "--count", "3",
+         "--out", str(from_flag)]
+    ) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
+    assert np.loadtxt(from_config, delimiter=",", skiprows=1)[:, 0].tolist() == [
+        0.4, 0.5, 0.6
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["greens", "--coupling", "1e200"],
+        ["sweep", "transmission", "--coupling", "1e200"],
+    ],
+)
+def test_overflow_exits_2(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "OverflowError" in lines[0]
+
+
 def test_verify_reports_pass(monkeypatch, capsys):
     fake = [checks.CheckResult("alpha", True, "fine")]
     monkeypatch.setattr(checks, "run_verification", lambda: fake)

@@ -1,14 +1,63 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from twostate import ReducedParams, SweepSpec, SweepVariable, run_sweep, transition_time
+from twostate import cli
 from twostate.sweep import QUANTITIES, default_spec
+
+# SHA-256 of the CSVs written by the per-quantity implementation that
+# QUANTITY_ROWS replaced; the defaults are the figures the benchmark pins.
+DEFAULT_SHA256 = {
+    "transmission": "b7fd1d52151c381dcddef7c0dc5733549177f80ec63aeecd650703e83b1e509c",
+    "phase": "9d84ca9215aced25c13dffdbe55dd132335a003f791dd21878dff94b831a68fb",
+    "tau_vs_energy": "3de73be26eae03b8f30e7c1fd6b92e23c1e44a7678cd880c25564616cb084e41",
+    "tau_vs_coupling": "bee720f99e85dc5be7b83e7fac39917883d82eace644fb42c907a3fd7ef316e0",
+}
+POTENTIAL_2_SHA256 = {
+    "transmission": "c0769d35f2e22d604974faacfb5ad009a5a4e20f14f9dd5a7063f93a46b5d799",
+    "phase": "f5b5666daea377c22d0f3555080f64b47f82ce46c96625fc4f29c1ad0756f521",
+    "tau_vs_energy": "0299ffb1e18ee8b2e9f8db5b32dc49db7ba12cfb7cf4b1f72c133e2bddcdc80e",
+    "tau_vs_coupling": "8969bd953d78e4cea29c7daab30ffa47117ddcc9d52b387c5575efe357fb4543",
+}
+MARGIN_1E5_SHA256 = {
+    "transmission": "b4fbadeb2c1a0b55656772880538f79dcc23cee8d2bd2a4d6fac7d99d8ffb367",
+    "phase": "87e972cdbfb36e8fb58f9cbfc3cc58e50cd483046c0d4a8003a21fd0d921dc64",
+    "tau_vs_energy": "2ecdf72bf0b039d34935f38b832154f1ea77d44127c846e484f476b0f3aa4e3e",
+    "tau_vs_coupling": "f2a0a9a19b93efbd8a7d3e6d94cb6c89101ac3bc3eb084ff307020a9cf3a1ccf",
+}
 
 
 def _rows(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_default_csv_golden_hash(quantity, tmp_path):
+    lib, cmd = tmp_path / "library.csv", tmp_path / "cli.csv"
+    run_sweep(default_spec(quantity, lib))
+    assert cli.main(["sweep", quantity, "--out", str(cmd)]) == 0
+    assert _sha256(lib) == DEFAULT_SHA256[quantity]
+    assert _sha256(cmd) == DEFAULT_SHA256[quantity]
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+@pytest.mark.parametrize(
+    ("flags", "digests"),
+    [(["--potential", "2"], POTENTIAL_2_SHA256),
+     (["--margin", "1e-5"], MARGIN_1E5_SHA256)],
+    ids=["potential-2", "margin-1e-5"],
+)
+def test_cli_csv_golden_hash(quantity, flags, digests, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", quantity, *flags, "--out", str(out)]) == 0
+    assert _sha256(out) == digests[quantity]
 
 
 def test_default_specs_are_well_formed(tmp_path):
