@@ -29,6 +29,7 @@ never clamped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import scatter
@@ -141,4 +142,10 @@ def extremal_coupling(epsilon: float, potential: float) -> tuple[float, float]:
     tau_star = (2.0 * epsilon - 1.0) / (
         4.0 * potential * epsilon * (1.0 - epsilon)
     )
+    for name, value in (("k0_sq_star", k0_sq_star), ("tau_star", tau_star)):
+        if not 0.0 < abs(value) <= sys.float_info.max:
+            raise DomainError(
+                f"{name} = {value!r} at epsilon={epsilon}, potential={potential} "
+                f"is not a nonzero float of magnitude <= {sys.float_info.max:.4g}"
+            )
     return k0_sq_star, tau_star

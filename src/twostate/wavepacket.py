@@ -1,12 +1,15 @@
 """Time-dependent arrival-delay measurement with narrow-band packets.
 
 A Gaussian packet in the open channel is propagated through the square
-regularized coupling with an implicit Crank-Nicolson step.  The Cayley
-form (I + i dt H / 2 hbar)^-1 (I - i dt H / 2 hbar) is unitary for the
-Hermitian discrete Hamiltonian, so the norm is conserved to rounding
-(well below 1e-8 per step in the free case).  Both channels share a
-uniform grid; the coupling enters as its cell average, which represents
-strips far narrower than the grid spacing without resolving them.
+regularized coupling with an implicit Crank-Nicolson step.  The state is
+stored channel by channel, psi = [phi1; phi2], on one uniform grid, so the
+Hamiltonian is the model's 2x2 block matrix [[T, G], [G, T + V]]: T the
+tridiagonal kinetic block, G the diagonal cell average of the coupling
+(which represents strips far narrower than the grid spacing).  The Cayley
+step (1 + lam H)^-1 (1 - lam H), lam = i dt / 2 hbar, is unitary, so the
+norm is conserved to rounding (well below 1e-8 per step in the free case).
+It is applied as 2 (1 + lam H)^-1 psi - psi, an exact identity, so each
+step is one sparse LU solve.
 
 The arrival time is the instant the centroid of the transmitted density
 (open channel restricted to the far side of the strip) crosses the
@@ -19,11 +22,12 @@ narrow-band limit, with a finite-bandwidth bias well inside 25%.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import diags, identity
+from scipy.sparse import bmat, diags, identity
 from scipy.sparse.linalg import splu
 
 from .params import DomainError, ModelParams, RunGuardError
@@ -107,6 +111,11 @@ class GridSpec:
     steps: int = 2000
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.half_length) and math.isfinite(self.dt)):
+            raise ValueError(
+                f"half_length and dt must be finite, got {self.half_length} "
+                f"and {self.dt}"
+            )
         if self.half_length <= 0.0:
             raise ValueError("half_length must be positive")
         if self.points < 128:
@@ -140,26 +149,6 @@ def _coupling_cells(x: np.ndarray, dx: float, p: ModelParams, width: float):
     return (p.coupling / width) * overlap / dx
 
 
-def _propagator(x: np.ndarray, dx: float, gvec: np.ndarray, p: ModelParams, dt: float):
-    """Factorized Crank-Nicolson operators on the interleaved 2N state."""
-    n = x.size
-    t = p.hbar**2 / (2.0 * p.mass * dx**2)
-    main = np.empty(2 * n)
-    main[0::2] = 2.0 * t
-    main[1::2] = 2.0 * t + p.potential
-    off1 = np.zeros(2 * n - 1)
-    off1[0::2] = gvec  # couples phi1(i) with phi2(i) only
-    off2 = np.full(2 * n - 2, -t)
-    ham = diags(
-        [off2, off1, main, off1, off2], offsets=[-2, -1, 0, 1, 2], format="csr"
-    )
-    lam = 1j * dt / (2.0 * p.hbar)
-    one = identity(2 * n, dtype=complex, format="csr")
-    forward = (one - lam * ham).tocsr()
-    backward = splu((one + lam * ham).tocsc())
-    return forward, backward
-
-
 def _run(
     psi: np.ndarray,
     x: np.ndarray,
@@ -168,50 +157,52 @@ def _run(
     p: ModelParams,
     grid: GridSpec,
     mask: np.ndarray,
-    snapshot=None,
+    handle=None,
+    stride: int = 1,
 ):
     """Propagate one configuration, recording the restricted centroid."""
-    forward, backward = _propagator(x, dx, gvec, p, grid.dt)
+    n = x.size
+    t = p.hbar**2 / (2.0 * p.mass * dx**2)
+    kinetic = diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
+    coupling = diags(gvec)
+    ham = bmat([[kinetic, coupling], [coupling, kinetic + p.potential * identity(n)]])
+    lam = 1j * grid.dt / (2.0 * p.hbar)
+    backward = splu((identity(2 * n) + lam * ham).tocsc())
+
     xm = x[mask]
-    times_out = np.empty(grid.steps + 1)
+    times_out = grid.dt * np.arange(grid.steps + 1)
     cents = np.full(grid.steps + 1, np.nan)
     drift = 0.0
 
     def observe(step: int, state: np.ndarray) -> None:
         nonlocal drift
-        t = step * grid.dt
-        times_out[step] = t
-        dens1 = np.abs(state[0::2]) ** 2
-        dens2 = np.abs(state[1::2]) ** 2
-        norm = (dens1.sum() + dens2.sum()) * dx
-        drift = max(drift, abs(norm - 1.0))
-        if drift > _DRIFT_TOL:
+        t = times_out[step]
+        dens = np.abs(state.reshape(2, n)) ** 2
+        err = abs(dens.sum() * dx - 1.0)
+        if not err <= _DRIFT_TOL:
             raise NormDriftError(
-                f"norm drifted by {drift:.3e} at t={t} (tolerance {_DRIFT_TOL})"
+                f"norm drifted by {err:.3e} at t={t} (tolerance {_DRIFT_TOL})"
             )
-        edge = max(dens1[0] + dens2[0], dens1[-1] + dens2[-1])
+        drift = max(drift, err)
+        edge = dens[:, [0, -1]].sum(axis=0).max()
         if edge > _EDGE_TOL:
             raise BoundaryContaminationError(
                 f"edge density {edge:.3e} exceeds {_EDGE_TOL} at t={t}; "
                 "enlarge the domain or shorten the run"
             )
-        mass = dens1[mask].sum() * dx
+        mass = dens[0, mask].sum() * dx
         if mass > _MASS_FLOOR:
-            cents[step] = (xm * dens1[mask]).sum() * dx / mass
-        if snapshot is not None and step % snapshot[1] == 0:
-            fh = snapshot[0]
-            block = np.column_stack(
-                (np.full(x.size, t), x, dens1, dens2)
-            )
-            np.savetxt(fh, block, fmt="%.15g", delimiter=",")
+            cents[step] = (xm * dens[0, mask]).sum() * dx / mass
+        if handle is not None and step % stride == 0:
+            block = np.column_stack((np.full(n, t), x, dens[0], dens[1]))
+            np.savetxt(handle, block, fmt="%.15g", delimiter=",")
 
     observe(0, psi)
     for step in range(1, grid.steps + 1):
-        psi = backward.solve(forward @ psi)
+        psi = 2.0 * backward.solve(psi) - psi
         observe(step, psi)
 
-    dens1 = np.abs(psi[0::2]) ** 2
-    transmitted = float(dens1[mask].sum() * dx)
+    transmitted = float((np.abs(psi[:n][mask]) ** 2).sum() * dx)
     return times_out, cents, drift, transmitted
 
 
@@ -246,7 +237,7 @@ def propagate(
     ``snapshot_path`` is given, rows (t, x, |phi1|^2, |phi2|^2) of the
     coupled run are dumped every ``snapshot_stride`` steps.
     """
-    if width <= 0.0 or width > 1e-2:
+    if not 0.0 < width <= 1e-2:
         raise ValueError(
             f"regularization width must lie in (0, 1e-2], got {width!r}"
         )
@@ -273,26 +264,24 @@ def propagate(
 
     envelope = np.exp(-((x - packet.center) ** 2) / (4.0 * packet.sigma**2))
     psi0 = np.zeros(2 * grid.points, dtype=complex)
-    psi0[0::2] = envelope * np.exp(1j * packet.wavenumber * x)
-    psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
+    psi0[: grid.points] = envelope * np.exp(1j * packet.wavenumber * x)
+    norm = float(np.sum(np.abs(psi0) ** 2)) * dx
+    if not 0.0 < norm < math.inf:
+        raise ValueError(
+            f"packet at x0={packet.center}, sigma={packet.sigma} has norm {norm} "
+            f"on the grid of half-domain {grid.half_length}; move x0 inside it"
+        )
+    psi0 /= math.sqrt(norm)
 
     gvec = _coupling_cells(x, dx, p, width)
-    snapshot = None
-    handle = None
-    try:
-        if snapshot_path is not None:
-            handle = open(snapshot_path, "w", encoding="utf-8", newline="\n")
-            handle.write("t,x,density1,density2\n")
-            snapshot = (handle, snapshot_stride)
-        ts, cs, drift, transmitted = _run(
-            psi0.copy(), x, dx, gvec, p, grid, mask, snapshot
-        )
-    finally:
+    with (nullcontext() if snapshot_path is None else
+          open(snapshot_path, "w", encoding="utf-8", newline="\n")) as handle:
         if handle is not None:
-            handle.close()
-
-    zero = np.zeros_like(gvec)
-    ts_free, cs_free, _, _ = _run(psi0.copy(), x, dx, zero, p, grid, mask, None)
+            handle.write("t,x,density1,density2\n")
+        ts, cs, drift, transmitted = _run(
+            psi0, x, dx, gvec, p, grid, mask, handle, snapshot_stride
+        )
+    ts_free, cs_free, _, _ = _run(psi0, x, dx, np.zeros_like(gvec), p, grid, mask)
 
     t_arrival = _crossing_time(ts, cs, plane)
     t_free = _crossing_time(ts_free, cs_free, plane)

@@ -244,6 +244,11 @@ def test_wavepacket_coupled_run(tmp_path, capsys):
     [
         (["--steps", "3000", "--points", "1025"], "edge density"),
         ([*WP_FAST, "--steps", "30"], "never crossed"),
+        # rejected before the run
+        ([*WP_FAST, "--half-domain", "nan"], "must be finite"),
+        ([*WP_FAST, "--dt", "inf"], "must be finite"),
+        ([*WP_FAST, "--width", "nan"], "regularization width"),
+        ([*WP_FAST, "--x0", "-100000"], "x0=-100000.0"),
     ],
 )
 def test_wavepacket_run_guard_exits_2(argv, message, capsys):

@@ -133,3 +133,11 @@ def test_extremal_coupling_rejects_degenerate_input():
         extremal_coupling(1.2, 1.0)
     with pytest.raises(DomainError):
         extremal_coupling(0.25, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("potential", "quantity"), [(1e-320, "tau_star = -inf"), (1e308, "k0_sq_star = inf")]
+)
+def test_extremal_coupling_outside_float_range(potential, quantity):
+    with pytest.raises(DomainError, match=f"{quantity} .* <= 1.798e\\+308"):
+        extremal_coupling(0.25, potential)

@@ -58,6 +58,19 @@ def test_norm_is_conserved(coupled_result):
     assert coupled_result.norm_drift <= 1e-8
 
 
+def test_golden_delay_result(coupled_result):
+    # pinned to 1e-10 relative; the delay is a difference of two arrival
+    # times, so its bound is absolute in units of t_free
+    t_free = 130.86787583962737
+    assert coupled_result.t_arrival == pytest.approx(130.87009431264295, rel=1e-10)
+    assert coupled_result.t_free == pytest.approx(t_free, rel=1e-10)
+    assert coupled_result.transmitted_fraction == pytest.approx(
+        0.9410359204761304, rel=1e-10
+    )
+    assert abs(coupled_result.delay - 0.002218473015574318) <= 1e-10 * t_free
+    assert coupled_result.norm_drift <= 1e-11
+
+
 def test_snapshots_written(tmp_path):
     path = tmp_path / "frames.csv"
     grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=370)
@@ -129,6 +142,10 @@ def test_packet_for_energy():
         dict(half_length=300.0, points=64),
         dict(half_length=300.0, dt=0.0),
         dict(half_length=300.0, steps=0),
+        dict(half_length=math.nan),
+        dict(half_length=math.inf),
+        dict(half_length=300.0, dt=math.nan),
+        dict(half_length=300.0, dt=math.inf),
     ],
 )
 def test_grid_validation(kwargs):
@@ -142,6 +159,8 @@ def test_propagate_validation():
     with pytest.raises(ValueError):
         propagate(PACKET, P_COUPLED, width=0.02, grid=GRID)
     with pytest.raises(ValueError):
+        propagate(PACKET, P_COUPLED, width=math.nan, grid=GRID)
+    with pytest.raises(ValueError):
         propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID, snapshot_stride=0)
     hot = PacketSpec.for_energy(2.5, P_COUPLED, sigma=20.0, center=-100.0)
     with pytest.raises(DomainError):
@@ -149,3 +168,10 @@ def test_propagate_validation():
     broad = PacketSpec(center=-25.0, wavenumber=1.0, sigma=5.0)
     with pytest.raises(ValueError, match="broadband"):
         propagate(broad, P_COUPLED, width=1e-3, grid=GRID)
+
+
+def test_packet_off_the_grid_is_rejected():
+    # the envelope underflows to zero everywhere on the grid
+    far = PacketSpec.for_energy(1.0, P_COUPLED, sigma=20.0, center=-100000.0)
+    with pytest.raises(ValueError, match=r"x0=-100000\.0, sigma=20\.0 has norm 0\.0"):
+        propagate(far, P_COUPLED, width=1e-3, grid=GRID)
