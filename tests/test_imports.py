@@ -68,6 +68,25 @@ def test_greens_loads_only_the_solver_it_uses(tmp_path):
         assert unused not in loaded
 
 
+# a grid on which the packet crosses the detector cleanly in a fraction
+# of a second
+SMALL_WAVEPACKET = [
+    "wavepacket", "--sigma", "45", "--x0", "-225", "--half-domain", "580",
+    "--points", "2049", "--dt", "1", "--steps", "545",
+]
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import twostate.wavepacket", _cli(SMALL_WAVEPACKET)],
+    ids=["import", "run"],
+)
+def test_wavepacket_loads_lapack_and_no_sparse(code, tmp_path):
+    loaded = _scipy_loaded_by(code, tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
 FROM_IMPORT = """
 for name in twostate.__all__:
     exec(f"from twostate import {name}", ns)

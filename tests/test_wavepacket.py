@@ -1,10 +1,15 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu as superlu
 
 from twostate import (
     BoundaryContaminationError,
+    DelayResult,
     DomainError,
     GridSpec,
     ModelParams,
@@ -15,7 +20,9 @@ from twostate import (
     RunGuardError,
     propagate,
     transmission_probability,
+    wavepacket,
 )
+from twostate.cli import _OPTIONS
 
 # symmetric-point configuration: cheap grid, zero analytic delay
 P_COUPLED = ModelParams(energy=1.0, potential=2.0, coupling=1.0)
@@ -69,6 +76,92 @@ def test_golden_delay_result(coupled_result):
     )
     assert abs(coupled_result.delay - 0.002218473015574318) <= 1e-10 * t_free
     assert coupled_result.norm_drift <= 1e-11
+
+
+def test_delay_result_fields_are_float(coupled_result, free_result):
+    for result in (coupled_result, free_result):
+        for field in dataclasses.fields(DelayResult):
+            assert type(getattr(result, field.name)) is float, field.name
+
+
+def _superlu_factor(chans, t, potential, gvec, lam):
+    """Reference for wavepacket.splu: SuperLU on the assembled 1 + lam H."""
+    n = gvec.size
+    kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
+    ham = kinetic
+    if chans == 2:
+        g = sparse.diags(gvec)
+        ham = sparse.bmat(
+            [[kinetic, g], [g, kinetic + potential * sparse.identity(n)]]
+        )
+    lu = superlu((sparse.identity(chans * n) + lam * ham).tocsc())
+
+    def solve(b):
+        b[:] = lu.solve(b)
+        return b
+
+    return SimpleNamespace(solve=solve)
+
+
+@pytest.mark.parametrize(
+    "chans, cells",
+    [
+        (1, []),  # free run: one channel, no Woodbury correction
+        (2, [512]),  # one coupled cell, rank 2
+        (2, [3, 511, 512, 513, 1020]),  # five cells, rank 10, two at the edges
+    ],
+)
+def test_structured_solve_matches_superlu(chans, cells):
+    n, dx = 1025, 1440.0 / 8192.0
+    t, lam, potential = 1.0 / dx**2, 0.25j, 1.0
+    gvec = np.zeros(n)
+    gvec[cells] = np.linspace(1.0, 2.0, len(cells)) / dx
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(chans * n) + 1j * rng.standard_normal(chans * n)
+    want = _superlu_factor(chans, t, potential, gvec, lam).solve(b.copy())
+    work = b.copy()
+    got = wavepacket.splu(chans, t, potential, gvec, lam).solve(work)
+    assert got is work  # solved in place
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cli_default_delay_matches_superlu(monkeypatch):
+    o = {opt.name: opt.default for opt in _OPTIONS["wavepacket"]}
+    p = ModelParams(
+        energy=o["energy"], potential=o["potential"], coupling=o["coupling"],
+        mass=o["mass"], hbar=o["hbar"],
+    )
+    packet = PacketSpec.for_energy(o["energy"], p, sigma=o["sigma"], center=o["x0"])
+    grid = GridSpec(o["half_domain"], o["points"], o["dt"], o["steps"])
+    got = propagate(packet, p, width=o["width"], grid=grid)
+    monkeypatch.setattr(wavepacket, "splu", _superlu_factor)
+    want = propagate(packet, p, width=o["width"], grid=grid)
+    for name in ("t_arrival", "t_free", "transmitted_fraction"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10)
+    assert abs(got.delay - want.delay) <= 1e-10 * want.t_free
+    assert got.norm_drift <= 1e-6
+
+
+@pytest.mark.parametrize("chans", [1, 2])
+def test_frame_writer_matches_savetxt(chans, tmp_path):
+    # exact zeros, subnormals, 1e-300 and negative x all print as savetxt does
+    x = np.array([-720.0, -0.17578125, -0.0, 0.0, 1e-300, 5e-324, 3.5, 720.0])
+    dens = np.array([
+        [0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1.0, 0.0],
+        [1e-300, 0.0, 4.9e-322, 1e-310, 2.0 / 3.0, 0.0, 123456789.123456789, 1e-17],
+    ])[:chans]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    with open(got, "w", encoding="utf-8", newline="\n") as handle:
+        write = wavepacket._frame_writer(handle, x)
+        for t in (0.0, 0.5, 689.5):
+            write(t, dens)
+    with open(want, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("t,x,density1,density2\n")
+        for t in (0.0, 0.5, 689.5):
+            second = dens[1] if chans == 2 else np.zeros_like(x)
+            block = np.column_stack((np.full(x.size, t), x, dens[0], second))
+            np.savetxt(handle, block, fmt="%.15g", delimiter=",")
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_snapshots_written(tmp_path):
