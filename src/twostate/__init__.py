@@ -8,9 +8,10 @@ amplitudes, the tunneling-time taxonomy and the transition time, all of
 which are cross-checked here by independent numerical oracles and a
 time-dependent wave-packet experiment.
 
-The closed forms need only ``math``, so ``import twostate`` loads no
-scipy: the names exported from ``oracle`` and ``wavepacket`` are imported
-on first use.
+The closed forms need only ``math`` and the oracles only numpy, so
+``import twostate`` loads no scipy: the names exported from ``oracle`` and
+``wavepacket`` are imported on first use, and only ``wavepacket`` loads
+scipy.
 """
 
 import importlib

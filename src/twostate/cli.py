@@ -13,7 +13,7 @@ over config values.  Exit codes: 0 success, 1 verification failure, 2
 usage, config, domain or overflow error, or a tripped wave-packet guard.
 
 Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
-``wavepacket``), so that ``sweep`` loads no scipy.
+``wavepacket``), so that only ``wavepacket`` loads scipy.
 """
 
 from __future__ import annotations

@@ -1,32 +1,36 @@
 """Independent numerical oracles for the closed-form results.
 
-Nothing in this module reuses the closed forms it is meant to check:
+Nothing in this module reuses the closed forms it is meant to check, and
+everything here runs on numpy alone:
 
 * ``fd_group_delay`` differentiates the transmission phase by central
   differences, converging to the analytic group delay at O(h^2).
 * ``greens_grid`` solves (E - H2) G = delta on a finite-difference grid
-  with Dirichlet ends; ``greens_grid_extrapolated`` Richardson-combines
+  with Dirichlet ends, eliminating the tridiagonal system from both ends
+  to the centre row; ``greens_grid_extrapolated`` Richardson-combines
   spacings h and h/2.
 * ``solve_regularized`` replaces the point coupling by a square coupling
   of width w and height k0/w and solves the genuine two-channel matching
   problem (8 unknowns); its w -> 0 limit recovers the point-coupling
   amplitudes at first order in w.
 * ``dwell_time_regularized`` integrates the two-channel density over the
-  coupling strip, exhibiting the dwell-time collapse tau_d -> 0.
-* ``extremum_search`` locates the coupling that maximizes |tau| without
-  using the closed-form extremum.
+  coupling strip by panelled 64-node Gauss-Legendre quadrature,
+  exhibiting the dwell-time collapse tau_d -> 0.
+* ``extremum_search`` locates the coupling that maximizes |tau| by a
+  golden-section search, without using the closed-form extremum.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import scatter, times
-from .params import DomainError, ModelParams, wave_numbers
+from .params import DomainError, ModelParams, ReducedParams, wave_numbers
 
 __all__ = [
     "ConvergenceReport",
@@ -73,10 +77,29 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
 # grid solve of the closed-channel resolvent
 # ---------------------------------------------------------------------------
 
-def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
-    """Grid half-width 20 / kappa and spacing (0.005 / kappa by default)."""
+# Below kappa*h = eps**(1/4) the rounding error eps / (kappa h)^2 of the
+# difference quotient outgrows its truncation error (kappa h)^2, so no finer
+# grid is more accurate.
+_KH_FLOOR = float(np.finfo(float).eps) ** 0.25
+
+
+def _grid_scales(
+    p: ModelParams, spacing: float | None, refine: int = 1
+) -> tuple[float, float]:
+    """Grid half-width 20 / kappa and spacing (0.005 / kappa by default).
+
+    Rejects a spacing that is not finite or whose ``refine``-th part is
+    below the rounding floor eps**(1/4) / kappa.
+    """
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
-    return 20.0 / kappa, 0.005 / kappa if spacing is None else spacing
+    h = 0.005 / kappa if spacing is None else spacing
+    floor = refine * _KH_FLOOR / kappa
+    if not floor <= h < math.inf:
+        raise ValueError(
+            f"grid spacing must be finite and at least {floor!r} "
+            f"(kappa*h >= eps**0.25, the rounding floor), got {h!r}"
+        )
+    return 20.0 / kappa, h
 
 
 def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
@@ -84,31 +107,29 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
 
     Second-order central differences on [-L, L] around the coupling with
     L = 20 / kappa, so the truncated tails are ~exp(-40) and invisible at
-    the tolerances of interest.
+    the tolerances of interest.  The symmetric tridiagonal system (diagonal
+    a, off-diagonal t) is eliminated from both ends to the centre row, and
+    only the pivot recurrence d <- a - t^2 / d is needed for that row.
+    ``spacing`` must be finite and at least eps**(1/4) / kappa, where the
+    rounding error of the grid overtakes its truncation error.
     """
-    from scipy.linalg import solve_banded
-
     half, h = _grid_scales(p, spacing)
-    if h <= 0.0:
-        raise ValueError(f"grid spacing must be positive, got {h!r}")
     n = max(4, int(math.ceil(half / h)))
     h = half / n
-    # interior points -n+1 .. n-1 relative to the coupling, 0 included
-    size = 2 * n - 1
+    # interior points -n+1 .. n-1 relative to the coupling; n - 1 rows on
+    # each side of the centre row
     t = p.hbar**2 / (2.0 * p.mass * h**2)
-    ab = np.zeros((3, size))
-    ab[0, 1:] = t
-    ab[1, :] = (p.energy - p.potential) - 2.0 * t
-    ab[2, :-1] = t
-    rhs = np.zeros(size)
-    rhs[n - 1] = 1.0 / h
-    sol = solve_banded((1, 1), ab, rhs)
-    return float(sol[n - 1])
+    a = (p.energy - p.potential) - 2.0 * t
+    tsq = t * t
+    d = a
+    for _ in range(n - 2):
+        d = a - tsq / d
+    return (1.0 / h) / (a - 2.0 * tsq / d)
 
 
 def greens_grid_extrapolated(p: ModelParams, spacing: float | None = None) -> float:
     """Richardson combination (4 G(h/2) - G(h)) / 3 of two grid solves."""
-    _, h = _grid_scales(p, spacing)
+    _, h = _grid_scales(p, spacing, refine=2)
     coarse = greens_grid(p, h)
     fine = greens_grid(p, h / 2.0)
     return (4.0 * fine - coarse) / 3.0
@@ -178,6 +199,11 @@ class RegularizedSolution:
         return phi1 * phase, phi2 * phase
 
 
+def _check_width(width: float) -> None:
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must lie in (0, inf), got {width!r}")
+
+
 def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     """Solve the two-channel problem with a square coupling of width w.
 
@@ -186,8 +212,7 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     exponential pieces on either side are matched by value and slope at
     both strip edges (8 linear conditions).
     """
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {width!r}")
+    _check_width(width)
     if p.energy <= 0.0:
         raise DomainError("regularized scattering requires energy > 0")
     kn = wave_numbers(p)
@@ -318,25 +343,46 @@ def convergence_study(
     )
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """64-node Gauss-Legendre rule on [-1, 1], built on first use.
+
+    64 nodes integrate a panel spanning 20 / max(k, kappa, |q_j|) to
+    rounding.
+    """
+    return np.polynomial.legendre.leggauss(64)
+
+
+# panels per wavefunction call, so memory stays bounded on wide windows
+_PANELS_PER_CALL = 256
+
+
 def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
     """Dwell integral of the regularized solution over the given pieces.
 
     (m / hbar k) times the integral of |phi1|^2 + |phi2|^2 over each
     nonempty (a, b) in ``pieces``, y measured from the coupling center.
+    Each piece is cut into equal panels no longer than
+    20 / max(k, kappa, |q_j|), and each panel gets the 64-node
+    Gauss-Legendre rule.
     """
-    from scipy import integrate
-
     sol = solve_regularized(p, width)
-
-    def density(y: float) -> float:
-        phi1, phi2 = sol.wavefunction(y + p.center)
-        return float(abs(phi1[0]) ** 2 + abs(phi2[0]) ** 2)
-
-    total = sum(
-        integrate.quad(density, a, b, epsabs=1e-13, epsrel=1e-11)[0]
-        for a, b in pieces if b > a
-    )
-    return total * p.mass / (p.hbar * wave_numbers(p).k)
+    nodes, weights = _gauss_legendre()
+    longest = 20.0 / max(sol.k, sol.kappa, *np.abs(sol.modes))
+    total = 0.0
+    for a, b in pieces:
+        if b <= a:
+            continue
+        panels = math.ceil((b - a) / longest)
+        rad = 0.5 * (b - a) / panels
+        for first in range(0, panels, _PANELS_PER_CALL):
+            count = min(_PANELS_PER_CALL, panels - first)
+            mids = a + rad * (2.0 * np.arange(first, first + count) + 1.0)
+            y = (mids[:, None] + rad * nodes).ravel()
+            phi1, phi2 = sol.wavefunction(y + p.center)
+            density = (np.abs(phi1) ** 2 + np.abs(phi2) ** 2).reshape(count, -1)
+            total += rad * float((density @ weights).sum())
+    return total * p.mass / (p.hbar * sol.k)
 
 
 def dwell_time_regularized(p: ModelParams, width: float) -> float:
@@ -357,9 +403,13 @@ def dwell_time_window(p: ModelParams, width: float, half_window: float) -> float
     evanescent tails outside the strip, so it does not collapse with the
     strip width.  Reported by the verification suite, never asserted.
     """
-    if half_window < width / 2.0:
-        raise ValueError("window must contain the coupling strip")
+    _check_width(width)
     half = width / 2.0
+    if not half <= half_window < math.inf:
+        raise ValueError(
+            f"half_window must be finite and at least width / 2 = {half!r} "
+            f"so the window contains the coupling strip, got {half_window!r}"
+        )
     return _strip_dwell(
         p, width, ((-half_window, -half), (-half, half), (half, half_window))
     )
@@ -369,25 +419,43 @@ def dwell_time_window(p: ModelParams, width: float, half_window: float) -> float
 # extremum search
 # ---------------------------------------------------------------------------
 
+# golden-section shrink factor 1 / phi
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def extremum_search(
     epsilon: float, potential: float, bracket: tuple[float, float] = (1e-6, 50.0)
 ) -> tuple[float, float]:
     """Numerically maximize |tau| over k0^2 at fixed (epsilon, V).
 
-    Returns (k0_sq_at_max, tau_at_max).  Independent of the closed-form
-    extremum, which it is used to verify.
+    Golden-section search over ``bracket`` = (lo, hi), 0 < lo < hi < inf,
+    until the bracket is 1e-10 wide.  Returns (k0_sq_at_max, tau_at_max).
+    Independent of the closed-form extremum, which it is used to verify.
     """
-    from scipy import optimize
+    lo, hi = bracket
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(
+            f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}"
+        )
 
-    from .params import ReducedParams
-
-    def negmag(ksq: float) -> float:
+    def tau(ksq: float) -> float:
         r = ReducedParams(epsilon=epsilon, potential=potential, coupling=math.sqrt(ksq))
-        return -abs(times.transition_time(r))
+        return times.transition_time(r)
 
-    res = optimize.minimize_scalar(
-        negmag, bounds=bracket, method="bounded", options={"xatol": 1e-10}
-    )
-    ksq = float(res.x)
-    r = ReducedParams(epsilon=epsilon, potential=potential, coupling=math.sqrt(ksq))
-    return ksq, times.transition_time(r)
+    # each step keeps the sub-bracket holding the larger |tau| and shrinks
+    # the bracket by 1 / phi; the step count is fixed up front, so a
+    # bracket that rounding cannot narrow to 1e-10 still ends
+    steps = math.ceil(math.log((hi - lo) / 1e-10) / -math.log(_INV_PHI))
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = abs(tau(c)), abs(tau(d))
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = abs(tau(c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = abs(tau(d))
+    ksq = 0.5 * (lo + hi)
+    return ksq, tau(ksq)

@@ -50,7 +50,9 @@ def _cli(argv: list[str]) -> str:
     )
 
 
-@pytest.mark.parametrize("module", ["twostate", "twostate.cli"])
+@pytest.mark.parametrize(
+    "module", ["twostate", "twostate.cli", "twostate.oracle", "twostate.checks"]
+)
 def test_import_loads_no_scipy(module, tmp_path):
     assert _scipy_loaded_by(f"import {module}", tmp_path) == []
 
@@ -61,11 +63,10 @@ def test_sweep_loads_no_scipy(tmp_path):
     assert (tmp_path / "phase.csv").is_file()
 
 
-def test_greens_loads_only_the_solver_it_uses(tmp_path):
-    loaded = _scipy_loaded_by(_cli(["greens"]), tmp_path)
-    assert "scipy.linalg" in loaded
-    for unused in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
-        assert unused not in loaded
+@pytest.mark.parametrize("command", ["verify", "greens"])
+def test_oracle_commands_load_no_scipy(command, tmp_path):
+    # the grid, quadrature and extremum oracles run on numpy alone
+    assert _scipy_loaded_by(_cli([command]), tmp_path) == []
 
 
 # a grid on which the packet crosses the detector cleanly in a fraction

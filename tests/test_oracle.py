@@ -1,7 +1,11 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.linalg import solve_banded
 
 from twostate import (
     DomainError,
@@ -18,6 +22,7 @@ from twostate import (
     greens_grid,
     greens_grid_extrapolated,
     group_delays,
+    oracle,
     solve_amplitudes,
     solve_regularized,
     wave_numbers,
@@ -82,6 +87,59 @@ def test_grid_resolvent_rejects_bad_spacing():
     p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
     with pytest.raises(ValueError):
         greens_grid(p, spacing=0.0)
+
+
+def test_grid_spacing_floor():
+    # kappa = 1 here, so the floor is eps**0.25 itself
+    p = ModelParams(energy=0.5, potential=1.5, coupling=1.0)
+    floor = float(np.finfo(float).eps) ** 0.25
+    exact = greens_constant(0.0, 0.0, p).value
+    assert abs(greens_grid(p, floor) - exact) <= 1e-6 * abs(exact)
+    with pytest.raises(ValueError, match="rounding floor"):
+        greens_grid(p, math.nextafter(floor, 0.0))
+    # the extrapolated form also solves on h / 2
+    greens_grid_extrapolated(p, 2.0 * floor)
+    with pytest.raises(ValueError, match=repr(2.0 * floor)):
+        greens_grid_extrapolated(p, 1.5 * floor)
+
+
+def _banded_grid(p, spacing):
+    """Reference for greens_grid: solve_banded on the assembled system."""
+    half, h = oracle._grid_scales(p, spacing)
+    n = max(4, int(math.ceil(half / h)))
+    h = half / n
+    size = 2 * n - 1
+    t = p.hbar**2 / (2.0 * p.mass * h**2)
+    ab = np.zeros((3, size))
+    ab[0, 1:] = t
+    ab[1, :] = (p.energy - p.potential) - 2.0 * t
+    ab[2, :-1] = t
+    rhs = np.zeros(size)
+    rhs[n - 1] = 1.0 / h
+    return float(solve_banded((1, 1), ab, rhs)[n - 1])
+
+
+def _battery(count=16, seed=8):
+    """Seeded (E, V, k0) points on both sides of eps = 1/2."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        v = rng.uniform(0.5, 2.0)
+        eps = rng.choice((rng.uniform(0.1, 0.45), rng.uniform(0.55, 0.9)))
+        points.append(ModelParams(energy=eps * v, potential=v, coupling=rng.uniform(0.5, 2.0)))
+    return points
+
+
+@pytest.mark.parametrize("p", _battery())
+def test_grid_matches_banded_solve(p):
+    _, h = oracle._grid_scales(p, None)
+    coarse, fine = _banded_grid(p, h), _banded_grid(p, h / 2.0)
+    for got, want in (
+        (greens_grid(p), coarse),
+        (greens_grid(p, h / 2.0), fine),
+        (greens_grid_extrapolated(p), (4.0 * fine - coarse) / 3.0),
+    ):
+        assert abs(got - want) <= 2e-11 * abs(want)
 
 
 def test_regularized_solution_is_consistent():
@@ -169,6 +227,39 @@ def test_dwell_time_uncoupled_value():
     assert dwell_time_regularized(p, w) == pytest.approx(expected, rel=1e-9)
 
 
+def _quad_dwell(p, width, half_window=None):
+    """Reference for both dwell forms: adaptive quad on unit sub-intervals."""
+    sol = solve_regularized(p, width)
+
+    def density(y):
+        phi1, phi2 = sol.wavefunction(y + p.center)
+        return float(abs(phi1[0]) ** 2 + abs(phi2[0]) ** 2)
+
+    half = width / 2.0
+    pieces = [(-half, half)]
+    if half_window is not None:
+        pieces += [(-half_window, -half), (half, half_window)]
+    total = 0.0
+    for a, b in pieces:
+        edges = np.linspace(a, b, max(1, math.ceil(b - a)) + 1)
+        total += sum(
+            integrate.quad(density, lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+    return total * p.mass / (p.hbar * wave_numbers(p).k)
+
+
+@pytest.mark.parametrize("width", [1e-1, 1e-2, 1e-3])
+def test_dwell_matches_quad(width):
+    p = expand_reduced(ReducedParams(0.25, 1.0, 1.0))
+    want = _quad_dwell(p, width)
+    assert abs(dwell_time_regularized(p, width) - want) <= 1e-13 * want
+    for half_window in (0.5, 5.0, 500.0):
+        want = _quad_dwell(p, width, half_window)
+        got = dwell_time_window(p, width, half_window)
+        assert abs(got - want) <= 1e-13 * want
+
+
 def test_window_dwell_does_not_collapse():
     p = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
     window = dwell_time_window(p, 1e-3, 0.5)
@@ -184,3 +275,46 @@ def test_extremum_search_matches_closed_form(eps):
     ksq_ref, tau_ref = extremal_coupling(eps, 1.0)
     assert abs(ksq_num - ksq_ref) <= 1e-6
     assert abs(abs(tau_num) - abs(tau_ref)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    ("eps", "pot"),
+    [(0.25, 1.0), (0.75, 1.0), (0.1, 0.5), (0.9, 2.0), (0.4, 1.7), (0.02, 1.0), (0.98, 1.0)],
+)
+def test_extremum_search_accuracy(eps, pot):
+    # |tau| is flat at its maximum, so k0*^2 is found to about sqrt(eps_mach)
+    # while |tau*| itself is found to rounding
+    ksq_num, tau_num = extremum_search(eps, pot)
+    ksq_ref, tau_ref = extremal_coupling(eps, pot)
+    assert abs(ksq_num - ksq_ref) <= 1e-7 * ksq_ref
+    assert abs(abs(tau_num) - abs(tau_ref)) <= 1e-15 * abs(tau_ref)
+
+
+P_HALF = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    ("call", "names"),
+    [
+        (lambda: solve_regularized(P_HALF, math.nan), "width"),
+        (lambda: solve_regularized(P_HALF, math.inf), "width"),
+        (lambda: dwell_time_regularized(P_HALF, math.nan), "width"),
+        (lambda: dwell_time_regularized(P_HALF, math.inf), "width"),
+        (lambda: dwell_time_window(P_HALF, math.nan, 0.5), "width"),
+        (lambda: dwell_time_window(P_HALF, 1e-3, math.nan), "half_window"),
+        (lambda: dwell_time_window(P_HALF, 1e-3, math.inf), "half_window"),
+        (lambda: greens_grid(P_HALF, math.nan), "grid spacing"),
+        (lambda: greens_grid(P_HALF, math.inf), "grid spacing"),
+        (lambda: greens_grid_extrapolated(P_HALF, math.inf), "grid spacing"),
+        (lambda: extremum_search(0.25, 1.0, (0.0, 50.0)), "bracket"),
+        (lambda: extremum_search(0.25, 1.0, (2.0, 1.0)), "bracket"),
+        (lambda: extremum_search(0.25, 1.0, (1e-6, math.inf)), "bracket"),
+        (lambda: extremum_search(0.25, 1.0, (math.nan, 1.0)), "bracket"),
+    ],
+)
+def test_nonfinite_oracle_inputs_raise_typed_errors(call, names):
+    # the error names the argument, comes before any warning, and is typed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=names):
+            call()
