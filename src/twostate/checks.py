@@ -32,24 +32,22 @@ class CheckResult:
 
 def check_unitarity_grid() -> CheckResult:
     """|T|^2 + |R|^2 = 1 to 1e-12 over >= 1e4 parameter triples."""
-    eps_grid = np.linspace(0.01, 0.99, 50)
-    ksq_grid = np.linspace(0.01, 10.0, 67)
-    pot_grid = (0.5, 1.0, 2.0)
-    worst = 0.0
+    eps = np.linspace(0.01, 0.99, 50)
+    k0 = np.sqrt(np.linspace(0.01, 10.0, 67))
+    maxima = []
     count = 0
-    for pot in pot_grid:
-        for ksq in ksq_grid:
-            k0 = math.sqrt(ksq)
-            for eps in eps_grid:
-                p = expand_reduced(
-                    ReducedParams(epsilon=float(eps), potential=pot, coupling=k0)
-                )
-                amps = scatter.solve_amplitudes(p)
-                worst = max(
-                    worst,
-                    abs(amps.transmission_prob + amps.reflection_prob - 1.0),
-                )
-                count += 1
+    # whole-array calls on blocks of <= 1,700 points keep the temporaries
+    # under about 0.3 MB
+    for pot in (0.5, 1.0, 2.0):
+        for rows in np.array_split(k0, 2):
+            p = expand_reduced(
+                ReducedParams(epsilon=eps, potential=pot, coupling=rows[:, None])
+            )
+            amps = scatter.solve_amplitudes(p)
+            defect = np.abs(amps.transmission_prob + amps.reflection_prob - 1.0)
+            maxima.append(defect.max())
+            count += defect.size
+    worst = float(np.max(maxima))  # NaN propagates and fails the check
     return CheckResult(
         name="unitarity_grid",
         passed=worst <= 1e-12,
@@ -59,23 +57,19 @@ def check_unitarity_grid() -> CheckResult:
 
 def check_closed_form_consistency() -> CheckResult:
     """Full-unit delay, taxonomy value and reduced form agree to 1e-12."""
-    worst = 0.0
-    for pot in (0.5, 1.0, 2.0):
-        for ksq in (0.25, 0.5, 1.0, 2.0, 4.0):
-            for eps in np.linspace(0.05, 0.95, 19):
-                r = ReducedParams(
-                    epsilon=float(eps), potential=pot, coupling=math.sqrt(ksq)
-                )
-                p = expand_reduced(r)
-                full = times.group_delays(p)[0]
-                taxonomy = times.time_taxonomy(p).transition
-                reduced = times.transition_time(r)
-                if abs(reduced) <= 1e-9:
-                    continue
-                dev = max(abs(full - reduced), abs(taxonomy - reduced)) / abs(
-                    reduced
-                )
-                worst = max(worst, dev)
+    r = ReducedParams(
+        epsilon=np.linspace(0.05, 0.95, 19),
+        potential=np.array([0.5, 1.0, 2.0])[:, None, None],
+        coupling=np.sqrt([0.25, 0.5, 1.0, 2.0, 4.0])[:, None],
+    )
+    p = expand_reduced(r)
+    full = times.group_delays(p)[0]
+    taxonomy = times.time_taxonomy(p).transition
+    reduced = times.transition_time(r)
+    # tau vanishes at eps = 1/2, where a relative spread means nothing
+    keep = np.abs(reduced) > 1e-9
+    dev = np.maximum(np.abs(full - reduced), np.abs(taxonomy - reduced)) / np.abs(reduced)
+    worst = float(np.max(dev[keep], initial=0.0))
     return CheckResult(
         name="closed_form_consistency",
         passed=worst <= 1e-12,
@@ -112,20 +106,14 @@ def check_structural_laws() -> CheckResult:
         ReducedParams(epsilon=0.5, potential=1.0, coupling=1.0)
     )
     grid = np.linspace(1e-4, 1.0 - 1e-4, 999)
-    sign_ok = True
-    anti_worst = 0.0
-    for eps in grid:
-        tau = times.transition_time(
-            ReducedParams(epsilon=float(eps), potential=1.0, coupling=1.0)
-        )
-        if math.copysign(1.0, tau) != math.copysign(1.0, 2.0 * eps - 1.0) and not (
-            tau == 0.0 and 2.0 * eps - 1.0 == 0.0
-        ):
-            sign_ok = False
-        mirror = times.transition_time(
-            ReducedParams(epsilon=float(1.0 - eps), potential=1.0, coupling=1.0)
-        )
-        anti_worst = max(anti_worst, abs(tau + mirror) / max(1.0, abs(tau)))
+    tau, mirror = times.transition_time(
+        ReducedParams(epsilon=np.stack([grid, 1.0 - grid]), potential=1.0, coupling=1.0)
+    )
+    side = 2.0 * grid - 1.0
+    sign_ok = bool(np.all(
+        (np.signbit(tau) == np.signbit(side)) | ((tau == 0.0) & (side == 0.0))
+    ))
+    anti_worst = float(np.max(np.abs(tau + mirror) / np.maximum(1.0, np.abs(tau))))
     edge_low = times.transition_time(
         ReducedParams(epsilon=1e-6, potential=1.0, coupling=1.0)
     )

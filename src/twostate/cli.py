@@ -10,7 +10,8 @@ Subcommands:
 An optional JSON config file takes the long flag names as keys (hyphens
 or underscores), each value type-checked; explicit flags take precedence
 over config values.  Exit codes: 0 success, 1 verification failure, 2
-usage, config, domain or overflow error, or a tripped wave-packet guard.
+usage, config, domain or overflow error, a tripped wave-packet guard, or
+``wavepacket`` without scipy installed.
 
 Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
 ``wavepacket``), so that only ``wavepacket`` loads scipy.
@@ -28,6 +29,10 @@ from . import greens, sweep, times
 from .params import ModelParams, RunGuardError, make_reduced
 
 __all__ = ["main"]
+
+
+class _MissingDependency(RuntimeError):
+    """A subcommand's optional dependency is not installed."""
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -225,7 +230,12 @@ def _cmd_verify(opts: dict) -> int:
 
 
 def _cmd_wavepacket(opts: dict) -> int:
-    from . import wavepacket
+    try:
+        from . import wavepacket
+    except ModuleNotFoundError as exc:
+        if exc.name is None or exc.name.split(".")[0] != "scipy":
+            raise
+        raise _MissingDependency(f"wavepacket needs scipy ({exc})") from None
 
     p = _model_params(opts)
     packet = wavepacket.PacketSpec.for_energy(
@@ -279,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_resolve(args))
-    except (ValueError, OSError, RunGuardError) as exc:
+    except (ValueError, OSError, RunGuardError, _MissingDependency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

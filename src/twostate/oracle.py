@@ -347,8 +347,8 @@ def convergence_study(
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """64-node Gauss-Legendre rule on [-1, 1], built on first use.
 
-    64 nodes integrate a panel spanning 20 / max(k, kappa, |q_j|) to
-    rounding.
+    64 nodes integrate a panel spanning 20 / max(k, kappa, |q_j|) of the
+    strip, or 20 / max(k, kappa) outside it, to rounding.
     """
     return np.polynomial.legendre.leggauss(64)
 
@@ -362,17 +362,22 @@ def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
 
     (m / hbar k) times the integral of |phi1|^2 + |phi2|^2 over each
     nonempty (a, b) in ``pieces``, y measured from the coupling center.
-    Each piece is cut into equal panels no longer than
-    20 / max(k, kappa, |q_j|), and each panel gets the 64-node
-    Gauss-Legendre rule.
+    Each piece is cut into equal panels and each panel gets the 64-node
+    Gauss-Legendre rule.  Panels inside the strip are no longer than
+    20 / max(k, kappa, |q_j|); outside it the solution holds only
+    exp(+-i k y) and exp(-kappa |y|), so there they may span
+    20 / max(k, kappa), however fast the strip modes q_j oscillate.
     """
     sol = solve_regularized(p, width)
     nodes, weights = _gauss_legendre()
-    longest = 20.0 / max(sol.k, sol.kappa, *np.abs(sol.modes))
+    half = width / 2.0
+    outside = 20.0 / max(sol.k, sol.kappa)
+    inside = 20.0 / max(sol.k, sol.kappa, *np.abs(sol.modes))
     total = 0.0
     for a, b in pieces:
         if b <= a:
             continue
+        longest = inside if -half <= a and b <= half else outside
         panels = math.ceil((b - a) / longest)
         rad = 0.5 * (b - a) / panels
         for first in range(0, panels, _PANELS_PER_CALL):

@@ -9,12 +9,23 @@ other only through a point coupling of strength ``coupling`` located at
 Everything downstream assumes the sub-threshold regime 0 < E < V.  The
 reduced convention used for the dimensionless results is hbar = 1 and
 m = 1/2, so that hbar**2 / (2 m) = 1.
+
+The fields of ``ModelParams`` and ``ReducedParams`` are floats, or numpy
+arrays that broadcast together.  An array-valued instance describes a whole
+grid of points in one object: it is validated once, and the closed forms
+that accept it (``solve_amplitudes``, ``group_delays``, ``time_taxonomy``,
+``transition_time``, ``transmission_probability``) evaluate every point in
+one numpy call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
+from typing import ClassVar
+
+import numpy as np
 
 __all__ = [
     "ConventionError",
@@ -55,6 +66,51 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _adopt_arrays(params, in_domain) -> None:
+    """Validate a parameter object whose fields include numpy arrays.
+
+    Every field becomes a float array (0-d for a scalar); the fields must
+    broadcast together, else ValueError.  ``in_domain`` maps the instance to
+    an elementwise mask of the scalar checks, reduced by one ``np.all``; at
+    the first point outside the domain the scalar constructor is run, so the
+    error is the one the scalar path raises there.
+    """
+    names = [f.name for f in fields(params)]
+    values = [getattr(params, name) for name in names]
+    for name, value in zip(names, values):
+        if not isinstance(value, (np.ndarray, numbers.Real)):
+            raise TypeError(
+                f"{name} must be a real number or a float array, "
+                f"got {type(value).__name__}"
+            )
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    try:
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError:
+        shapes = ", ".join(f"{n}={a.shape}" for n, a in zip(names, arrays))
+        raise ValueError(f"parameter arrays do not broadcast together: {shapes}") from None
+    for name, array in zip(names, arrays):
+        object.__setattr__(params, name, array)
+    object.__setattr__(params, "is_array", True)
+    object.__setattr__(params, "shape", shape)
+    ok = in_domain(params)
+    if not np.all(ok):
+        first = int(np.argmin(np.broadcast_to(ok, shape)))
+        type(params)(**{
+            n: float(np.broadcast_to(a, shape).flat[first]) for n, a in zip(names, arrays)
+        })
+        raise AssertionError("array domain mask disagrees with the scalar checks")
+
+
+def least(values: np.ndarray) -> float:
+    """Smallest element of a validated parameter array (inf if it is empty).
+
+    The closed forms reduce an array field with this once per call, then
+    apply the scalar test (e.g. ``energy <= 0``) to the result.
+    """
+    return values.min(initial=math.inf)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the coupled two-channel model.
@@ -83,10 +139,17 @@ class ModelParams:
     mass: float = 0.5
     hbar: float = 1.0
     center: float = 0.0
+    # set by validation when the fields are arrays: their broadcast shape
+    is_array: ClassVar[bool] = False
+    shape: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self) -> None:
-        for name in ("energy", "potential", "coupling", "mass", "hbar", "center"):
-            _require_finite(name, getattr(self, name))
+        try:
+            for name in ("energy", "potential", "coupling", "mass", "hbar", "center"):
+                _require_finite(name, getattr(self, name))
+        except TypeError:  # an array of ndim >= 1 is not a Python scalar
+            _adopt_arrays(self, _model_in_domain)
+            return
         if self.energy < 0.0:
             raise DomainError(f"energy must be non-negative, got {self.energy}")
         if self.potential <= self.energy:
@@ -113,16 +176,43 @@ class ReducedParams:
     epsilon: float
     potential: float
     coupling: float
+    # set by validation when the fields are arrays: their broadcast shape
+    is_array: ClassVar[bool] = False
+    shape: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "potential", "coupling"):
-            _require_finite(name, getattr(self, name))
+        try:
+            for name in ("epsilon", "potential", "coupling"):
+                _require_finite(name, getattr(self, name))
+        except TypeError:  # an array of ndim >= 1 is not a Python scalar
+            _adopt_arrays(self, _reduced_in_domain)
+            return
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.potential <= 0.0:
             raise DomainError(f"potential must be positive, got {self.potential}")
         if self.coupling < 0.0:
             raise DomainError(f"coupling must be >= 0, got {self.coupling}")
+
+
+def _model_in_domain(p: ModelParams) -> np.ndarray:
+    """Elementwise ModelParams checks; comparisons with NaN are False."""
+    return (
+        (0.0 <= p.energy) & (p.energy < p.potential) & (p.potential < math.inf)
+        & (0.0 <= p.coupling) & (p.coupling < math.inf)
+        & (0.0 < p.mass) & (p.mass < math.inf)
+        & (0.0 < p.hbar) & (p.hbar < math.inf)
+        & (np.abs(p.center) < math.inf)
+    )
+
+
+def _reduced_in_domain(r: ReducedParams) -> np.ndarray:
+    """Elementwise ReducedParams checks; comparisons with NaN are False."""
+    return (
+        (0.0 < r.epsilon) & (r.epsilon < 1.0)
+        & (0.0 < r.potential) & (r.potential < math.inf)
+        & (0.0 <= r.coupling) & (r.coupling < math.inf)
+    )
 
 
 @dataclass(frozen=True)

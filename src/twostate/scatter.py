@@ -27,12 +27,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .greens import greens_constant
 from .params import (
     DegenerateCouplingError,
     DomainError,
     ModelParams,
     ReducedParams,
+    least,
     wave_numbers,
 )
 
@@ -51,6 +54,7 @@ class Amplitudes:
     reflection multiplies exp(-i k x) on the incident side, transmission
     multiplies exp(+i k x) on the far side.  reflection_phase is NaN in the
     degenerate uncoupled case k0 = 0 (no reflected wave to carry a phase).
+    Each field is an array when the parameters are.
     """
 
     reflection: complex
@@ -62,7 +66,13 @@ class Amplitudes:
 
 
 def solve_amplitudes(p: ModelParams) -> Amplitudes:
-    """Solve the matching problem for a unit wave incident from the left."""
+    """Solve the matching problem for a unit wave incident from the left.
+
+    Array-valued parameters give array-valued amplitudes, evaluated by the
+    same formulas in numpy.
+    """
+    if p.is_array:
+        return _solve_amplitudes_array(p)
     if p.energy <= 0.0:
         raise DomainError("scattering requires energy > 0")
     kn = wave_numbers(p)
@@ -87,6 +97,34 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
         reflection_prob=abs(reflection0) ** 2,
         transmission_phase=math.atan(-ratio),
         reflection_phase=math.atan(1.0 / ratio),
+    )
+
+
+def _solve_amplitudes_array(p: ModelParams) -> Amplitudes:
+    """solve_amplitudes over arrays.  Uncoupled points come out of the
+    general formulas, except their reflection phase, which is set to NaN."""
+    if least(p.energy) <= 0.0:
+        raise DomainError("scattering requires energy > 0")
+    e, v, k0, m, hb = p.energy, p.potential, p.coupling, p.mass, p.hbar
+    k = np.sqrt(2.0 * m * e) / hb
+    # G(xc, xc) = -sqrt(m / (2 hbar^2)) / sqrt(V - E): exp(-kappa * 0) = 1
+    lam = k0**2 * (-np.sqrt(m / (2.0 * hb**2)) / np.sqrt(v - e))
+    # the center enters only through the reflection's phase factor; the
+    # broadcast gives every field the full shape all the same
+    ratio = np.broadcast_to(m * lam / (hb**2 * k), p.shape)
+    transmission = 1.0 / (1.0 + 1j * ratio)
+    reflection0 = transmission - 1.0
+    with np.errstate(divide="ignore"):  # ratio = 0 where k0 = 0
+        reflection_phase = np.arctan(1.0 / ratio)
+    np.copyto(reflection_phase, np.nan, where=k0 == 0.0)
+    return Amplitudes(
+        reflection=reflection0 * np.exp(2j * k * p.center),
+        transmission=transmission,
+        # np.hypot rounds as abs(complex) does; np.abs(complex) does not
+        transmission_prob=np.hypot(transmission.real, transmission.imag) ** 2,
+        reflection_prob=np.hypot(reflection0.real, reflection0.imag) ** 2,
+        transmission_phase=np.arctan(-ratio),
+        reflection_phase=reflection_phase,
     )
 
 

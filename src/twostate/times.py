@@ -32,12 +32,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import scatter
 from .params import (
     DegenerateCouplingError,
     DomainError,
     ModelParams,
     ReducedParams,
+    least,
 )
 
 __all__ = [
@@ -51,7 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeTaxonomy:
-    """All characteristic times of one scattering configuration."""
+    """All characteristic times of one scattering configuration.
+
+    The delays are arrays when the parameters are; dwell and absorption
+    stay the scalar 0.0.
+    """
 
     dwell: float
     absorption: float
@@ -62,13 +69,6 @@ class TimeTaxonomy:
     transition: float
 
 
-def _require_scattering(p: ModelParams) -> None:
-    if p.energy <= 0.0:
-        raise DomainError("delays require energy > 0")
-    if p.coupling == 0.0:
-        raise DegenerateCouplingError("delays are degenerate at zero coupling")
-
-
 def group_delays(p: ModelParams) -> tuple[float, float, float]:
     """(tau_gt, tau_gr, tau_g): transmission, reflection and mean group delay.
 
@@ -76,14 +76,17 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     it, and tau_g is the probability-weighted combination
     T2 * tau_gt + R2 * tau_gr, numerically indistinguishable from tau_gt.
     """
-    _require_scattering(p)
     e, v, k0, m, hb = p.energy, p.potential, p.coupling, p.mass, p.hbar
+    if p.is_array:
+        sqrt, lowest_e, lowest_k0 = np.sqrt, least(e), least(k0)
+    else:
+        sqrt, lowest_e, lowest_k0 = math.sqrt, e, k0
+    if lowest_e <= 0.0:
+        raise DomainError("delays require energy > 0")
+    if lowest_k0 == 0.0:
+        raise DegenerateCouplingError("delays are degenerate at zero coupling")
     numer = m * hb**3 * k0**2 * (2.0 * e - v)
-    denom = (
-        math.sqrt(e)
-        * math.sqrt(v - e)
-        * (4.0 * hb**4 * e * (v - e) + k0**4 * m**2)
-    )
+    denom = sqrt(e) * sqrt(v - e) * (4.0 * hb**4 * e * (v - e) + k0**4 * m**2)
     tau_gt = numer / denom
     tau_gr = tau_gt
     amps = scatter.solve_amplitudes(p)
@@ -106,20 +109,23 @@ def time_taxonomy(p: ModelParams) -> TimeTaxonomy:
 
 
 def transition_time(r: ReducedParams) -> float:
-    """Closed-form reduced transition time tau(eps, V, k0)."""
-    if r.coupling == 0.0:
+    """Closed-form reduced transition time tau(eps, V, k0); an array when
+    the parameters are."""
+    eps, v, k0 = r.epsilon, r.potential, r.coupling
+    if r.is_array:
+        sqrt, lowest_k0 = np.sqrt, least(k0)
+    else:
+        sqrt, lowest_k0 = math.sqrt, k0
+    if lowest_k0 == 0.0:
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )
-    eps, v = r.epsilon, r.potential
-    ksq = r.coupling**2
-    numer = 2.0 * (2.0 * eps - 1.0)
-    denom = (
-        math.sqrt(eps)
-        * math.sqrt(1.0 - eps)
-        * (ksq + 16.0 * eps * (1.0 - eps) * v**2 / ksq)
+    ksq = k0**2
+    rest = 1.0 - eps
+    return (
+        2.0 * (2.0 * eps - 1.0)
+        / (sqrt(eps) * sqrt(rest) * (ksq + 16.0 * eps * rest * v**2 / ksq))
     )
-    return numer / denom
 
 
 def extremal_coupling(epsilon: float, potential: float) -> tuple[float, float]:

@@ -51,6 +51,20 @@ def test_unitarity_fault_is_caught(monkeypatch):
     assert checks.check_structural_laws().passed
 
 
+def test_transition_time_skew_is_caught(monkeypatch):
+    real = times.transition_time
+    monkeypatch.setattr(times, "transition_time", lambda r: real(r) * (1.0 + 1e-9))
+    assert not checks.check_closed_form_consistency().passed
+
+
+def test_transition_time_sign_fault_is_caught(monkeypatch):
+    real = times.transition_time
+    monkeypatch.setattr(times, "transition_time", lambda r: -real(r))
+    result = checks.check_structural_laws()
+    assert not result.passed
+    assert "sign law broken" in result.detail
+
+
 def test_check_result_fields():
     r = checks.CheckResult(name="x", passed=True, detail="d")
     assert (r.name, r.passed, r.detail) == ("x", True, "d")

@@ -25,16 +25,21 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _fresh(code: str, cwd: Path) -> str:
-    """Last stdout line of ``code`` run in a fresh interpreter."""
+def _run(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=120, cwd=cwd, env=env,
     )
+
+
+def _fresh(code: str, cwd: Path) -> str:
+    """Last stdout line of ``code`` run in a fresh interpreter."""
+    proc = _run(code, cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -86,6 +91,29 @@ def test_wavepacket_loads_lapack_and_no_sparse(code, tmp_path):
     loaded = _scipy_loaded_by(code, tmp_path)
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+# run a CLI command with scipy unimportable, as on a numpy-only install
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_wavepacket_without_scipy_exits_2(tmp_path):
+    proc = _run(BLOCK_SCIPY + _cli(["wavepacket"]), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: wavepacket needs scipy (No module named 'scipy')"
+    ]
 
 
 FROM_IMPORT = """

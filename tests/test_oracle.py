@@ -260,6 +260,23 @@ def test_dwell_matches_quad(width):
         assert abs(got - want) <= 1e-13 * want
 
 
+def test_window_dwell_sizes_exterior_panels_by_k_and_kappa(monkeypatch):
+    # |q_j| = 31.6 inside a 1e-3 strip; outside it only k = kappa = 0.707
+    # set the panel length, 20 / 0.707, so each exterior piece of length
+    # ~500 needs 18 panels and the strip one: 37 panels of 64 nodes
+    p = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
+    nodes = []
+    real = oracle.RegularizedSolution.wavefunction
+
+    def counted(self, x):
+        nodes.append(np.size(x))
+        return real(self, x)
+
+    monkeypatch.setattr(oracle.RegularizedSolution, "wavefunction", counted)
+    dwell_time_window(p, 1e-3, 500.0)
+    assert sum(nodes) == 37 * 64
+
+
 def test_window_dwell_does_not_collapse():
     p = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
     window = dwell_time_window(p, 1e-3, 0.5)
