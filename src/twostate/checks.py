@@ -66,8 +66,9 @@ def check_closed_form_consistency() -> CheckResult:
     full = times.group_delays(p)[0]
     taxonomy = times.time_taxonomy(p).transition
     reduced = times.transition_time(r)
-    # tau vanishes at eps = 1/2, where a relative spread means nothing
-    keep = np.abs(reduced) > 1e-9
+    # tau vanishes at eps = 1/2, where a relative spread means nothing; a
+    # NaN is kept, so it fails the check
+    keep = ~(np.abs(reduced) <= 1e-9)
     dev = np.maximum(np.abs(full - reduced), np.abs(taxonomy - reduced)) / np.abs(reduced)
     worst = float(np.max(dev[keep], initial=0.0))
     return CheckResult(

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import ModelParams
 
 __all__ = ["GreensValue", "effective_strength", "greens_constant"]
@@ -38,14 +40,16 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> GreensValue:
     """Closed-channel Green's function at (x1, x2) for energy p.energy.
 
     Valid for any E < V including E = 0; the value is strictly negative
-    and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).
+    and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).  It is
+    an array when the parameters are.
     """
+    sqrt, exp = (np.sqrt, np.exp) if p.is_array else (math.sqrt, math.exp)
     gap = p.potential - p.energy
-    kappa = math.sqrt(2.0 * p.mass * gap) / p.hbar
+    kappa = sqrt(2.0 * p.mass * gap) / p.hbar
     value = (
-        -math.sqrt(p.mass / (2.0 * p.hbar**2))
-        * math.exp(-kappa * abs(x1 - x2))
-        / math.sqrt(gap)
+        -sqrt(p.mass / (2.0 * p.hbar**2))
+        * exp(-kappa * abs(x1 - x2))
+        / sqrt(gap)
     )
     return GreensValue(value=value, x1=x1, x2=x2, energy=p.energy)
 
@@ -53,8 +57,9 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> GreensValue:
 def effective_strength(p: ModelParams) -> float:
     """Strength alpha = -k0^2 G(xc, xc) of the effective open-channel well.
 
-    Returns 0 exactly when the coupling vanishes, positive otherwise.
+    Returns 0 exactly when the coupling vanishes, positive otherwise; an
+    array when the parameters are.
     """
-    if p.coupling == 0.0:
+    if not p.is_array and p.coupling == 0.0:
         return 0.0
     return -(p.coupling**2) * greens_constant(p.center, p.center, p).value

@@ -14,8 +14,9 @@ The fields of ``ModelParams`` and ``ReducedParams`` are floats, or numpy
 arrays that broadcast together.  An array-valued instance describes a whole
 grid of points in one object: it is validated once, and the closed forms
 that accept it (``solve_amplitudes``, ``group_delays``, ``time_taxonomy``,
-``transition_time``, ``transmission_probability``) evaluate every point in
-one numpy call.
+``transition_time``, ``transmission_probability``, ``wave_numbers``,
+``greens_constant``, ``effective_strength``) evaluate every point in one
+numpy call.
 """
 
 from __future__ import annotations
@@ -61,9 +62,26 @@ class DegenerateCouplingError(ValueError):
     """Requested quantity is undefined at zero coupling strength."""
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+# bound once: the scalar check runs in every constructor call
+_isfinite = math.isfinite
+_ndarray = np.ndarray
+
+
+def _finite_or_array(params, names: tuple[str, ...]) -> bool:
+    """True if one of the fields is a numpy array; else check the scalars.
+
+    A non-finite scalar met before any array raises DomainError, and a
+    field that is not a number the TypeError of math.isfinite.  The array
+    test is on the type, not on math.isfinite failing: numpy 1.25 to 2.2
+    at least converts a size-1 array to a float with only a warning.
+    """
+    for name in names:
+        value = getattr(params, name)
+        if value.__class__ is _ndarray:
+            return True
+        if not _isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+    return False
 
 
 def _adopt_arrays(params, in_domain) -> None:
@@ -145,9 +163,12 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         try:
-            for name in ("energy", "potential", "coupling", "mass", "hbar", "center"):
-                _require_finite(name, getattr(self, name))
-        except TypeError:  # an array of ndim >= 1 is not a Python scalar
+            is_array = _finite_or_array(
+                self, ("energy", "potential", "coupling", "mass", "hbar", "center")
+            )
+        except TypeError:  # not a number: _adopt_arrays names the field
+            is_array = True
+        if is_array:
             _adopt_arrays(self, _model_in_domain)
             return
         if self.energy < 0.0:
@@ -182,9 +203,10 @@ class ReducedParams:
 
     def __post_init__(self) -> None:
         try:
-            for name in ("epsilon", "potential", "coupling"):
-                _require_finite(name, getattr(self, name))
-        except TypeError:  # an array of ndim >= 1 is not a Python scalar
+            is_array = _finite_or_array(self, ("epsilon", "potential", "coupling"))
+        except TypeError:  # not a number: _adopt_arrays names the field
+            is_array = True
+        if is_array:
             _adopt_arrays(self, _reduced_in_domain)
             return
         if not 0.0 < self.epsilon < 1.0:
@@ -261,9 +283,14 @@ def expand_reduced(r: ReducedParams) -> ModelParams:
 
 
 def wave_numbers(p: ModelParams) -> WaveNumbers:
-    """Open-channel k and closed-channel kappa for validated parameters."""
-    if p.energy <= 0.0:
+    """Open-channel k and closed-channel kappa for validated parameters;
+    arrays when the parameters are."""
+    if p.is_array:
+        sqrt, lowest_e = np.sqrt, least(p.energy)
+    else:
+        sqrt, lowest_e = math.sqrt, p.energy
+    if lowest_e <= 0.0:
         raise DomainError("propagating open channel requires energy > 0")
-    k = math.sqrt(2.0 * p.mass * p.energy) / p.hbar
-    kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
+    k = sqrt(2.0 * p.mass * p.energy) / p.hbar
+    kappa = sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
     return WaveNumbers(k=k, kappa=kappa)

@@ -68,15 +68,18 @@ class Amplitudes:
 def solve_amplitudes(p: ModelParams) -> Amplitudes:
     """Solve the matching problem for a unit wave incident from the left.
 
-    Array-valued parameters give array-valued amplitudes, evaluated by the
-    same formulas in numpy.
+    Array-valued parameters give array-valued amplitudes from the same
+    formulas in numpy; their uncoupled points come out of the general
+    formulas, except the reflection phase, which is set to NaN.
     """
     if p.is_array:
-        return _solve_amplitudes_array(p)
-    if p.energy <= 0.0:
+        lowest_e, exp, atan, modulus = least(p.energy), np.exp, np.arctan, _modulus
+    else:
+        lowest_e, exp, atan, modulus = p.energy, cmath.exp, math.atan, abs
+    if lowest_e <= 0.0:
         raise DomainError("scattering requires energy > 0")
     kn = wave_numbers(p)
-    if p.coupling == 0.0:
+    if not p.is_array and p.coupling == 0.0:
         return Amplitudes(
             reflection=0.0 + 0.0j,
             transmission=1.0 + 0.0j,
@@ -87,45 +90,30 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
         )
     lam = p.coupling**2 * greens_constant(p.center, p.center, p).value
     ratio = p.mass * lam / (p.hbar**2 * kn.k)  # negative in-regime
+    if p.is_array:
+        # the center enters only through the reflection's phase factor; the
+        # broadcast gives every field the full shape all the same
+        ratio = np.broadcast_to(ratio, p.shape)
+        with np.errstate(divide="ignore"):  # ratio = 0 where k0 = 0: no phase
+            inverse = np.where(p.coupling == 0.0, np.nan, 1.0 / ratio)
+    else:
+        inverse = 1.0 / ratio
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
-    reflection = reflection0 * cmath.exp(2j * kn.k * p.center)
+    reflection = reflection0 * exp(2j * kn.k * p.center)
     return Amplitudes(
         reflection=reflection,
         transmission=transmission,
-        transmission_prob=abs(transmission) ** 2,
-        reflection_prob=abs(reflection0) ** 2,
-        transmission_phase=math.atan(-ratio),
-        reflection_phase=math.atan(1.0 / ratio),
+        transmission_prob=modulus(transmission) ** 2,
+        reflection_prob=modulus(reflection0) ** 2,
+        transmission_phase=atan(-ratio),
+        reflection_phase=atan(inverse),
     )
 
 
-def _solve_amplitudes_array(p: ModelParams) -> Amplitudes:
-    """solve_amplitudes over arrays.  Uncoupled points come out of the
-    general formulas, except their reflection phase, which is set to NaN."""
-    if least(p.energy) <= 0.0:
-        raise DomainError("scattering requires energy > 0")
-    e, v, k0, m, hb = p.energy, p.potential, p.coupling, p.mass, p.hbar
-    k = np.sqrt(2.0 * m * e) / hb
-    # G(xc, xc) = -sqrt(m / (2 hbar^2)) / sqrt(V - E): exp(-kappa * 0) = 1
-    lam = k0**2 * (-np.sqrt(m / (2.0 * hb**2)) / np.sqrt(v - e))
-    # the center enters only through the reflection's phase factor; the
-    # broadcast gives every field the full shape all the same
-    ratio = np.broadcast_to(m * lam / (hb**2 * k), p.shape)
-    transmission = 1.0 / (1.0 + 1j * ratio)
-    reflection0 = transmission - 1.0
-    with np.errstate(divide="ignore"):  # ratio = 0 where k0 = 0
-        reflection_phase = np.arctan(1.0 / ratio)
-    np.copyto(reflection_phase, np.nan, where=k0 == 0.0)
-    return Amplitudes(
-        reflection=reflection0 * np.exp(2j * k * p.center),
-        transmission=transmission,
-        # np.hypot rounds as abs(complex) does; np.abs(complex) does not
-        transmission_prob=np.hypot(transmission.real, transmission.imag) ** 2,
-        reflection_prob=np.hypot(reflection0.real, reflection0.imag) ** 2,
-        transmission_phase=np.arctan(-ratio),
-        reflection_phase=reflection_phase,
-    )
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| of a complex array, rounded as abs(complex) rounds it (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
 
 
 def transmission_probability(r: ReducedParams) -> float:

@@ -7,6 +7,7 @@ return Python floats.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from twostate import (
     DomainError,
     ModelParams,
     ReducedParams,
+    effective_strength,
     expand_reduced,
+    greens_constant,
     group_delays,
     solve_amplitudes,
     time_taxonomy,
     transition_time,
     transmission_probability,
+    wave_numbers,
 )
 
 STRUCTURAL = np.linspace(1e-4, 1.0 - 1e-4, 999)
@@ -125,6 +129,46 @@ def test_amplitudes_match_scalar_calls_pointwise(fields):
                 assert math.isnan(got), name
             else:
                 assert _rel(got, want) <= 1e-15, name
+
+
+@pytest.mark.parametrize("make", [np.array, lambda x: np.array([x]), lambda x: np.array([[x]])])
+def test_small_arrays_take_the_array_path(make):
+    # a 0-d or size-1 array is an array, whatever float(array) does in numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = ReducedParams(make(0.25), 1.0, 1.0)
+        p = ModelParams(make(0.25), 1.0, 1.0)
+        tau = transition_time(r)
+        amps = solve_amplitudes(p)
+        delays = group_delays(p)
+    shape = np.shape(make(0.25))
+    assert r.is_array and p.is_array and r.shape == p.shape == shape
+    assert np.shape(tau) == shape and np.shape(amps.transmission) == shape
+    assert all(np.shape(t) == shape for t in delays)
+    assert _rel(np.ravel(tau)[0], transition_time(ReducedParams(0.25, 1.0, 1.0))) <= 1e-15
+    with pytest.raises(DomainError, match="epsilon must lie in"):
+        ReducedParams(make(1.5), 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"^energy must be finite, got nan$"):
+        ModelParams(make(math.nan), 1.0, 1.0)
+
+
+def test_greens_and_wave_numbers_match_scalar_calls():
+    energy = np.linspace(0.05, 0.95, 7)
+    coupling = np.array([[0.0], [0.5], [2.0]])
+    p = ModelParams(energy, 1.0, coupling, center=0.4)
+    kn = wave_numbers(p)
+    g = greens_constant(-0.3, 0.9, p).value
+    alpha = effective_strength(p)
+    for at in np.ndindex(p.shape):
+        one = ModelParams(float(energy[at[1]]), 1.0, float(coupling[at[0], 0]), center=0.4)
+        one_kn = wave_numbers(one)
+        assert _rel(kn.k[at[1]], one_kn.k) <= 1e-15
+        assert _rel(kn.kappa[at[1]], one_kn.kappa) <= 1e-15
+        assert _rel(g[at[1]], greens_constant(-0.3, 0.9, one).value) <= 1e-15
+        assert _rel(alpha[at], effective_strength(one)) <= 1e-15
+    assert np.all(alpha[0] == 0.0)
+    with pytest.raises(DomainError, match="requires energy > 0"):
+        wave_numbers(ModelParams(np.array([0.3, 0.0]), 1.0, 1.0))
 
 
 def test_scalar_calls_return_python_floats():

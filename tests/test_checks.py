@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from twostate import checks, scatter, times
@@ -54,6 +55,18 @@ def test_unitarity_fault_is_caught(monkeypatch):
 def test_transition_time_skew_is_caught(monkeypatch):
     real = times.transition_time
     monkeypatch.setattr(times, "transition_time", lambda r: real(r) * (1.0 + 1e-9))
+    assert not checks.check_closed_form_consistency().passed
+
+
+def test_transition_time_nan_is_caught(monkeypatch):
+    real = times.transition_time
+
+    def one_nan(r):
+        tau = np.array(real(r))
+        tau.flat[0] = np.nan
+        return tau
+
+    monkeypatch.setattr(times, "transition_time", one_nan)
     assert not checks.check_closed_form_consistency().passed
 
 
