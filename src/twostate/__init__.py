@@ -8,41 +8,20 @@ amplitudes, the tunneling-time taxonomy and the transition time, all of
 which are cross-checked here by independent numerical oracles and a
 time-dependent wave-packet experiment.
 
-The closed forms need only ``math`` and the oracles only numpy, so
-``import twostate`` loads no scipy: the names exported from ``oracle`` and
-``wavepacket`` are imported on first use, and only ``wavepacket`` loads
-scipy.
+The closed forms need only ``math`` and numpy, and of the whole package
+only ``propagate`` loads scipy, on its first call.  The names exported
+from ``oracle`` and ``wavepacket`` are still imported on first use, which
+keeps the cost of ``import twostate`` to the closed forms.
 """
 
 import importlib
 
-from .greens import GreensValue, effective_strength, greens_constant
-from .params import (
-    ConventionError,
-    DegenerateCouplingError,
-    DomainError,
-    ModelParams,
-    ReducedParams,
-    RunGuardError,
-    WaveNumbers,
-    expand_reduced,
-    make_reduced,
-    wave_numbers,
-)
-from .scatter import (
-    Amplitudes,
-    scattering_phases,
-    solve_amplitudes,
-    transmission_probability,
-)
-from .sweep import SweepSpec, SweepVariable, run_sweep
-from .times import (
-    TimeTaxonomy,
-    extremal_coupling,
-    group_delays,
-    time_taxonomy,
-    transition_time,
-)
+from . import greens, params, scatter, sweep, times
+from .greens import *  # noqa: F401,F403
+from .params import *  # noqa: F401,F403
+from .scatter import *  # noqa: F401,F403
+from .sweep import *  # noqa: F401,F403
+from .times import *  # noqa: F401,F403
 
 # exported name -> submodule that defines it, imported on first access
 _LAZY = {
@@ -93,46 +72,10 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amplitudes",
-    "BoundaryContaminationError",
-    "ConvergenceReport",
-    "ConventionError",
-    "DegenerateCouplingError",
-    "DelayResult",
-    "DomainError",
-    "GreensValue",
-    "GridSpec",
-    "ModelParams",
-    "NoCrossingError",
-    "NormDriftError",
-    "PacketSpec",
-    "ReducedParams",
-    "RegularizedSolution",
-    "RunGuardError",
-    "SweepSpec",
-    "SweepVariable",
-    "TimeTaxonomy",
-    "WaveNumbers",
-    "convergence_study",
-    "dwell_time_regularized",
-    "dwell_time_window",
-    "effective_strength",
-    "expand_reduced",
-    "extremal_coupling",
-    "extremum_search",
-    "fd_group_delay",
-    "greens_constant",
-    "greens_grid",
-    "greens_grid_extrapolated",
-    "group_delays",
-    "make_reduced",
-    "propagate",
-    "run_sweep",
-    "scattering_phases",
-    "solve_amplitudes",
-    "solve_regularized",
-    "time_taxonomy",
-    "transition_time",
-    "transmission_probability",
-    "wave_numbers",
+    *greens.__all__,
+    *params.__all__,
+    *scatter.__all__,
+    *sweep.__all__,
+    *times.__all__,
+    *_LAZY,
 ]

@@ -11,10 +11,11 @@ An optional JSON config file takes the long flag names as keys (hyphens
 or underscores), each value type-checked; explicit flags take precedence
 over config values.  Exit codes: 0 success, 1 verification failure, 2
 usage, config, domain or overflow error, a tripped wave-packet guard, or
-``wavepacket`` without scipy installed.
+a dependency that is not installed (one ``error: <command> needs
+<package>`` line).
 
 Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
-``wavepacket``), so that only ``wavepacket`` loads scipy.
+``wavepacket``), so that a cold call pays only for its own imports.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from . import greens, sweep, times
 from .params import ModelParams, RunGuardError, make_reduced
 
 __all__ = ["main"]
-
-
-class _MissingDependency(RuntimeError):
-    """A subcommand's optional dependency is not installed."""
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -230,12 +227,7 @@ def _cmd_verify(opts: dict) -> int:
 
 
 def _cmd_wavepacket(opts: dict) -> int:
-    try:
-        from . import wavepacket
-    except ModuleNotFoundError as exc:
-        if exc.name is None or exc.name.split(".")[0] != "scipy":
-            raise
-        raise _MissingDependency(f"wavepacket needs scipy ({exc})") from None
+    from . import wavepacket
 
     p = _model_params(opts)
     packet = wavepacket.PacketSpec.for_energy(
@@ -289,8 +281,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_resolve(args))
-    except (ValueError, OSError, RunGuardError, _MissingDependency) as exc:
+    except (ValueError, OSError, RunGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name is None:
+            raise
+        package = exc.name.partition(".")[0]
+        print(f"error: {args.command} needs {package} ({exc})", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # e.g. k0 = 1e200 overflows a float power in the closed forms

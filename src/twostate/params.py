@@ -13,10 +13,8 @@ m = 1/2, so that hbar**2 / (2 m) = 1.
 The fields of ``ModelParams`` and ``ReducedParams`` are floats, or numpy
 arrays that broadcast together.  An array-valued instance describes a whole
 grid of points in one object: it is validated once, and the closed forms
-that accept it (``solve_amplitudes``, ``group_delays``, ``time_taxonomy``,
-``transition_time``, ``transmission_probability``, ``wave_numbers``,
-``greens_constant``, ``effective_strength``) evaluate every point in one
-numpy call.
+that accept it (every one but ``extremal_coupling``) evaluate every point
+in one numpy call.
 """
 
 from __future__ import annotations
@@ -255,13 +253,20 @@ def make_reduced(p: ModelParams) -> ReducedParams:
 
     Raises ConventionError unless p.hbar == 1 and p.mass == 1/2 exactly,
     because the dimensionless closed forms are derived in that convention.
+    The result is array-valued when the parameters are.
     """
-    if p.hbar != 1.0 or p.mass != 0.5:
+    if p.is_array:
+        off_convention = np.any(p.hbar != 1.0) or np.any(p.mass != 0.5)
+        lowest_e = least(p.energy)
+    else:
+        off_convention = p.hbar != 1.0 or p.mass != 0.5
+        lowest_e = p.energy
+    if off_convention:
         raise ConventionError(
             "reduced form requires hbar = 1 and mass = 1/2, got "
             f"hbar={p.hbar}, mass={p.mass}"
         )
-    if p.energy <= 0.0:
+    if lowest_e <= 0.0:
         raise DomainError("reduced form requires energy > 0")
     return ReducedParams(
         epsilon=p.energy / p.potential,

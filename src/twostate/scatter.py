@@ -127,8 +127,9 @@ def transmission_probability(r: ReducedParams) -> float:
 
 
 def scattering_phases(p: ModelParams) -> tuple[float, float]:
-    """Principal-branch transmission and reflection phases (phi_t, phi_r)."""
-    if p.coupling == 0.0:
+    """Principal-branch transmission and reflection phases (phi_t, phi_r);
+    arrays when the parameters are."""
+    if (least(p.coupling) if p.is_array else p.coupling) == 0.0:
         raise DegenerateCouplingError(
             "reflection phase is undefined at zero coupling"
         )

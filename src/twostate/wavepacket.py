@@ -30,8 +30,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .params import DomainError, ModelParams, RunGuardError
 
@@ -161,7 +159,12 @@ def splu(chans: int, t: float, potential: float, gvec: np.ndarray, lam: complex)
     (A + U M U^T)^-1 b = y - Z (1 + M U^T Z)^-1 M U^T y, y = A^-1 b, with
     Z = A^-1 U precomputed.  ``solve(b)`` overwrites the complex vector b
     with (1 + lam H)^-1 b and returns it: one zgttrs plus O(r n) work.
+    scipy is imported here, when called, and nowhere else in the package,
+    so every other name imports on numpy alone.
     """
+    from scipy.linalg.blas import zgemv
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     n = gvec.size
     off = np.full(chans * n - 1, -lam * t)
     off[n - 1 :: n] = 0.0
@@ -208,8 +211,13 @@ def _frame_writer(handle, x: np.ndarray):
 
 
 def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
-         p: ModelParams, grid: GridSpec, start: int, handle=None, stride: int = 1):
-    """Propagate one configuration, recording the centroid over x[start:]."""
+         p: ModelParams, grid: GridSpec, start: int,
+         snapshot_path: str | Path | None = None, stride: int = 1):
+    """Propagate one configuration, recording the centroid over x[start:].
+
+    The snapshot file is opened only once the step operator is factored,
+    so a run that cannot start leaves no file behind.
+    """
     n = x.size
     chans = 2 if gvec.any() else 1
     t = p.hbar**2 / (2.0 * p.mass * dx**2)
@@ -219,7 +227,6 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     psi = np.pad(psi0, (0, (chans - 1) * n))
     half = np.empty_like(psi)
     dens = np.empty((chans, n))
-    write = None if handle is None else _frame_writer(handle, x)
     xm = x[start:]
     times_out = grid.dt * np.arange(grid.steps + 1)
     cents = np.full(grid.steps + 1, np.nan)
@@ -247,13 +254,16 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
         if write is not None and step % stride == 0:
             write(t, dens)
 
-    observe(0)
-    for step in range(1, grid.steps + 1):
-        np.copyto(half, psi)
-        backward.solve(half)
-        half *= 2.0
-        np.subtract(half, psi, out=psi)
-        observe(step)
+    with (nullcontext() if snapshot_path is None else
+          open(snapshot_path, "w", encoding="utf-8", newline="\n")) as handle:
+        write = None if handle is None else _frame_writer(handle, x)
+        observe(0)
+        for step in range(1, grid.steps + 1):
+            np.copyto(half, psi)
+            backward.solve(half)
+            half *= 2.0
+            np.subtract(half, psi, out=psi)
+            observe(step)
 
     transmitted = float(dens[0, start:].sum() * dx)
     return times_out, cents, float(drift), transmitted
@@ -326,11 +336,9 @@ def propagate(
     psi0 /= math.sqrt(norm)
 
     gvec = _coupling_cells(x, dx, p, width)
-    with (nullcontext() if snapshot_path is None else
-          open(snapshot_path, "w", encoding="utf-8", newline="\n")) as handle:
-        ts, cs, drift, transmitted = _run(
-            psi0, x, dx, gvec, p, grid, start, handle, snapshot_stride
-        )
+    ts, cs, drift, transmitted = _run(
+        psi0, x, dx, gvec, p, grid, start, snapshot_path, snapshot_stride
+    )
     ts_free, cs_free, _, _ = _run(psi0, x, dx, np.zeros_like(gvec), p, grid, start)
 
     t_arrival = _crossing_time(ts, cs, plane)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostate import (
+    ConventionError,
     DegenerateCouplingError,
     DomainError,
     ModelParams,
@@ -23,6 +24,8 @@ from twostate import (
     expand_reduced,
     greens_constant,
     group_delays,
+    make_reduced,
+    scattering_phases,
     solve_amplitudes,
     time_taxonomy,
     transition_time,
@@ -249,6 +252,35 @@ def test_degenerate_arrays_raise_typed_errors():
         solve_amplitudes(zero_energy)
     with pytest.raises(DomainError, match="delays require energy > 0"):
         group_delays(zero_energy)
+
+
+def test_reduction_and_phases_match_scalar_calls():
+    energy = np.array([0.2, 0.3, 0.7])
+    coupling = np.array([[0.5], [1.0]])
+    p = ModelParams(energy, 1.5, coupling)
+    r = make_reduced(p)
+    phases = scattering_phases(p)
+    assert r.is_array and r.shape == p.shape
+    assert all(phase.shape == p.shape for phase in phases)
+    for at in np.ndindex(p.shape):
+        one = ModelParams(float(energy[at[1]]), 1.5, float(coupling[at[0], 0]))
+        one_r = make_reduced(one)
+        for name in ("epsilon", "potential", "coupling"):
+            assert np.broadcast_to(getattr(r, name), r.shape)[at] == getattr(one_r, name)
+        for got, want in zip(phases, scattering_phases(one)):
+            assert _rel(got[at], want) <= 1e-15
+
+
+def test_reduction_and_phases_raise_typed_errors_on_arrays():
+    with pytest.raises(DegenerateCouplingError):
+        scattering_phases(ModelParams(0.3, 1.0, np.array([1.0, 0.0])))
+    zero_energy = ModelParams(np.array([0.3, 0.0]), 1.0, 1.0)
+    with pytest.raises(DomainError, match="reduced form requires energy > 0"):
+        make_reduced(zero_energy)
+    with pytest.raises(DomainError, match="scattering requires energy > 0"):
+        scattering_phases(zero_energy)
+    with pytest.raises(ConventionError):
+        make_reduced(ModelParams(0.3, 1.0, 1.0, hbar=np.array([1.0, 2.0])))
 
 
 def test_empty_arrays_give_empty_results():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twostate import checks, scatter, times
+from twostate import checks, oracle, scatter, times
 
 EXPECTED_ORDER = [
     "unitarity_grid",
@@ -83,3 +83,33 @@ def test_check_result_fields():
     assert (r.name, r.passed, r.detail) == ("x", True, "d")
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.passed = False
+
+
+def test_group_delay_nan_is_caught(monkeypatch):
+    # max(0.0, nan) is 0.0, so a running Python max would pass this fault
+    real = times.group_delays
+    monkeypatch.setattr(
+        times, "group_delays", lambda p: tuple(t * np.nan for t in real(p))
+    )
+    result = checks.check_taxonomy_identities()
+    assert not result.passed
+    assert "identity defect = nan" in result.detail
+
+
+def test_extremal_coupling_nan_is_caught(monkeypatch):
+    monkeypatch.setattr(times, "extremal_coupling", lambda eps, v: (np.nan, np.nan))
+    result = checks.check_extremum_law()
+    assert not result.passed
+    assert "= nan (tol 1e-6)" in result.detail
+
+
+def test_regularized_residual_nan_is_caught(monkeypatch):
+    real = oracle.solve_regularized
+    monkeypatch.setattr(
+        oracle,
+        "solve_regularized",
+        lambda p, w: dataclasses.replace(real(p, w), residual=np.nan),
+    )
+    result = checks.check_reduction_chain()
+    assert not result.passed
+    assert "max residual = nan" in result.detail

@@ -56,7 +56,9 @@ def _cli(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize(
-    "module", ["twostate", "twostate.cli", "twostate.oracle", "twostate.checks"]
+    "module",
+    ["twostate", "twostate.cli", "twostate.oracle", "twostate.checks",
+     "twostate.wavepacket"],
 )
 def test_import_loads_no_scipy(module, tmp_path):
     assert _scipy_loaded_by(f"import {module}", tmp_path) == []
@@ -82,18 +84,14 @@ SMALL_WAVEPACKET = [
 ]
 
 
-@pytest.mark.parametrize(
-    "code",
-    ["import twostate.wavepacket", _cli(SMALL_WAVEPACKET)],
-    ids=["import", "run"],
-)
+@pytest.mark.parametrize("code", [_cli(SMALL_WAVEPACKET)], ids=["run"])
 def test_wavepacket_loads_lapack_and_no_sparse(code, tmp_path):
     loaded = _scipy_loaded_by(code, tmp_path)
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
-# run a CLI command with scipy unimportable, as on a numpy-only install
+# make scipy unimportable, as on a numpy-only install
 BLOCK_SCIPY = """
 import sys
 
@@ -114,6 +112,22 @@ def test_wavepacket_without_scipy_exits_2(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: wavepacket needs scipy (No module named 'scipy')"
     ]
+
+
+def test_wavepacket_without_scipy_writes_no_snapshot(tmp_path):
+    snapshots = tmp_path / "frames.csv"
+    proc = _run(BLOCK_SCIPY + _cli(["wavepacket", "--snapshots", str(snapshots)]), tmp_path)
+    assert proc.returncode == 2
+    assert not snapshots.exists()
+
+
+def test_wavepacket_names_import_without_scipy(tmp_path):
+    # only propagate needs scipy, and it imports it when first called
+    code = BLOCK_SCIPY + (
+        "from twostate import (BoundaryContaminationError, DelayResult, "
+        "GridSpec, NoCrossingError, NormDriftError, PacketSpec)\n"
+    )
+    assert _scipy_loaded_by(code, tmp_path) == []
 
 
 FROM_IMPORT = """
