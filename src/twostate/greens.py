@@ -16,10 +16,7 @@ alpha grows monotonically with E and diverges at the threshold E -> V.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import ModelParams
 
@@ -43,7 +40,7 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> GreensValue:
     and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).  It is
     an array when the parameters are.
     """
-    sqrt, exp = (np.sqrt, np.exp) if p.is_array else (math.sqrt, math.exp)
+    sqrt, exp = p.ops.sqrt, p.ops.exp
     gap = p.potential - p.energy
     kappa = sqrt(2.0 * p.mass * gap) / p.hbar
     value = (
@@ -60,6 +57,4 @@ def effective_strength(p: ModelParams) -> float:
     Returns 0 exactly when the coupling vanishes, positive otherwise; an
     array when the parameters are.
     """
-    if not p.is_array and p.coupling == 0.0:
-        return 0.0
     return -(p.coupling**2) * greens_constant(p.center, p.center, p).value

@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scatter, times
-from .params import DomainError, ModelParams, ReducedParams, wave_numbers
+from .params import (
+    DegenerateCouplingError, DomainError, ModelParams, ReducedParams, wave_numbers,
+)
 
 __all__ = [
     "ConvergenceReport",
@@ -60,7 +62,7 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     nearer end of (0, V) outside that range, so it is always valid.
     """
     if p.coupling == 0.0:
-        raise DomainError("group delay oracle needs a nonzero coupling")
+        raise DegenerateCouplingError("group delay oracle needs a nonzero coupling")
     gap = min(p.energy, p.potential - p.energy)
     h = min(1e-6 * p.potential, 1e-3 * gap) if step is None else step
     limit = gap / 10.0

@@ -14,14 +14,18 @@ The fields of ``ModelParams`` and ``ReducedParams`` are floats, or numpy
 arrays that broadcast together.  An array-valued instance describes a whole
 grid of points in one object: it is validated once, and the closed forms
 that accept it (every one but ``extremal_coupling``) evaluate every point
-in one numpy call.
+in one numpy call.  The closed forms call the functions the parameter type
+carries as ``ops``, ``math`` and ``cmath`` for floats and numpy for arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -56,7 +60,7 @@ class ConventionError(ValueError):
     """Operation requires the reduced unit convention hbar = 1, m = 1/2."""
 
 
-class DegenerateCouplingError(ValueError):
+class DegenerateCouplingError(DomainError):
     """Requested quantity is undefined at zero coupling strength."""
 
 
@@ -109,6 +113,7 @@ def _adopt_arrays(params, in_domain) -> None:
         object.__setattr__(params, name, array)
     object.__setattr__(params, "is_array", True)
     object.__setattr__(params, "shape", shape)
+    object.__setattr__(params, "ops", _ARRAY_OPS)
     ok = in_domain(params)
     if not np.all(ok):
         first = int(np.argmin(np.broadcast_to(ok, shape)))
@@ -118,13 +123,32 @@ def _adopt_arrays(params, in_domain) -> None:
         raise AssertionError("array domain mask disagrees with the scalar checks")
 
 
-def least(values: np.ndarray) -> float:
-    """Smallest element of a validated parameter array (inf if it is empty).
+# Functions of one parameter type (floats or float arrays).  least(field) is
+# the smallest element (inf if empty), so one test covers every point;
+# inverse(x, undefined) is 1 / x, NaN where undefined.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus least any inverse")
 
-    The closed forms reduce an array field with this once per call, then
-    apply the scalar test (e.g. ``energy <= 0``) to the result.
-    """
-    return values.min(initial=math.inf)
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| of a complex array, rounded as abs(complex) rounds it (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(undefined, np.nan, 1.0 / x)
+
+
+_FLOAT_OPS = _Ops(
+    sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
+    least=lambda value: value, any=bool,
+    inverse=lambda x, undefined: math.nan if undefined else 1.0 / x,
+)
+_ARRAY_OPS = _Ops(
+    sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
+    least=partial(np.min, initial=math.inf), any=np.any,
+    inverse=_array_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -155,9 +179,10 @@ class ModelParams:
     mass: float = 0.5
     hbar: float = 1.0
     center: float = 0.0
-    # set by validation when the fields are arrays: their broadcast shape
+    # set by validation when the fields are arrays
     is_array: ClassVar[bool] = False
     shape: ClassVar[tuple[int, ...]] = ()
+    ops: ClassVar[_Ops] = _FLOAT_OPS
 
     def __post_init__(self) -> None:
         try:
@@ -195,9 +220,10 @@ class ReducedParams:
     epsilon: float
     potential: float
     coupling: float
-    # set by validation when the fields are arrays: their broadcast shape
+    # set by validation when the fields are arrays
     is_array: ClassVar[bool] = False
     shape: ClassVar[tuple[int, ...]] = ()
+    ops: ClassVar[_Ops] = _FLOAT_OPS
 
     def __post_init__(self) -> None:
         try:
@@ -255,18 +281,13 @@ def make_reduced(p: ModelParams) -> ReducedParams:
     because the dimensionless closed forms are derived in that convention.
     The result is array-valued when the parameters are.
     """
-    if p.is_array:
-        off_convention = np.any(p.hbar != 1.0) or np.any(p.mass != 0.5)
-        lowest_e = least(p.energy)
-    else:
-        off_convention = p.hbar != 1.0 or p.mass != 0.5
-        lowest_e = p.energy
-    if off_convention:
+    ops = p.ops
+    if ops.any(p.hbar != 1.0) or ops.any(p.mass != 0.5):
         raise ConventionError(
             "reduced form requires hbar = 1 and mass = 1/2, got "
             f"hbar={p.hbar}, mass={p.mass}"
         )
-    if lowest_e <= 0.0:
+    if ops.least(p.energy) <= 0.0:
         raise DomainError("reduced form requires energy > 0")
     return ReducedParams(
         epsilon=p.energy / p.potential,
@@ -290,11 +311,8 @@ def expand_reduced(r: ReducedParams) -> ModelParams:
 def wave_numbers(p: ModelParams) -> WaveNumbers:
     """Open-channel k and closed-channel kappa for validated parameters;
     arrays when the parameters are."""
-    if p.is_array:
-        sqrt, lowest_e = np.sqrt, least(p.energy)
-    else:
-        sqrt, lowest_e = math.sqrt, p.energy
-    if lowest_e <= 0.0:
+    sqrt = p.ops.sqrt
+    if p.ops.least(p.energy) <= 0.0:
         raise DomainError("propagating open channel requires energy > 0")
     k = sqrt(2.0 * p.mass * p.energy) / p.hbar
     kappa = sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar

@@ -23,11 +23,7 @@ arg(B) by a constant pi; energy derivatives are unaffected.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .greens import greens_constant
 from .params import (
@@ -35,7 +31,6 @@ from .params import (
     DomainError,
     ModelParams,
     ReducedParams,
-    least,
     wave_numbers,
 )
 
@@ -69,51 +64,27 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     """Solve the matching problem for a unit wave incident from the left.
 
     Array-valued parameters give array-valued amplitudes from the same
-    formulas in numpy; their uncoupled points come out of the general
-    formulas, except the reflection phase, which is set to NaN.
+    formulas in numpy.  Uncoupled points come out of the general formulas
+    too, except the reflection phase, which is set to NaN.
     """
-    if p.is_array:
-        lowest_e, exp, atan, modulus = least(p.energy), np.exp, np.arctan, _modulus
-    else:
-        lowest_e, exp, atan, modulus = p.energy, cmath.exp, math.atan, abs
-    if lowest_e <= 0.0:
+    ops = p.ops
+    if ops.least(p.energy) <= 0.0:
         raise DomainError("scattering requires energy > 0")
     kn = wave_numbers(p)
-    if not p.is_array and p.coupling == 0.0:
-        return Amplitudes(
-            reflection=0.0 + 0.0j,
-            transmission=1.0 + 0.0j,
-            transmission_prob=1.0,
-            reflection_prob=0.0,
-            transmission_phase=0.0,
-            reflection_phase=math.nan,
-        )
+    # every field enters through G(xc, xc), so ratio has the full shape
     lam = p.coupling**2 * greens_constant(p.center, p.center, p).value
     ratio = p.mass * lam / (p.hbar**2 * kn.k)  # negative in-regime
-    if p.is_array:
-        # the center enters only through the reflection's phase factor; the
-        # broadcast gives every field the full shape all the same
-        ratio = np.broadcast_to(ratio, p.shape)
-        with np.errstate(divide="ignore"):  # ratio = 0 where k0 = 0: no phase
-            inverse = np.where(p.coupling == 0.0, np.nan, 1.0 / ratio)
-    else:
-        inverse = 1.0 / ratio
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
-    reflection = reflection0 * exp(2j * kn.k * p.center)
+    reflection = reflection0 * ops.cexp(2j * kn.k * p.center)
     return Amplitudes(
         reflection=reflection,
         transmission=transmission,
-        transmission_prob=modulus(transmission) ** 2,
-        reflection_prob=modulus(reflection0) ** 2,
-        transmission_phase=atan(-ratio),
-        reflection_phase=atan(inverse),
+        transmission_prob=ops.modulus(transmission) ** 2,
+        reflection_prob=ops.modulus(reflection0) ** 2,
+        transmission_phase=ops.atan(-ratio),
+        reflection_phase=ops.atan(ops.inverse(ratio, p.coupling == 0.0)),
     )
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| of a complex array, rounded as abs(complex) rounds it (np.abs is not)."""
-    return np.hypot(z.real, z.imag)
 
 
 def transmission_probability(r: ReducedParams) -> float:
@@ -129,7 +100,7 @@ def transmission_probability(r: ReducedParams) -> float:
 def scattering_phases(p: ModelParams) -> tuple[float, float]:
     """Principal-branch transmission and reflection phases (phi_t, phi_r);
     arrays when the parameters are."""
-    if (least(p.coupling) if p.is_array else p.coupling) == 0.0:
+    if p.ops.least(p.coupling) == 0.0:
         raise DegenerateCouplingError(
             "reflection phase is undefined at zero coupling"
         )

@@ -32,15 +32,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import scatter
 from .params import (
     DegenerateCouplingError,
     DomainError,
     ModelParams,
     ReducedParams,
-    least,
 )
 
 __all__ = [
@@ -77,13 +74,10 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     T2 * tau_gt + R2 * tau_gr, numerically indistinguishable from tau_gt.
     """
     e, v, k0, m, hb = p.energy, p.potential, p.coupling, p.mass, p.hbar
-    if p.is_array:
-        sqrt, lowest_e, lowest_k0 = np.sqrt, least(e), least(k0)
-    else:
-        sqrt, lowest_e, lowest_k0 = math.sqrt, e, k0
-    if lowest_e <= 0.0:
+    sqrt, least = p.ops.sqrt, p.ops.least
+    if least(e) <= 0.0:
         raise DomainError("delays require energy > 0")
-    if lowest_k0 == 0.0:
+    if least(k0) == 0.0:
         raise DegenerateCouplingError("delays are degenerate at zero coupling")
     numer = m * hb**3 * k0**2 * (2.0 * e - v)
     denom = sqrt(e) * sqrt(v - e) * (4.0 * hb**4 * e * (v - e) + k0**4 * m**2)
@@ -112,11 +106,8 @@ def transition_time(r: ReducedParams) -> float:
     """Closed-form reduced transition time tau(eps, V, k0); an array when
     the parameters are."""
     eps, v, k0 = r.epsilon, r.potential, r.coupling
-    if r.is_array:
-        sqrt, lowest_k0 = np.sqrt, least(k0)
-    else:
-        sqrt, lowest_k0 = math.sqrt, k0
-    if lowest_k0 == 0.0:
+    sqrt = r.ops.sqrt
+    if r.ops.least(k0) == 0.0:
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )

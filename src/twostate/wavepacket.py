@@ -140,8 +140,6 @@ class DelayResult:
 
 def _coupling_cells(x: np.ndarray, dx: float, p: ModelParams, width: float):
     """Cell-averaged square coupling; integral over the grid equals k0."""
-    if p.coupling == 0.0:
-        return np.zeros_like(x)
     lo = p.center - width / 2.0
     hi = p.center + width / 2.0
     left = x - dx / 2.0

@@ -51,6 +51,7 @@ def test_always_negative():
 def test_effective_strength_zero_coupling_exact():
     p = ModelParams(energy=0.5, potential=1.0, coupling=0.0)
     assert effective_strength(p) == 0.0
+    assert math.copysign(1.0, effective_strength(p)) == 1.0  # +0.0, printed as "0"
 
 
 def test_effective_strength_value_and_scaling():

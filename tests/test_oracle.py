@@ -8,6 +8,7 @@ from scipy import integrate
 from scipy.linalg import solve_banded
 
 from twostate import (
+    DegenerateCouplingError,
     DomainError,
     ModelParams,
     ReducedParams,
@@ -60,6 +61,8 @@ def test_fd_delay_step_validation():
         fd_group_delay(p, -1e-6)
     free = ModelParams(energy=0.25, potential=1.0, coupling=0.0)
     with pytest.raises(DomainError):
+        fd_group_delay(free)
+    with pytest.raises(DegenerateCouplingError):  # as every closed form at k0 = 0
         fd_group_delay(free)
 
 
