@@ -265,11 +265,11 @@ def _cmd_greens(opts: dict) -> int:
     from . import oracle
 
     p = _model_params(opts)
-    value = greens.greens_constant(opts["x1"], opts["x2"], p).value
+    value = greens.greens_constant(opts["x1"], opts["x2"], p)
     alpha = greens.effective_strength(p)
     print(f"greens_value = {value:.15g}")
     print(f"effective_strength = {alpha:.15g}")
-    diagonal = greens.greens_constant(p.center, p.center, p).value
+    diagonal = greens.greens_constant(p.center, p.center, p)
     numeric = oracle.greens_grid_extrapolated(p)
     print(f"grid_oracle = {numeric:.15g}")
     print(f"oracle_gap = {abs(numeric - diagonal):.3e}")

@@ -16,24 +16,12 @@ alpha grows monotonically with E and diverges at the threshold E -> V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import ModelParams
 
-__all__ = ["GreensValue", "effective_strength", "greens_constant"]
+__all__ = ["effective_strength", "greens_constant"]
 
 
-@dataclass(frozen=True)
-class GreensValue:
-    """Closed-channel resolvent evaluated at a pair of points."""
-
-    value: float
-    x1: float
-    x2: float
-    energy: float
-
-
-def greens_constant(x1: float, x2: float, p: ModelParams) -> GreensValue:
+def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     """Closed-channel Green's function at (x1, x2) for energy p.energy.
 
     Valid for any E < V including E = 0; the value is strictly negative
@@ -43,12 +31,11 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> GreensValue:
     sqrt, exp = p.ops.sqrt, p.ops.exp
     gap = p.potential - p.energy
     kappa = sqrt(2.0 * p.mass * gap) / p.hbar
-    value = (
+    return (
         -sqrt(p.mass / (2.0 * p.hbar**2))
         * exp(-kappa * abs(x1 - x2))
         / sqrt(gap)
     )
-    return GreensValue(value=value, x1=x1, x2=x2, energy=p.energy)
 
 
 def effective_strength(p: ModelParams) -> float:
@@ -57,4 +44,4 @@ def effective_strength(p: ModelParams) -> float:
     Returns 0 exactly when the coupling vanishes, positive otherwise; an
     array when the parameters are.
     """
-    return -(p.coupling**2) * greens_constant(p.center, p.center, p).value
+    return -(p.coupling**2) * greens_constant(p.center, p.center, p)

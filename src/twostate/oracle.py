@@ -30,9 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scatter, times
-from .params import (
-    DegenerateCouplingError, DomainError, ModelParams, ReducedParams, wave_numbers,
-)
+from .params import ModelParams, ReducedParams, wave_numbers
 
 __all__ = [
     "ConvergenceReport",
@@ -61,8 +59,6 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     1e-3 <= E / V <= 1 - 1e-3 and shrinks with the distance to the
     nearer end of (0, V) outside that range, so it is always valid.
     """
-    if p.coupling == 0.0:
-        raise DegenerateCouplingError("group delay oracle needs a nonzero coupling")
     gap = min(p.energy, p.potential - p.energy)
     h = min(1e-6 * p.potential, 1e-3 * gap) if step is None else step
     limit = gap / 10.0
@@ -215,8 +211,6 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     both strip edges (8 linear conditions).
     """
     _check_width(width)
-    if p.energy <= 0.0:
-        raise DomainError("regularized scattering requires energy > 0")
     kn = wave_numbers(p)
     k, kappa = kn.k, kn.kappa
     g = p.coupling / width

@@ -25,7 +25,6 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -123,15 +122,21 @@ def _adopt_arrays(params, in_domain) -> None:
         raise AssertionError("array domain mask disagrees with the scalar checks")
 
 
-# Functions of one parameter type (floats or float arrays).  least(field) is
-# the smallest element (inf if empty), so one test covers every point;
-# inverse(x, undefined) is 1 / x, NaN where undefined.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus least any inverse")
+# Functions of one parameter type (floats or float arrays).  any(mask) is
+# True if the test holds at some point, so one test covers every point;
+# inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| of a complex array, rounded as abs(complex) rounds it (np.abs is not)."""
     return np.hypot(z.real, z.imag)
+
+
+def _float_inverse(x: float, undefined: bool) -> float:
+    if undefined:
+        return math.nan
+    return 1.0 / x if x else math.copysign(math.inf, x)
 
 
 def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
@@ -141,13 +146,11 @@ def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
 
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
-    least=lambda value: value, any=bool,
-    inverse=lambda x, undefined: math.nan if undefined else 1.0 / x,
+    any=bool, inverse=_float_inverse,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
-    least=partial(np.min, initial=math.inf), any=np.any,
-    inverse=_array_inverse,
+    any=np.any, inverse=_array_inverse,
 )
 
 
@@ -287,7 +290,7 @@ def make_reduced(p: ModelParams) -> ReducedParams:
             "reduced form requires hbar = 1 and mass = 1/2, got "
             f"hbar={p.hbar}, mass={p.mass}"
         )
-    if ops.least(p.energy) <= 0.0:
+    if ops.any(p.energy <= 0.0):
         raise DomainError("reduced form requires energy > 0")
     return ReducedParams(
         epsilon=p.energy / p.potential,
@@ -312,7 +315,7 @@ def wave_numbers(p: ModelParams) -> WaveNumbers:
     """Open-channel k and closed-channel kappa for validated parameters;
     arrays when the parameters are."""
     sqrt = p.ops.sqrt
-    if p.ops.least(p.energy) <= 0.0:
+    if p.ops.any(p.energy <= 0.0):
         raise DomainError("propagating open channel requires energy > 0")
     k = sqrt(2.0 * p.mass * p.energy) / p.hbar
     kappa = sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .greens import greens_constant
 from .params import (
     DegenerateCouplingError,
-    DomainError,
     ModelParams,
     ReducedParams,
     wave_numbers,
@@ -68,11 +67,9 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     too, except the reflection phase, which is set to NaN.
     """
     ops = p.ops
-    if ops.least(p.energy) <= 0.0:
-        raise DomainError("scattering requires energy > 0")
     kn = wave_numbers(p)
     # every field enters through G(xc, xc), so ratio has the full shape
-    lam = p.coupling**2 * greens_constant(p.center, p.center, p).value
+    lam = p.coupling**2 * greens_constant(p.center, p.center, p)
     ratio = p.mass * lam / (p.hbar**2 * kn.k)  # negative in-regime
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
@@ -100,7 +97,7 @@ def transmission_probability(r: ReducedParams) -> float:
 def scattering_phases(p: ModelParams) -> tuple[float, float]:
     """Principal-branch transmission and reflection phases (phi_t, phi_r);
     arrays when the parameters are."""
-    if p.ops.least(p.coupling) == 0.0:
+    if p.ops.any(p.coupling == 0.0):
         raise DegenerateCouplingError(
             "reflection phase is undefined at zero coupling"
         )

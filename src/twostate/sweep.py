@@ -174,11 +174,12 @@ def _labels(row: QuantityRow, series: tuple[float, ...]) -> list[str]:
 
 
 def _csv_text(grid, columns, labels, varname) -> str:
+    # one % per row, each row listed on its own: listing the whole table
+    # first, or one % over all of it, raises the peak allocation
+    row = ",".join(["%.15g"] * (1 + len(columns)))
     lines = [",".join([varname, *labels])]
-    for i in range(grid.size):
-        cells = [f"{grid[i]:.15g}"]
-        cells.extend(f"{col[i]:.15g}" for col in columns)
-        lines.append(",".join(cells))
+    table = np.column_stack([grid, *columns])
+    lines.extend(row % tuple(cells.tolist()) for cells in table)
     return "\n".join(lines) + "\n"
 
 

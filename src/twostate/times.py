@@ -74,16 +74,14 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     T2 * tau_gt + R2 * tau_gr, numerically indistinguishable from tau_gt.
     """
     e, v, k0, m, hb = p.energy, p.potential, p.coupling, p.mass, p.hbar
-    sqrt, least = p.ops.sqrt, p.ops.least
-    if least(e) <= 0.0:
-        raise DomainError("delays require energy > 0")
-    if least(k0) == 0.0:
+    amps = scatter.solve_amplitudes(p)
+    if p.ops.any(k0 == 0.0):
         raise DegenerateCouplingError("delays are degenerate at zero coupling")
+    sqrt = p.ops.sqrt
     numer = m * hb**3 * k0**2 * (2.0 * e - v)
     denom = sqrt(e) * sqrt(v - e) * (4.0 * hb**4 * e * (v - e) + k0**4 * m**2)
     tau_gt = numer / denom
     tau_gr = tau_gt
-    amps = scatter.solve_amplitudes(p)
     tau_g = amps.transmission_prob * tau_gt + amps.reflection_prob * tau_gr
     return tau_gt, tau_gr, tau_g
 
@@ -107,7 +105,7 @@ def transition_time(r: ReducedParams) -> float:
     the parameters are."""
     eps, v, k0 = r.epsilon, r.potential, r.coupling
     sqrt = r.ops.sqrt
-    if r.ops.least(k0) == 0.0:
+    if r.ops.any(k0 == 0.0):
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )
@@ -126,10 +124,7 @@ def extremal_coupling(epsilon: float, potential: float) -> tuple[float, float]:
     and tau_star = (2 eps - 1) / (4 V eps (1 - eps)).  epsilon = 1/2 is
     degenerate (tau vanishes for every coupling) and is rejected.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if potential <= 0.0:
-        raise DomainError(f"potential must be positive, got {potential}")
+    ReducedParams(epsilon, potential, 0.0)  # raises the DomainError naming the field
     if epsilon == 0.5:
         raise ValueError(
             "transition time vanishes identically at epsilon = 1/2; "

@@ -166,14 +166,14 @@ def test_greens_and_wave_numbers_match_scalar_calls():
     coupling = np.array([[0.0], [0.5], [2.0]])
     p = ModelParams(energy, 1.0, coupling, center=0.4)
     kn = wave_numbers(p)
-    g = greens_constant(-0.3, 0.9, p).value
+    g = greens_constant(-0.3, 0.9, p)
     alpha = effective_strength(p)
     for at in np.ndindex(p.shape):
         one = ModelParams(float(energy[at[1]]), 1.0, float(coupling[at[0], 0]), center=0.4)
         one_kn = wave_numbers(one)
         assert _rel(kn.k[at[1]], one_kn.k) <= 1e-15
         assert _rel(kn.kappa[at[1]], one_kn.kappa) <= 1e-15
-        assert _rel(g[at[1]], greens_constant(-0.3, 0.9, one).value) <= 1e-15
+        assert _rel(g[at[1]], greens_constant(-0.3, 0.9, one)) <= 1e-15
         assert _rel(alpha[at], effective_strength(one)) <= 1e-15
     assert np.all(alpha[0] == 0.0)
     with pytest.raises(DomainError, match="requires energy > 0"):
@@ -189,6 +189,7 @@ def test_scalar_calls_return_python_floats():
         for name in AMPLITUDE_FIELDS[2:]:
             assert type(getattr(amps, name)) is float, name
     assert type(effective_strength(uncoupled)) is float
+    assert type(greens_constant(0.0, 0.0, p)) is float
     assert all(type(t) is float for t in group_delays(p))
     tax = time_taxonomy(p)
     assert all(type(getattr(tax, name)) is float for name in TAXONOMY_FIELDS)
@@ -256,9 +257,9 @@ def test_degenerate_arrays_raise_typed_errors():
     with pytest.raises(DegenerateCouplingError):
         time_taxonomy(zero_coupling)
     zero_energy = ModelParams(np.array([0.3, 0.0]), 1.0, 1.0)
-    with pytest.raises(DomainError, match="scattering requires energy > 0"):
+    with pytest.raises(DomainError, match=r"^propagating open channel requires energy > 0$"):
         solve_amplitudes(zero_energy)
-    with pytest.raises(DomainError, match="delays require energy > 0"):
+    with pytest.raises(DomainError, match=r"^propagating open channel requires energy > 0$"):
         group_delays(zero_energy)
 
 
@@ -285,10 +286,26 @@ def test_reduction_and_phases_raise_typed_errors_on_arrays():
     zero_energy = ModelParams(np.array([0.3, 0.0]), 1.0, 1.0)
     with pytest.raises(DomainError, match="reduced form requires energy > 0"):
         make_reduced(zero_energy)
-    with pytest.raises(DomainError, match="scattering requires energy > 0"):
+    with pytest.raises(DomainError, match=r"^propagating open channel requires energy > 0$"):
         scattering_phases(zero_energy)
     with pytest.raises(ConventionError):
         make_reduced(ModelParams(0.3, 1.0, 1.0, hbar=np.array([1.0, 2.0])))
+
+
+@pytest.mark.parametrize("k0", [1e-170, 1e-200])
+def test_tiny_coupling_agrees_with_the_array_path(k0):
+    # k0**2 * G underflows to -0.0, so 1 / ratio is -inf on both paths
+    one = ModelParams(0.25, 1.0, k0)
+    many = ModelParams(0.25, 1.0, np.array([k0]))
+    amps, amps_array = solve_amplitudes(one), solve_amplitudes(many)
+    for name in AMPLITUDE_FIELDS:
+        assert getattr(amps_array, name)[0] == getattr(amps, name), name
+    assert amps.reflection_phase == -math.pi / 2
+    assert scattering_phases(one) == tuple(x[0] for x in scattering_phases(many))
+    assert group_delays(one) == tuple(t[0] for t in group_delays(many))
+    tax, tax_array = time_taxonomy(one), time_taxonomy(many)
+    for name in TAXONOMY_FIELDS:
+        assert getattr(tax_array, name)[0] == getattr(tax, name), name
 
 
 def test_array_params_survive_pickling():

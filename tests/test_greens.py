@@ -18,34 +18,28 @@ def test_diagonal_values(energy, potential, mass, hbar, expected):
     p = ModelParams(
         energy=energy, potential=potential, coupling=1.0, mass=mass, hbar=hbar
     )
-    got = greens_constant(0.0, 0.0, p).value
+    got = greens_constant(0.0, 0.0, p)
     assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_symmetric_in_arguments():
     p = ModelParams(energy=0.3, potential=1.0, coupling=1.0)
-    assert greens_constant(0.7, -0.2, p).value == greens_constant(-0.2, 0.7, p).value
+    assert greens_constant(0.7, -0.2, p) == greens_constant(-0.2, 0.7, p)
 
 
 def test_exponential_decay_off_diagonal():
     p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
-    diag = greens_constant(0.0, 0.0, p).value
+    diag = greens_constant(0.0, 0.0, p)
     for d in (0.5, 1.0, 3.0):
-        off = greens_constant(0.0, d, p).value
+        off = greens_constant(0.0, d, p)
         assert off == pytest.approx(diag * math.exp(-kappa * d), rel=1e-14)
-
-
-def test_value_records_evaluation_point():
-    p = ModelParams(energy=0.25, potential=1.0, coupling=1.0)
-    g = greens_constant(0.1, -0.4, p)
-    assert (g.x1, g.x2, g.energy) == (0.1, -0.4, 0.25)
 
 
 def test_always_negative():
     for e in (0.0, 0.2, 0.8, 0.99):
         p = ModelParams(energy=e, potential=1.0, coupling=1.0)
-        assert greens_constant(0.0, 0.0, p).value < 0.0
+        assert greens_constant(0.0, 0.0, p) < 0.0
 
 
 def test_effective_strength_zero_coupling_exact():

@@ -74,13 +74,13 @@ def test_grid_resolvent_matches_closed_form(energy, potential, mass, hbar):
     p = ModelParams(
         energy=energy, potential=potential, coupling=1.0, mass=mass, hbar=hbar
     )
-    exact = greens_constant(p.center, p.center, p).value
+    exact = greens_constant(p.center, p.center, p)
     assert abs(greens_grid_extrapolated(p) - exact) <= 1e-8 * abs(exact)
 
 
 def test_grid_resolvent_extrapolation_helps():
     p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
-    exact = greens_constant(0.0, 0.0, p).value
+    exact = greens_constant(0.0, 0.0, p)
     raw = abs(greens_grid(p) - exact)
     extrapolated = abs(greens_grid_extrapolated(p) - exact)
     assert extrapolated < raw / 10.0
@@ -96,7 +96,7 @@ def test_grid_spacing_floor():
     # kappa = 1 here, so the floor is eps**0.25 itself
     p = ModelParams(energy=0.5, potential=1.5, coupling=1.0)
     floor = float(np.finfo(float).eps) ** 0.25
-    exact = greens_constant(0.0, 0.0, p).value
+    exact = greens_constant(0.0, 0.0, p)
     assert abs(greens_grid(p, floor) - exact) <= 1e-6 * abs(exact)
     with pytest.raises(ValueError, match="rounding floor"):
         greens_grid(p, math.nextafter(floor, 0.0))

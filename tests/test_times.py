@@ -129,10 +129,21 @@ def test_extremal_coupling_is_a_true_extremum():
 def test_extremal_coupling_rejects_degenerate_input():
     with pytest.raises(ValueError):
         extremal_coupling(0.5, 1.0)
-    with pytest.raises(DomainError):
-        extremal_coupling(1.2, 1.0)
-    with pytest.raises(DomainError):
-        extremal_coupling(0.25, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("epsilon", "potential", "message"),
+    [
+        (1.2, 1.0, "epsilon must lie in (0, 1), got 1.2"),
+        (0.25, 0.0, "potential must be positive, got 0.0"),
+        (math.nan, 1.0, "epsilon must be finite, got nan"),
+        (0.25, math.inf, "potential must be finite, got inf"),
+    ],
+)
+def test_extremal_coupling_names_the_bad_field(epsilon, potential, message):
+    with pytest.raises(DomainError) as info:
+        extremal_coupling(epsilon, potential)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
