@@ -16,7 +16,7 @@ alpha grows monotonically with E and diverges at the threshold E -> V.
 
 from __future__ import annotations
 
-from .params import ModelParams
+from .params import DomainError, ModelParams
 
 __all__ = ["effective_strength", "greens_constant"]
 
@@ -29,10 +29,16 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     an array when the parameters are.
     """
     sqrt, exp = p.ops.sqrt, p.ops.exp
+    hbar_sq = p.hbar**2
+    if p.ops.any(hbar_sq == 0.0):
+        raise DomainError(
+            f"hbar**2 underflows to 0 at hbar={p.hbar}; the Green's function "
+            "needs hbar above about 1.572e-162"
+        )
     gap = p.potential - p.energy
     kappa = sqrt(2.0 * p.mass * gap) / p.hbar
     return (
-        -sqrt(p.mass / (2.0 * p.hbar**2))
+        -sqrt(p.mass / (2.0 * hbar_sq))
         * exp(-kappa * abs(x1 - x2))
         / sqrt(gap)
     )

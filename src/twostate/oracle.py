@@ -63,6 +63,7 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     h = min(1e-6 * p.potential, 1e-3 * gap) if step is None else step
     limit = gap / 10.0
     if not 0.0 < h < limit:
+        wave_numbers(p)  # at E = 0 the error is the open channel's, not the step's
         raise ValueError(
             f"finite-difference step must lie in (0, {limit!r}), got {h!r}"
         )

@@ -90,8 +90,14 @@ def transmission_probability(r: ReducedParams) -> float:
     |T|^2 = 1 / (1 + k0^4 / (16 V^2 eps (1 - eps))); agrees with
     solve_amplitudes on the expanded parameters to rounding.
     """
-    spread = 16.0 * r.potential**2 * r.epsilon * (1.0 - r.epsilon)
-    return 1.0 / (1.0 + r.coupling**4 / spread)
+    return reduced_transmission(r.epsilon, r.potential, r.coupling)
+
+
+def reduced_transmission(eps, v, k0):
+    """Kernel of transmission_probability on plain values of a validated
+    point: floats or float arrays that broadcast together."""
+    spread = 16.0 * v**2 * eps * (1.0 - eps)
+    return 1.0 / (1.0 + k0**4 / spread)
 
 
 def scattering_phases(p: ModelParams) -> tuple[float, float]:

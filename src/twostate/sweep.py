@@ -34,7 +34,9 @@ class QuantityRow:
     ``domain`` is the raw range of the swept variable, before the margin
     clips its open ends; ``default_series`` maps the potential V to the
     default values of the ``series`` key; ``evaluate`` is one closed-form
-    call per point, looked up through its module at call time.
+    call per series, looked up through its module at call time.  It gets
+    the series' validated parameters and their plain values (eps, V, k0):
+    V is a float, and eps or k0, whichever is swept, an array.
     """
 
     variable: str
@@ -42,7 +44,15 @@ class QuantityRow:
     column: str
     domain: tuple[float, float]
     default_series: Callable[[float], tuple[float, ...]]
-    evaluate: Callable[[ReducedParams], float]
+    evaluate: Callable[..., np.ndarray]
+
+
+def _float_squares(k0):
+    """k0**2 with float pow at each point, as the scalar closed form squares
+    it.  numpy's square rounds differently at 2 of the 999 default points, so
+    this keeps the pinned bytes; the mpmath-gated re-pin (ROADMAP item 3)
+    removes it."""
+    return np.array([x**2 for x in k0.tolist()])
 
 
 QUANTITY_ROWS = {
@@ -50,22 +60,24 @@ QUANTITY_ROWS = {
         "epsilon", "coupling_sq", "transmission", (0.0, 1.0),
         # k0^4 / V^2 in {0.4, 4, 40}
         lambda v: tuple(v * math.sqrt(q) for q in (0.4, 4.0, 40.0)),
-        lambda r: scatter.transmission_probability(r),
+        lambda r, eps, v, k0: scatter.reduced_transmission(eps, v, k0),
     ),
     "phase": QuantityRow(
         "epsilon", "coupling_sq", "phase", (0.0, 1.0),
         lambda v: (4.0 * v,),  # k0^2 / (4 V) = 1
-        lambda r: scatter.scattering_phases(expand_reduced(r))[0],
+        lambda r, eps, v, k0: scatter.scattering_phases(expand_reduced(r))[0],
     ),
     "tau_vs_energy": QuantityRow(
         "epsilon", "coupling_sq", "tau", (0.0, 1.0),
         lambda v: (0.5, 1.0, 2.0),
-        lambda r: times.transition_time(r),
+        lambda r, eps, v, k0: times.reduced_transition_time(eps, v, k0, r.ops),
     ),
     "tau_vs_coupling": QuantityRow(
         "coupling_sq", "epsilon", "tau", (0.0, 10.0),
         lambda v: (0.6, 0.7, 0.8, 0.9),
-        lambda r: times.transition_time(r),
+        lambda r, eps, v, k0: times.reduced_transition_time(
+            eps, v, k0, r.ops, _float_squares(k0)
+        ),
     ),
 }
 QUANTITIES = tuple(QUANTITY_ROWS)
@@ -152,18 +164,24 @@ def _clip_grid(spec: SweepSpec) -> np.ndarray:
 
 
 def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
+    """One column per series, each from one array call.
+
+    V and the series value stay floats, so the closed forms raise them to a
+    power with float pow, as the scalar path does.  Validating the series'
+    ReducedParams raises the scalar path's error at its first bad point.
+    A division by zero raises FloatingPointError (an ArithmeticError, like
+    the scalar path's ZeroDivisionError) instead of writing inf or NaN.
+    """
     potential = float(spec.fixed.get("potential", DEFAULT_POTENTIAL))
     columns: list[np.ndarray] = []
     for s in series:
-        out = np.empty(grid.size)
-        for i, v in enumerate(grid):
-            eps, ksq = (float(v), s) if row.variable == "epsilon" else (s, float(v))
-            out[i] = row.evaluate(
-                ReducedParams(
-                    epsilon=eps, potential=potential, coupling=math.sqrt(ksq)
-                )
-            )
-        columns.append(out)
+        if row.variable == "epsilon":
+            eps, k0 = grid, math.sqrt(s)
+        else:
+            eps, k0 = s, np.sqrt(grid)
+        r = ReducedParams(epsilon=eps, potential=potential, coupling=k0)
+        with np.errstate(divide="raise", invalid="raise"):
+            columns.append(row.evaluate(r, eps, potential, k0))
     return columns
 
 

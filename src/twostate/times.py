@@ -103,13 +103,23 @@ def time_taxonomy(p: ModelParams) -> TimeTaxonomy:
 def transition_time(r: ReducedParams) -> float:
     """Closed-form reduced transition time tau(eps, V, k0); an array when
     the parameters are."""
-    eps, v, k0 = r.epsilon, r.potential, r.coupling
-    sqrt = r.ops.sqrt
-    if r.ops.any(k0 == 0.0):
+    return reduced_transition_time(r.epsilon, r.potential, r.coupling, r.ops)
+
+
+def reduced_transition_time(eps, v, k0, ops, ksq=None):
+    """Kernel of transition_time on plain values of a validated point.
+
+    eps, v and k0 are floats or float arrays that broadcast together, and
+    ``ops`` holds the sqrt and any of their type.  ``ksq`` is k0**2 unless
+    the caller passes the squares it needs.  Rejects k0 = 0 only.
+    """
+    if ops.any(k0 == 0.0):
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )
-    ksq = k0**2
+    if ksq is None:
+        ksq = k0**2
+    sqrt = ops.sqrt
     rest = 1.0 - eps
     return (
         2.0 * (2.0 * eps - 1.0)

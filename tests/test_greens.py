@@ -1,8 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from twostate import ModelParams, effective_strength, greens_constant
+from twostate import (
+    DomainError,
+    ModelParams,
+    effective_strength,
+    greens_constant,
+    group_delays,
+    solve_amplitudes,
+)
 
 
 @pytest.mark.parametrize(
@@ -60,3 +68,17 @@ def test_effective_strength_grows_toward_threshold():
     lo = effective_strength(ModelParams(energy=0.2, potential=1.0, coupling=1.0))
     hi = effective_strength(ModelParams(energy=0.98, potential=1.0, coupling=1.0))
     assert 0.0 < lo < hi
+
+
+@pytest.mark.parametrize("hbar", [1e-200, np.array([1.0, 1e-200])])
+def test_underflowing_hbar_squared_is_a_domain_error(hbar):
+    # hbar**2 is 0 below about 1.57e-162; both paths name hbar, none divides by 0
+    p = ModelParams(energy=0.25, potential=1.0, coupling=1.0, hbar=hbar)
+    for closed_form in (
+        lambda: greens_constant(0.0, 0.0, p),
+        lambda: effective_strength(p),
+        lambda: solve_amplitudes(p),
+        lambda: group_delays(p),
+    ):
+        with pytest.raises(DomainError, match=r"^hbar\*\*2 underflows to 0 at hbar="):
+            closed_form()

@@ -66,6 +66,14 @@ def test_fd_delay_step_validation():
         fd_group_delay(free)
 
 
+@pytest.mark.parametrize("step", [None, 1e-6])
+def test_fd_delay_at_zero_energy_names_the_open_channel(step):
+    # E = 0 leaves no valid step; the error is the closed forms' one there
+    p = ModelParams(energy=0.0, potential=1.0, coupling=1.0)
+    with pytest.raises(DomainError, match=r"^propagating open channel requires energy > 0$"):
+        fd_group_delay(p, step)
+
+
 @pytest.mark.parametrize(
     ("energy", "potential", "mass", "hbar"),
     [(0.5, 1.0, 0.5, 1.0), (0.25, 1.0, 0.5, 1.0), (1.0, 3.0, 1.0, 2.0)],
