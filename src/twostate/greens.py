@@ -16,6 +16,8 @@ alpha grows monotonically with E and diverges at the threshold E -> V.
 
 from __future__ import annotations
 
+import math
+
 from .params import DomainError, ModelParams
 
 __all__ = ["effective_strength", "greens_constant"]
@@ -30,18 +32,16 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     """
     sqrt, exp = p.ops.sqrt, p.ops.exp
     hbar_sq = p.hbar**2
-    if p.ops.any(hbar_sq == 0.0):
+    # an hbar**2 of 0 would divide by 0; a subnormal one can overflow the quotient
+    scale = math.inf if p.ops.any(hbar_sq == 0.0) else p.mass / (2.0 * hbar_sq)
+    if p.ops.any(scale == math.inf):
         raise DomainError(
-            f"hbar**2 underflows to 0 at hbar={p.hbar}; the Green's function "
-            "needs hbar above about 1.572e-162"
+            f"mass / (2 hbar**2) overflows at hbar={p.hbar}, mass={p.mass}; the "
+            "Green's function needs hbar above about 3.73e-155 at mass 1/2"
         )
     gap = p.potential - p.energy
     kappa = sqrt(2.0 * p.mass * gap) / p.hbar
-    return (
-        -sqrt(p.mass / (2.0 * hbar_sq))
-        * exp(-kappa * abs(x1 - x2))
-        / sqrt(gap)
-    )
+    return -sqrt(scale) * exp(-kappa * abs(x1 - x2)) / sqrt(gap)
 
 
 def effective_strength(p: ModelParams) -> float:

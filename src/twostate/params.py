@@ -10,6 +10,8 @@ Everything downstream assumes the sub-threshold regime 0 < E < V.  The
 reduced convention used for the dimensionless results is hbar = 1 and
 m = 1/2, so that hbar**2 / (2 m) = 1.
 
+Each parameter type states its domain once, as a table of conditions with
+a message each; the same table checks a float and every point of an array.
 The fields of ``ModelParams`` and ``ReducedParams`` are floats, or numpy
 arrays that broadcast together.  An array-valued instance describes a whole
 grid of points in one object: it is validated once, and the closed forms
@@ -24,7 +26,7 @@ import cmath
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -63,65 +65,6 @@ class DegenerateCouplingError(DomainError):
     """Requested quantity is undefined at zero coupling strength."""
 
 
-# bound once: the scalar check runs in every constructor call
-_isfinite = math.isfinite
-_ndarray = np.ndarray
-
-
-def _finite_or_array(params, names: tuple[str, ...]) -> bool:
-    """True if one of the fields is a numpy array; else check the scalars.
-
-    A non-finite scalar met before any array raises DomainError, and a
-    field that is not a number the TypeError of math.isfinite.  The array
-    test is on the type, not on math.isfinite failing: numpy 1.25 to 2.2
-    at least converts a size-1 array to a float with only a warning.
-    """
-    for name in names:
-        value = getattr(params, name)
-        if value.__class__ is _ndarray:
-            return True
-        if not _isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    return False
-
-
-def _adopt_arrays(params, in_domain) -> None:
-    """Validate a parameter object whose fields include numpy arrays.
-
-    Every field becomes a float array (0-d for a scalar); the fields must
-    broadcast together, else ValueError.  ``in_domain`` maps the instance to
-    an elementwise mask of the scalar checks, reduced by one ``np.all``; at
-    the first point outside the domain the scalar constructor is run, so the
-    error is the one the scalar path raises there.
-    """
-    names = [f.name for f in fields(params)]
-    values = [getattr(params, name) for name in names]
-    for name, value in zip(names, values):
-        if not isinstance(value, (np.ndarray, numbers.Real)):
-            raise TypeError(
-                f"{name} must be a real number or a float array, "
-                f"got {type(value).__name__}"
-            )
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    try:
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    except ValueError:
-        shapes = ", ".join(f"{n}={a.shape}" for n, a in zip(names, arrays))
-        raise ValueError(f"parameter arrays do not broadcast together: {shapes}") from None
-    for name, array in zip(names, arrays):
-        object.__setattr__(params, name, array)
-    object.__setattr__(params, "is_array", True)
-    object.__setattr__(params, "shape", shape)
-    object.__setattr__(params, "ops", _ARRAY_OPS)
-    ok = in_domain(params)
-    if not np.all(ok):
-        first = int(np.argmin(np.broadcast_to(ok, shape)))
-        type(params)(**{
-            n: float(np.broadcast_to(a, shape).flat[first]) for n, a in zip(names, arrays)
-        })
-        raise AssertionError("array domain mask disagrees with the scalar checks")
-
-
 # Functions of one parameter type (floats or float arrays).  any(mask) is
 # True if the test holds at some point, so one test covers every point;
 # inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined.
@@ -153,9 +96,81 @@ _ARRAY_OPS = _Ops(
     any=np.any, inverse=_array_inverse,
 )
 
+# bound once: the scalar checks run in every constructor call
+_isfinite = math.isfinite
+_ndarray = np.ndarray
+
+
+class _Validated:
+    """Validation shared by the parameter types, driven by one rule table.
+
+    ``_conditions`` returns the domain conditions, plain comparisons that
+    hold on floats and float arrays alike, and ``_MESSAGES`` holds the
+    message of each, in the same order.  Scalar fields must be finite, and
+    the first condition that fails raises DomainError.  With a numpy array
+    among the fields, every field becomes a float array (0-d for a scalar)
+    and the fields must broadcast together, else ValueError; np.isfinite
+    and the conditions are ANDed over the grid, and at the first point
+    outside the domain the scalar constructor runs, so the error is the one
+    a scalar call at that point raises.
+    """
+
+    # set by validation when the fields are arrays
+    is_array: ClassVar[bool] = False
+    shape: ClassVar[tuple[int, ...]] = ()
+    ops: ClassVar[_Ops] = _FLOAT_OPS
+
+    def __post_init__(self) -> None:
+        try:
+            for name in self.__match_args__:  # the field names, in order
+                value = getattr(self, name)
+                # a type test, not math.isfinite failing: numpy 1.25 to 2.2 at
+                # least convert a size-1 array to a float with only a warning
+                if type(value) is _ndarray:
+                    break
+                if not _isfinite(value):
+                    raise DomainError(f"{name} must be finite, got {value!r}")
+            else:
+                conditions = self._conditions()
+                if all(conditions):
+                    return
+                message = self._MESSAGES[conditions.index(False)]
+                raise DomainError(message.format(**vars(self)))
+        except TypeError:  # not a number: _adopt_arrays names the field
+            pass
+        self._adopt_arrays()
+
+    def _adopt_arrays(self) -> None:
+        names = self.__match_args__
+        values = [getattr(self, name) for name in names]
+        for name, value in zip(names, values):
+            if not isinstance(value, (np.ndarray, numbers.Real)):
+                raise TypeError(
+                    f"{name} must be a real number or a float array, "
+                    f"got {type(value).__name__}"
+                )
+        arrays = [np.asarray(v, dtype=float) for v in values]
+        try:
+            shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        except ValueError:
+            shapes = ", ".join(f"{n}={a.shape}" for n, a in zip(names, arrays))
+            raise ValueError(f"parameter arrays do not broadcast together: {shapes}") from None
+        for name, array in zip(names, arrays):
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "is_array", True)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "ops", _ARRAY_OPS)
+        ok = True
+        for mask in (*map(np.isfinite, arrays), *self._conditions()):
+            ok = ok & mask
+        if not np.all(ok):
+            # the scalar constructor raises the error of the first bad point
+            first = int(np.argmin(ok))
+            type(self)(*(float(np.broadcast_to(a, shape).flat[first]) for a in arrays))
+
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Validated):
     """Physical parameters of the coupled two-channel model.
 
     Attributes
@@ -182,38 +197,28 @@ class ModelParams:
     mass: float = 0.5
     hbar: float = 1.0
     center: float = 0.0
-    # set by validation when the fields are arrays
-    is_array: ClassVar[bool] = False
-    shape: ClassVar[tuple[int, ...]] = ()
-    ops: ClassVar[_Ops] = _FLOAT_OPS
 
-    def __post_init__(self) -> None:
-        try:
-            is_array = _finite_or_array(
-                self, ("energy", "potential", "coupling", "mass", "hbar", "center")
-            )
-        except TypeError:  # not a number: _adopt_arrays names the field
-            is_array = True
-        if is_array:
-            _adopt_arrays(self, _model_in_domain)
-            return
-        if self.energy < 0.0:
-            raise DomainError(f"energy must be non-negative, got {self.energy}")
-        if self.potential <= self.energy:
-            raise DomainError(
-                "closed channel requires potential > energy, got "
-                f"energy={self.energy}, potential={self.potential}"
-            )
-        if self.coupling < 0.0:
-            raise DomainError(f"coupling must be >= 0, got {self.coupling}")
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        if self.hbar <= 0.0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+    def _conditions(self) -> tuple:
+        return (
+            self.energy >= 0.0,
+            self.potential > self.energy,
+            self.coupling >= 0.0,
+            self.mass > 0.0,
+            self.hbar > 0.0,
+        )
+
+    _MESSAGES: ClassVar[tuple[str, ...]] = (
+        "energy must be non-negative, got {energy}",
+        "closed channel requires potential > energy, got "
+        "energy={energy}, potential={potential}",
+        "coupling must be >= 0, got {coupling}",
+        "mass must be positive, got {mass}",
+        "hbar must be positive, got {hbar}",
+    )
 
 
 @dataclass(frozen=True)
-class ReducedParams:
+class ReducedParams(_Validated):
     """Dimensionless parameters in the hbar = 1, m = 1/2 convention.
 
     ``epsilon`` is the energy fraction E / V, restricted to the open
@@ -223,44 +228,18 @@ class ReducedParams:
     epsilon: float
     potential: float
     coupling: float
-    # set by validation when the fields are arrays
-    is_array: ClassVar[bool] = False
-    shape: ClassVar[tuple[int, ...]] = ()
-    ops: ClassVar[_Ops] = _FLOAT_OPS
 
-    def __post_init__(self) -> None:
-        try:
-            is_array = _finite_or_array(self, ("epsilon", "potential", "coupling"))
-        except TypeError:  # not a number: _adopt_arrays names the field
-            is_array = True
-        if is_array:
-            _adopt_arrays(self, _reduced_in_domain)
-            return
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.potential <= 0.0:
-            raise DomainError(f"potential must be positive, got {self.potential}")
-        if self.coupling < 0.0:
-            raise DomainError(f"coupling must be >= 0, got {self.coupling}")
+    def _conditions(self) -> tuple:
+        return (
+            (0.0 < self.epsilon) & (self.epsilon < 1.0),
+            self.potential > 0.0,
+            self.coupling >= 0.0,
+        )
 
-
-def _model_in_domain(p: ModelParams) -> np.ndarray:
-    """Elementwise ModelParams checks; comparisons with NaN are False."""
-    return (
-        (0.0 <= p.energy) & (p.energy < p.potential) & (p.potential < math.inf)
-        & (0.0 <= p.coupling) & (p.coupling < math.inf)
-        & (0.0 < p.mass) & (p.mass < math.inf)
-        & (0.0 < p.hbar) & (p.hbar < math.inf)
-        & (np.abs(p.center) < math.inf)
-    )
-
-
-def _reduced_in_domain(r: ReducedParams) -> np.ndarray:
-    """Elementwise ReducedParams checks; comparisons with NaN are False."""
-    return (
-        (0.0 < r.epsilon) & (r.epsilon < 1.0)
-        & (0.0 < r.potential) & (r.potential < math.inf)
-        & (0.0 <= r.coupling) & (r.coupling < math.inf)
+    _MESSAGES: ClassVar[tuple[str, ...]] = (
+        "epsilon must lie in (0, 1), got {epsilon}",
+        "potential must be positive, got {potential}",
+        "coupling must be >= 0, got {coupling}",
     )
 
 

@@ -23,11 +23,13 @@ arg(B) by a constant pi; energy derivatives are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .greens import greens_constant
 from .params import (
     DegenerateCouplingError,
+    DomainError,
     ModelParams,
     ReducedParams,
     wave_numbers,
@@ -71,6 +73,12 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     # every field enters through G(xc, xc), so ratio has the full shape
     lam = p.coupling**2 * greens_constant(p.center, p.center, p)
     ratio = p.mass * lam / (p.hbar**2 * kn.k)  # negative in-regime
+    if ops.any(ratio == -math.inf):
+        raise DomainError(
+            f"m k0**2 G / (hbar**2 k) overflows at hbar={p.hbar}, mass={p.mass}, "
+            f"coupling={p.coupling}; the amplitudes need "
+            "m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308"
+        )
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
     reflection = reflection0 * ops.cexp(2j * kn.k * p.center)
@@ -90,13 +98,20 @@ def transmission_probability(r: ReducedParams) -> float:
     |T|^2 = 1 / (1 + k0^4 / (16 V^2 eps (1 - eps))); agrees with
     solve_amplitudes on the expanded parameters to rounding.
     """
-    return reduced_transmission(r.epsilon, r.potential, r.coupling)
+    return reduced_transmission(r.epsilon, r.potential, r.coupling, r.ops)
 
 
-def reduced_transmission(eps, v, k0):
+def reduced_transmission(eps, v, k0, ops):
     """Kernel of transmission_probability on plain values of a validated
-    point: floats or float arrays that broadcast together."""
+    point: floats or float arrays that broadcast together, with ``ops``
+    holding the any of their type.  Rejects a spread that underflows to 0."""
     spread = 16.0 * v**2 * eps * (1.0 - eps)
+    if ops.any(spread == 0.0):
+        raise DomainError(
+            f"potential={v} is too small: 16 V**2 eps (1 - eps) underflows to 0, "
+            "so |T|^2 is undefined; V must be above about 1.6e-162, more with "
+            "eps near 0 or 1"
+        )
     return 1.0 / (1.0 + k0**4 / spread)
 
 

@@ -60,7 +60,7 @@ QUANTITY_ROWS = {
         "epsilon", "coupling_sq", "transmission", (0.0, 1.0),
         # k0^4 / V^2 in {0.4, 4, 40}
         lambda v: tuple(v * math.sqrt(q) for q in (0.4, 4.0, 40.0)),
-        lambda r, eps, v, k0: scatter.reduced_transmission(eps, v, k0),
+        lambda r, eps, v, k0: scatter.reduced_transmission(eps, v, k0, r.ops),
     ),
     "phase": QuantityRow(
         "epsilon", "coupling_sq", "phase", (0.0, 1.0),

@@ -177,9 +177,13 @@ def test_config_from_to_match_flags(quantity, tmp_path):
     [
         ["greens", "--coupling", "1e200"],
         ["sweep", "transmission", "--coupling", "1e200"],
+        ["sweep", "transmission", "--potential", "1e-170"],
     ],
 )
 def test_overflow_exits_2(argv, tmp_path, capsys):
+    detail = "OverflowError"
+    if "--potential" in argv:  # V**2 underflows instead
+        detail = "potential=1e-170 is too small: 16 V**2 eps (1 - eps) underflows to 0"
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(tmp_path / "x.csv")]
     rc = cli.main(argv)
@@ -188,7 +192,7 @@ def test_overflow_exits_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: ") and "OverflowError" in lines[0]
+    assert lines[0].startswith("error: ") and detail in lines[0]
 
 
 def test_verify_reports_pass(monkeypatch, capsys):
