@@ -32,8 +32,8 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     """
     sqrt, exp = p.ops.sqrt, p.ops.exp
     hbar_sq = p.hbar**2
-    # an hbar**2 of 0 would divide by 0; a subnormal one can overflow the quotient
-    scale = math.inf if p.ops.any(hbar_sq == 0.0) else p.mass / (2.0 * hbar_sq)
+    # inf where hbar**2 underflows to 0 or is small enough to overflow it
+    scale = p.ops.muldiv(p.mass, 1.0, 2.0 * hbar_sq)
     if p.ops.any(scale == math.inf):
         raise DomainError(
             f"mass / (2 hbar**2) overflows at hbar={p.hbar}, mass={p.mass}; the "

@@ -67,8 +67,10 @@ class DegenerateCouplingError(DomainError):
 
 # Functions of one parameter type (floats or float arrays).  any(mask) is
 # True if the test holds at some point, so one test covers every point;
-# inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse")
+# inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined;
+# muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, with no
+# warning, for a caller that tests for the inf and raises its own error.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -87,13 +89,22 @@ def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
         return np.where(undefined, np.nan, 1.0 / x)
 
 
+def _float_muldiv(a: float, b: float, c: float) -> float:
+    return a * b / c if c else math.copysign(math.inf, a * b)
+
+
+def _array_muldiv(a, b, c) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore"):
+        return a * b / c
+
+
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
-    any=bool, inverse=_float_inverse,
+    any=bool, inverse=_float_inverse, muldiv=_float_muldiv,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
-    any=np.any, inverse=_array_inverse,
+    any=np.any, inverse=_array_inverse, muldiv=_array_muldiv,
 )
 
 # bound once: the scalar checks run in every constructor call

@@ -72,7 +72,7 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     kn = wave_numbers(p)
     # every field enters through G(xc, xc), so ratio has the full shape
     lam = p.coupling**2 * greens_constant(p.center, p.center, p)
-    ratio = p.mass * lam / (p.hbar**2 * kn.k)  # negative in-regime
+    ratio = ops.muldiv(p.mass, lam, p.hbar**2 * kn.k)  # negative in-regime
     if ops.any(ratio == -math.inf):
         raise DomainError(
             f"m k0**2 G / (hbar**2 k) overflows at hbar={p.hbar}, mass={p.mass}, "

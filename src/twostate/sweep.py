@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scatter, times
-from .params import ReducedParams, expand_reduced
+from .params import DomainError, ReducedParams, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
@@ -171,6 +171,9 @@ def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
     ReducedParams raises the scalar path's error at its first bad point.
     A division by zero raises FloatingPointError (an ArithmeticError, like
     the scalar path's ZeroDivisionError) instead of writing inf or NaN.
+    An intermediate overflow is silent, as on the scalar path: a subnormal
+    k0**2 sends 16 eps (1 - eps) V**2 / k0**2 to inf and tau to a correctly
+    rounded -0.  A cell that is itself inf or NaN raises DomainError.
     """
     potential = float(spec.fixed.get("potential", DEFAULT_POTENTIAL))
     columns: list[np.ndarray] = []
@@ -180,8 +183,15 @@ def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
         else:
             eps, k0 = s, np.sqrt(grid)
         r = ReducedParams(epsilon=eps, potential=potential, coupling=k0)
-        with np.errstate(divide="raise", invalid="raise"):
-            columns.append(row.evaluate(r, eps, potential, k0))
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            column = row.evaluate(r, eps, potential, k0)
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise DomainError(
+                f"{row.column} is {column[bad[0]]} at {row.variable}="
+                f"{float(grid[bad[0]])!r}, {row.series}={s!r}: out of float range"
+            )
+        columns.append(column)
     return columns
 
 

@@ -1,17 +1,24 @@
 """Time-dependent arrival-delay measurement with narrow-band packets.
 
 A Gaussian packet in the open channel is propagated through the square
-regularized coupling with an implicit Crank-Nicolson step.  The state is
-stored channel by channel, psi = [phi1; phi2], on one uniform grid, so the
-Hamiltonian is the model's 2x2 block matrix [[T, G], [G, T + V]]: T the
-tridiagonal kinetic block, G the diagonal cell average of the coupling
-(which represents strips far narrower than the grid spacing).  The Cayley
-step (1 + lam H)^-1 (1 - lam H), lam = i dt / 2 hbar, is unitary, so the
-norm is conserved to rounding (well below 1e-8 per step in the free case).
-It is applied as 2 (1 + lam H)^-1 psi - psi, an exact identity, so each
-step is one tridiagonal LAPACK solve of the stacked channels plus an exact
-Woodbury correction for the coupled cells.  Channel 2 is carried only when
-some cell is coupled, so the free run solves the open channel alone.
+regularized coupling with an implicit Crank-Nicolson step.  On one
+uniform grid the Hamiltonian is the model's 2x2 block matrix
+[[T, G], [G, T + V]]: T the tridiagonal kinetic block, G the diagonal cell
+average of the coupling (which represents strips far narrower than the
+grid spacing).  The Cayley step (1 + lam H)^-1 (1 - lam H),
+lam = i dt / 2 hbar, is unitary, so the norm is conserved to rounding
+(well below 1e-8 per step in the free case).  It is applied as
+2 (1 + lam H)^-1 psi - psi, an exact identity.
+
+The closed channel's block T + V is diagonal in the orthonormal sine
+(DST-I) basis S, so the state is stored as psi = [phi1; S phi2]: channel 1
+on the grid, channel 2 by its sine coefficients.  S is orthogonal, so the
+norm is that of the stacked vector; channel 2's edge values are two dot
+products with rows of S, and its density on the grid is computed, by one
+FFT, only for snapshot frames.  Each step is one tridiagonal LAPACK solve
+of channel 1 plus an exact rank-r Woodbury correction for the r coupled
+cells; channel 2 costs O(r n).  Channel 2 is carried only when some cell
+is coupled, so the free run solves the open channel alone.
 
 The arrival time is the instant the centroid of the transmitted density
 (open channel restricted to the far side of the strip) crosses the
@@ -148,44 +155,79 @@ def _coupling_cells(x: np.ndarray, dx: float, p: ModelParams, width: float):
     return (p.coupling / width) * overlap / dx
 
 
-def splu(chans: int, t: float, potential: float, gvec: np.ndarray, lam: complex):
-    """Factor 1 + lam H on ``chans`` stacked channels; bench/tracing.py hooks it.
+def _sine_rows(n: int, rows) -> np.ndarray:
+    """Rows ``rows`` of the orthonormal DST-I matrix S of order n.
 
-    The kinetic blocks and V form one tridiagonal A of length chans*n, with
-    rows n-1 and n unlinked, factored by zgttrf.  The coupling U M U^T on the
-    r coupled cells of both channels is folded back exactly by Woodbury:
-    (A + U M U^T)^-1 b = y - Z (1 + M U^T Z)^-1 M U^T y, y = A^-1 b, with
-    Z = A^-1 U precomputed.  ``solve(b)`` overwrites the complex vector b
-    with (1 + lam H)^-1 b and returns it: one zgttrs plus O(r n) work.
-    scipy is imported here, when called, and nowhere else in the package,
-    so every other name imports on numpy alone.
+    S[j, m] = sqrt(2/(n+1)) sin(pi (j+1)(m+1)/(n+1)) is symmetric and its
+    own inverse, and it diagonalizes every Dirichlet tridiagonal Toeplitz
+    matrix.  The integer (j+1)(m+1) is reduced mod 2(n+1) before the sine,
+    so no argument exceeds 2 pi.
+    """
+    k = (np.asarray(rows)[:, None] + 1) * np.arange(1, n + 1) % (2 * (n + 1))
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * k / (n + 1))
+
+
+def _dst(c: np.ndarray) -> np.ndarray:
+    """S @ c for a complex vector c: one FFT of its odd extension."""
+    n = c.size
+    ext = np.zeros(2 * (n + 1), dtype=complex)
+    ext[1 : n + 1] = c
+    ext[n + 2 :] = -c[::-1]
+    return np.fft.fft(ext)[1 : n + 1] * (0.5j * math.sqrt(2.0 / (n + 1)))
+
+
+def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
+    """Factor 1 + lam H for the state [phi1; S phi2]; bench/tracing.py hooks it.
+
+    Channel 1's block A1 = 1 + lam T is tridiagonal and factored once by
+    zgttrf.  Channel 2's block 1 + lam (T + V) is diagonal in the sine
+    basis, Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2 is
+    carried as S phi2 and eliminated exactly.  With P = S[cells, :] and
+    K = lam g on the r coupled cells, channel 1 then solves
+    (A1 - E M E^T) phi1 = b1 - E K P Lam2^-1 b2, M = K P Lam2^-1 P^T K,
+    by Woodbury with Z = A1^-1 E precomputed, and
+    S phi2 = Lam2^-1 (b2 - P^T K phi1[cells]).  ``solve(b)`` overwrites
+    the complex vector b with (1 + lam H)^-1 b and returns it: one n-row
+    zgttrs plus O(r n) work.  Without coupled cells the state is phi1
+    alone and the solve is the zgttrs.  scipy is imported here, when
+    called, and nowhere else in the package, so every other name imports
+    on numpy alone.
     """
     from scipy.linalg.blas import zgemv
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     n = gvec.size
-    off = np.full(chans * n - 1, -lam * t)
-    off[n - 1 :: n] = 0.0
-    diag = np.full(chans * n, 2.0 * t)
-    diag[n:] += potential
-    lu = zgttrf(off, 1.0 + lam * diag, off)[:5]
-    if chans == 1:
+    off = np.full(n - 1, -lam * t)
+    lu = zgttrf(off, np.full(n, 1.0 + lam * (2.0 * t)), off)[:5]
+    if not gvec.any():
         return SimpleNamespace(solve=lambda b: zgttrs(*lu, b, overwrite_b=1)[0])
     cells = np.flatnonzero(gvec)
-    rows = np.concatenate((cells, cells + n))
-    z = np.zeros((chans * n, rows.size), dtype=complex, order="F")
-    z[rows, np.arange(rows.size)] = 1.0
+    r = cells.size
+    kg = lam * gvec[cells]
+    modes = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    inv2 = 1.0 / (1.0 + lam * (2.0 * t + potential - 2.0 * t * modes))
+    p = _sine_rows(n, cells)
+    q = (inv2 * p).T  # Lam2^-1 P^T
+    z = np.zeros((n, r), dtype=complex, order="F")
+    z[cells, np.arange(r)] = 1.0
     z = zgttrs(*lu, z, overwrite_b=1)[0]
-    # Z's subnormal tails carry no significant bits but slow products 100x
-    z[np.abs(z) < np.finfo(float).tiny] = 0.0
-    # M joins each coupled cell of channel 1 to the same cell of channel 2
-    swap = np.roll(np.arange(rows.size), cells.size)
-    coupling = np.diag(lam * gvec[rows % n])[swap]
-    gain = np.linalg.solve(np.eye(rows.size) + coupling @ z[rows], coupling)
+    zc = z[cells]
+    couple = kg[:, None] * (p @ q) * kg
+    gain = np.linalg.solve(np.eye(r) - couple @ zc, couple)
+    # both channels' corrections are linear in y[cells], y = A1^-1 (b1 - ...)
+    w = np.empty((2 * n, r), dtype=complex, order="F")
+    w[:n] = z @ gain
+    w[n:] = -q @ (kg[:, None] * (np.eye(r) + zc @ gain))
+    # W's subnormal tails carry no significant bits but slow products 100x
+    w[np.abs(w) < np.finfo(float).tiny] = 0.0
+    pt = np.asfortranarray(p.T, dtype=complex)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        zgttrs(*lu, b, overwrite_b=1)
-        return zgemv(-1.0, z, gain @ b[rows], beta=1.0, y=b, overwrite_y=1)
+        b1, b2 = b[:n], b[n:]
+        b2 *= inv2
+        b1[cells] -= kg * zgemv(1.0, pt, b2, trans=1)
+        zgttrs(*lu, b1, overwrite_b=1)
+        return zgemv(1.0, w, b1[cells], beta=1.0, y=b, overwrite_y=1)
 
     return SimpleNamespace(solve=solve)
 
@@ -220,51 +262,63 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     chans = 2 if gvec.any() else 1
     t = p.hbar**2 / (2.0 * p.mass * dx**2)
     lam = 1j * grid.dt / (2.0 * p.hbar)
-    backward = splu(chans, t, p.potential, gvec, lam)
+    backward = splu(t, p.potential, gvec, lam)
 
+    # [phi1; S phi2]: the norm is the stacked vector's (S is orthogonal).
+    # flat and tail view psi as interleaved (re, im) floats.  Sums run in
+    # einsum, not BLAS: numpy's BLAS thread pool, once woken, competes
+    # with scipy's for the cores during the next solve.
     psi = np.pad(psi0, (0, (chans - 1) * n))
     half = np.empty_like(psi)
-    dens = np.empty((chans, n))
-    xm = x[start:]
+    flat = psi.view(float)
+    tail = flat[2 * start : 2 * n]
+    xm = np.repeat(x[start:], 2)
+    edge_rows = _sine_rows(n, [0, n - 1]).astype(complex)
     times_out = grid.dt * np.arange(grid.steps + 1)
     cents = np.full(grid.steps + 1, np.nan)
-    drift = 0.0
+    drift = mass = 0.0
+
+    def densities() -> np.ndarray:
+        dens = [np.abs(psi[:n]) ** 2]
+        if chans == 2:
+            dens.append(np.abs(_dst(psi[n:])) ** 2)
+        return np.array(dens)
 
     def observe(step: int) -> None:
-        nonlocal drift
+        nonlocal drift, mass
         t = times_out[step]
-        np.square(np.abs(psi.reshape(chans, n), out=dens), out=dens)
-        err = abs(dens.sum() * dx - 1.0)
+        err = abs(np.einsum("i,i->", flat, flat) * dx - 1.0)
         if not err <= _DRIFT_TOL:
             raise NormDriftError(
                 f"norm drifted by {err:.3e} at t={t} (tolerance {_DRIFT_TOL})"
             )
         drift = max(drift, err)
-        edge = dens[:, [0, -1]].sum(axis=0).max()
+        ends = np.abs(psi[[0, n - 1]]) ** 2
+        if chans == 2:
+            ends += np.abs(np.einsum("ij,j->i", edge_rows, psi[n:])) ** 2
+        edge = ends.max()
         if edge > _EDGE_TOL:
             raise BoundaryContaminationError(
                 f"edge density {edge:.3e} exceeds {_EDGE_TOL} at t={t}; "
                 "enlarge the domain or shorten the run"
             )
-        mass = dens[0, start:].sum() * dx
+        mass = np.einsum("i,i->", tail, tail) * dx
         if mass > _MASS_FLOOR:
-            cents[step] = (xm * dens[0, start:]).sum() * dx / mass
+            cents[step] = np.einsum("i,i,i->", xm, tail, tail) * dx / mass
         if write is not None and step % stride == 0:
-            write(t, dens)
+            write(t, densities())
 
     with (nullcontext() if snapshot_path is None else
           open(snapshot_path, "w", encoding="utf-8", newline="\n")) as handle:
         write = None if handle is None else _frame_writer(handle, x)
         observe(0)
         for step in range(1, grid.steps + 1):
-            np.copyto(half, psi)
+            np.multiply(psi, 2.0, out=half)
             backward.solve(half)
-            half *= 2.0
             np.subtract(half, psi, out=psi)
             observe(step)
 
-    transmitted = float(dens[0, start:].sum() * dx)
-    return times_out, cents, float(drift), transmitted
+    return times_out, cents, float(drift), float(mass)
 
 
 def _crossing_time(ts: np.ndarray, cs: np.ndarray, plane: float) -> float:

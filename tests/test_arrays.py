@@ -261,6 +261,11 @@ def test_degenerate_arrays_raise_typed_errors():
         solve_amplitudes(zero_energy)
     with pytest.raises(DomainError, match=r"^propagating open channel requires energy > 0$"):
         group_delays(zero_energy)
+    # m k0**2 G overflows before the division; the typed error comes with no
+    # warning first (pytest makes a RuntimeWarning an error)
+    heavy = ModelParams(0.25, 1.0, 1.0, mass=np.array([0.5, 1e300]))
+    with pytest.raises(DomainError, match=r"^m k0\*\*2 G / \(hbar\*\*2 k\) overflows"):
+        solve_amplitudes(heavy)
 
 
 def test_reduction_and_phases_match_scalar_calls():

@@ -195,6 +195,60 @@ def test_overflow_exits_2(argv, tmp_path, capsys):
     assert lines[0].startswith("error: ") and detail in lines[0]
 
 
+def _child_env():
+    """Environment in which a child process imports the tree under test,
+    even though cwd moves and the caller's PYTHONPATH may be relative."""
+    src = str(Path(twostate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _run_cli(argv, cwd):
+    """The CLI in a fresh process, with Python's default warning filters."""
+    env = _child_env()
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "twostate.cli", *argv],
+        capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
+    )
+
+
+def test_subnormal_coupling_sweep_is_quiet(tmp_path):
+    # 16 eps (1 - eps) V**2 / k0**2 overflows at k0**2 = 5e-324, and tau
+    # rounds to -0 below eps = 1/2 and to +0 from there on
+    out = tmp_path / "tau.csv"
+    proc = _run_cli(
+        ["sweep", "tau_vs_energy", "--coupling-sq", "5e-324", "--out", str(out)],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    cells = {row.split(",")[1] for row in rows}
+    assert cells == {"-0", "0"}
+    eps = np.array([float(row.split(",")[0]) for row in rows])
+    assert all(row.endswith(",-0") for row in np.array(rows)[eps < 0.5])
+
+
+def test_sweep_cell_out_of_range_exits_2(tmp_path):
+    # tau itself overflows to -inf: a typed error, not an inf cell
+    out = tmp_path / "tau.csv"
+    proc = _run_cli(
+        ["sweep", "tau_vs_energy", "--coupling-sq", "1e-308",
+         "--potential", "1e-170", "--out", str(out)],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: tau is -inf at epsilon=0.0001, coupling_sq=1e-308: "
+        "out of float range\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_reports_pass(monkeypatch, capsys):
     fake = [checks.CheckResult("alpha", True, "fine")]
     monkeypatch.setattr(checks, "run_verification", lambda: fake)
@@ -320,15 +374,8 @@ def test_console_script_installed(tmp_path):
     wrapper = (
         f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
     )
-    # The child must import the tree under test even though cwd moves and
-    # the caller's PYTHONPATH may be relative.
-    src = str(Path(twostate.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     _assert_greens_runs(
-        [sys.executable, "-c", wrapper], cwd=tmp_path, env=env
+        [sys.executable, "-c", wrapper], cwd=tmp_path, env=_child_env()
     )
 
 

@@ -79,22 +79,22 @@ def test_underflowing_hbar_squared_is_a_domain_error(hbar):
     # hbar**2 is 0 below about 1.57e-162 and subnormal below about 1.5e-154;
     # mass / (2 hbar**2) overflows below about 3.73e-155, and at E = 1/4,
     # V = k0 = 1 the amplitude ratio below about 5.7e-155.  Both paths name
-    # hbar and none divides by 0; the array path may first warn of the overflow.
+    # hbar, none divides by 0 and none warns first (pytest makes a
+    # RuntimeWarning an error).
     p = ModelParams(energy=0.25, potential=1.0, coupling=1.0, hbar=hbar)
     finite_greens = np.min(hbar) > 3.73e-155
     overflow = r"^mass / \(2 hbar\*\*2\) overflows at hbar="
-    with np.errstate(over="ignore"):
-        for closed_form in (
-            lambda: greens_constant(0.0, 0.0, p),
-            lambda: effective_strength(p),
-        ):
-            if finite_greens:
-                assert np.all(np.isfinite(closed_form()))
-            else:
-                with pytest.raises(DomainError, match=overflow):
-                    closed_form()
+    for closed_form in (
+        lambda: greens_constant(0.0, 0.0, p),
+        lambda: effective_strength(p),
+    ):
         if finite_greens:
-            overflow = r"^m k0\*\*2 G / \(hbar\*\*2 k\) overflows at hbar="
-        for closed_form in (lambda: solve_amplitudes(p), lambda: group_delays(p)):
+            assert np.all(np.isfinite(closed_form()))
+        else:
             with pytest.raises(DomainError, match=overflow):
                 closed_form()
+    if finite_greens:
+        overflow = r"^m k0\*\*2 G / \(hbar\*\*2 k\) overflows at hbar="
+    for closed_form in (lambda: solve_amplitudes(p), lambda: group_delays(p)):
+        with pytest.raises(DomainError, match=overflow):
+            closed_form()

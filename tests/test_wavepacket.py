@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.fft import dst
 from scipy.sparse.linalg import splu as superlu
 
 from twostate import (
@@ -84,31 +85,57 @@ def test_delay_result_fields_are_float(coupled_result, free_result):
             assert type(getattr(result, field.name)) is float, field.name
 
 
-def _superlu_factor(chans, t, potential, gvec, lam):
-    """Reference for wavepacket.splu: SuperLU on the assembled 1 + lam H."""
+def _superlu_factor(t, potential, gvec, lam):
+    """Reference for wavepacket.splu: SuperLU on the assembled 1 + lam H.
+
+    It solves in real space, [phi1; phi2], and maps channel 2 in and out
+    of the sine basis that the package carries it in.
+    """
     n = gvec.size
     kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
     ham = kinetic
-    if chans == 2:
+    coupled = gvec.any()
+    if coupled:
         g = sparse.diags(gvec)
         ham = sparse.bmat(
             [[kinetic, g], [g, kinetic + potential * sparse.identity(n)]]
         )
-    lu = superlu((sparse.identity(chans * n) + lam * ham).tocsc())
+    lu = superlu((sparse.identity(ham.shape[0]) + lam * ham).tocsc())
 
     def solve(b):
-        b[:] = lu.solve(b)
+        real = b.copy()
+        if coupled:
+            real[n:] = dst(real[n:], type=1, norm="ortho")
+        b[:] = lu.solve(real)
+        if coupled:
+            b[n:] = dst(b[n:], type=1, norm="ortho")
         return b
 
     return SimpleNamespace(solve=solve)
+
+
+def test_sine_transform_is_its_own_inverse_and_matches_dense_rows():
+    n = 1025
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    idx = np.arange(1, n + 1)
+    dense = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(idx, idx) / (n + 1))
+    rows = wavepacket._sine_rows(n, np.arange(n))
+    assert np.max(np.abs(rows - dense)) <= 1e-13
+    assert np.array_equal(rows, rows.T)
+    s_c = wavepacket._dst(c)
+    assert np.linalg.norm(s_c - dense @ c) <= 1e-13 * np.linalg.norm(c)
+    assert np.linalg.norm(wavepacket._dst(s_c) - c) <= 1e-14 * np.linalg.norm(c)
+    edges = wavepacket._sine_rows(n, [0, n - 1]) @ c
+    assert np.allclose(edges, s_c[[0, -1]], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
     "chans, cells",
     [
         (1, []),  # free run: one channel, no Woodbury correction
-        (2, [512]),  # one coupled cell, rank 2
-        (2, [3, 511, 512, 513, 1020]),  # five cells, rank 10, two at the edges
+        (2, [512]),  # one coupled cell, rank 1
+        (2, [3, 511, 512, 513, 1020]),  # five cells, rank 5, two at the edges
     ],
 )
 def test_structured_solve_matches_superlu(chans, cells):
@@ -118,9 +145,9 @@ def test_structured_solve_matches_superlu(chans, cells):
     gvec[cells] = np.linspace(1.0, 2.0, len(cells)) / dx
     rng = np.random.default_rng(7)
     b = rng.standard_normal(chans * n) + 1j * rng.standard_normal(chans * n)
-    want = _superlu_factor(chans, t, potential, gvec, lam).solve(b.copy())
+    want = _superlu_factor(t, potential, gvec, lam).solve(b.copy())
     work = b.copy()
-    got = wavepacket.splu(chans, t, potential, gvec, lam).solve(work)
+    got = wavepacket.splu(t, potential, gvec, lam).solve(work)
     assert got is work  # solved in place
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -140,6 +167,42 @@ def test_cli_default_delay_matches_superlu(monkeypatch):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10)
     assert abs(got.delay - want.delay) <= 1e-10 * want.t_free
     assert got.norm_drift <= 1e-6
+
+
+def _reference_frames(packet, p, width, grid, stride):
+    """|phi1|^2 and |phi2|^2 every ``stride`` steps of the real-space state
+    [phi1; phi2], stepped as (1 + lam H)^-1 (1 - lam H) psi by SuperLU."""
+    x = np.linspace(-grid.half_length, grid.half_length, grid.points)
+    n, dx = x.size, x[1] - x[0]
+    envelope = np.exp(-((x - packet.center) ** 2) / (4.0 * packet.sigma**2))
+    psi = np.concatenate((envelope * np.exp(1j * packet.wavenumber * x), np.zeros(n)))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+    t = p.hbar**2 / (2.0 * p.mass * dx**2)
+    lam = 1j * grid.dt / (2.0 * p.hbar)
+    kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
+    g = sparse.diags(wavepacket._coupling_cells(x, dx, p, width))
+    ham = sparse.bmat([[kinetic, g], [g, kinetic + p.potential * sparse.identity(n)]])
+    one = sparse.identity(2 * n)
+    forward = (one - lam * ham).tocsr()
+    backward = superlu((one + lam * ham).tocsc())
+    frames = []
+    for step in range(grid.steps + 1):
+        if step % stride == 0:
+            frames.append(np.abs(psi.reshape(2, n).T) ** 2)
+        psi = backward.solve(forward @ psi)
+    return np.array(frames)
+
+
+def test_snapshots_match_superlu(tmp_path):
+    grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=370)
+    path = tmp_path / "frames.csv"
+    propagate(PACKET, P_COUPLED, width=1e-3, grid=grid,
+              snapshot_path=path, snapshot_stride=50)
+    got = np.loadtxt(path, delimiter=",", skiprows=1).reshape(8, 1025, 4)[:, :, 2:]
+    want = _reference_frames(PACKET, P_COUPLED, 1e-3, grid, 50)
+    assert got.shape == want.shape
+    for frame, ref in zip(got, want):
+        assert np.max(np.abs(frame - ref)) <= 1e-12 * ref.max()
 
 
 @pytest.mark.parametrize("chans", [1, 2])
@@ -182,6 +245,35 @@ def test_snapshots_written(tmp_path):
         block = data[data[:, 0] == t]
         norm = (block[:, 2].sum() + block[:, 3].sum()) * dx
         assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("edge", [0, -1])
+def test_closed_channel_edge_density_is_guarded(edge, monkeypatch):
+    # channel 2 is carried as S phi2; a 1e-3 amplitude put on its first or
+    # last grid point after the first step must trip the edge guard
+    factor = wavepacket.splu
+
+    def leaky(t, potential, gvec, lam):
+        inner = factor(t, potential, gvec, lam)
+        n = gvec.size
+        if not gvec.any():
+            return inner
+        spike = [1e-3 * wavepacket._sine_rows(n, [edge % n])[0]]
+
+        def solve(b):
+            inner.solve(b)
+            if spike:
+                b[n:] += spike.pop()
+            return b
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(wavepacket, "splu", leaky)
+    grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=370)
+    with pytest.raises(
+        BoundaryContaminationError, match=r"^edge density 1\.000e-06 exceeds 1e-08 at t=0\.4;"
+    ):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=grid)
 
 
 def test_detector_never_reached():
