@@ -18,6 +18,8 @@ grid of points in one object: it is validated once, and the closed forms
 that accept it (every one but ``extremal_coupling``) evaluate every point
 in one numpy call.  The closed forms call the functions the parameter type
 carries as ``ops``, ``math`` and ``cmath`` for floats and numpy for arrays.
+Its ``pow`` calls libm ``pow`` on both paths, so the reduced closed forms
+give the same bits for floats and arrays.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ class DegenerateCouplingError(DomainError):
 # True if the test holds at some point, so one test covers every point;
 # inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined;
 # muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, with no
-# warning, for a caller that tests for the inf and raises its own error.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv")
+# warning, for a caller that tests for the inf and raises its own error;
+# pow(x, n) is x**n rounded as CPython's float ** rounds it (both call libm
+# pow), and raises its OverflowError where x**n overflows.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -98,13 +102,21 @@ def _array_muldiv(a, b, c) -> np.ndarray:
         return a * b / c
 
 
+def _array_pow(x, n: int) -> np.ndarray:
+    with np.errstate(over="ignore"):  # np.power and x**2 round differently
+        y = np.float_power(x, n)
+    if np.isinf(y).any():  # float ** raises the scalar path's OverflowError
+        float(np.ravel(x)[np.argmax(np.isinf(y))]) ** n
+    return y
+
+
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
-    any=bool, inverse=_float_inverse, muldiv=_float_muldiv,
+    any=bool, inverse=_float_inverse, muldiv=_float_muldiv, pow=pow,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
-    any=np.any, inverse=_array_inverse, muldiv=_array_muldiv,
+    any=np.any, inverse=_array_inverse, muldiv=_array_muldiv, pow=_array_pow,
 )
 
 # bound once: the scalar checks run in every constructor call
@@ -176,8 +188,13 @@ class _Validated:
             ok = ok & mask
         if not np.all(ok):
             # the scalar constructor raises the error of the first bad point
-            first = int(np.argmin(ok))
-            type(self)(*(float(np.broadcast_to(a, shape).flat[first]) for a in arrays))
+            type(self)(*self.first_point(~ok))
+
+    def first_point(self, mask) -> tuple[float, ...]:
+        """The fields as floats at the first point where ``mask`` holds."""
+        first = int(np.argmax(np.broadcast_to(mask, self.shape)))
+        return tuple(float(np.broadcast_to(getattr(self, name), self.shape).flat[first])
+                     for name in self.__match_args__)
 
 
 @dataclass(frozen=True)

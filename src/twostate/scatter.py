@@ -96,23 +96,19 @@ def transmission_probability(r: ReducedParams) -> float:
     """Dimensionless transmission probability in the reduced convention.
 
     |T|^2 = 1 / (1 + k0^4 / (16 V^2 eps (1 - eps))); agrees with
-    solve_amplitudes on the expanded parameters to rounding.
+    solve_amplitudes on the expanded parameters to rounding, and is an
+    array when the parameters are.  Rejects a spread that underflows to 0.
     """
-    return reduced_transmission(r.epsilon, r.potential, r.coupling, r.ops)
-
-
-def reduced_transmission(eps, v, k0, ops):
-    """Kernel of transmission_probability on plain values of a validated
-    point: floats or float arrays that broadcast together, with ``ops``
-    holding the any of their type.  Rejects a spread that underflows to 0."""
-    spread = 16.0 * v**2 * eps * (1.0 - eps)
+    ops, eps = r.ops, r.epsilon
+    spread = 16.0 * ops.pow(r.potential, 2) * eps * (1.0 - eps)
     if ops.any(spread == 0.0):
+        _, v, _ = r.first_point(spread == 0.0)
         raise DomainError(
             f"potential={v} is too small: 16 V**2 eps (1 - eps) underflows to 0, "
             "so |T|^2 is undefined; V must be above about 1.6e-162, more with "
             "eps near 0 or 1"
         )
-    return 1.0 / (1.0 + k0**4 / spread)
+    return 1.0 / (1.0 + ops.muldiv(ops.pow(r.coupling, 4), 1.0, spread))
 
 
 def scattering_phases(p: ModelParams) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scatter, times
-from .params import DomainError, ReducedParams, expand_reduced
+from .params import ReducedParams, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
@@ -34,9 +34,8 @@ class QuantityRow:
     ``domain`` is the raw range of the swept variable, before the margin
     clips its open ends; ``default_series`` maps the potential V to the
     default values of the ``series`` key; ``evaluate`` is one closed-form
-    call per series, looked up through its module at call time.  It gets
-    the series' validated parameters and their plain values (eps, V, k0):
-    V is a float, and eps or k0, whichever is swept, an array.
+    call on the series' validated parameters, looked up through its module
+    at call time.
     """
 
     variable: str
@@ -44,15 +43,7 @@ class QuantityRow:
     column: str
     domain: tuple[float, float]
     default_series: Callable[[float], tuple[float, ...]]
-    evaluate: Callable[..., np.ndarray]
-
-
-def _float_squares(k0):
-    """k0**2 with float pow at each point, as the scalar closed form squares
-    it.  numpy's square rounds differently at 2 of the 999 default points, so
-    this keeps the pinned bytes; the mpmath-gated re-pin (ROADMAP item 3)
-    removes it."""
-    return np.array([x**2 for x in k0.tolist()])
+    evaluate: Callable[[ReducedParams], np.ndarray]
 
 
 QUANTITY_ROWS = {
@@ -60,24 +51,22 @@ QUANTITY_ROWS = {
         "epsilon", "coupling_sq", "transmission", (0.0, 1.0),
         # k0^4 / V^2 in {0.4, 4, 40}
         lambda v: tuple(v * math.sqrt(q) for q in (0.4, 4.0, 40.0)),
-        lambda r, eps, v, k0: scatter.reduced_transmission(eps, v, k0, r.ops),
+        lambda r: scatter.transmission_probability(r),
     ),
     "phase": QuantityRow(
         "epsilon", "coupling_sq", "phase", (0.0, 1.0),
         lambda v: (4.0 * v,),  # k0^2 / (4 V) = 1
-        lambda r, eps, v, k0: scatter.scattering_phases(expand_reduced(r))[0],
+        lambda r: scatter.scattering_phases(expand_reduced(r))[0],
     ),
     "tau_vs_energy": QuantityRow(
         "epsilon", "coupling_sq", "tau", (0.0, 1.0),
         lambda v: (0.5, 1.0, 2.0),
-        lambda r, eps, v, k0: times.reduced_transition_time(eps, v, k0, r.ops),
+        lambda r: times.transition_time(r),
     ),
     "tau_vs_coupling": QuantityRow(
         "coupling_sq", "epsilon", "tau", (0.0, 10.0),
         lambda v: (0.6, 0.7, 0.8, 0.9),
-        lambda r, eps, v, k0: times.reduced_transition_time(
-            eps, v, k0, r.ops, _float_squares(k0)
-        ),
+        lambda r: times.transition_time(r),
     ),
 }
 QUANTITIES = tuple(QUANTITY_ROWS)
@@ -166,14 +155,13 @@ def _clip_grid(spec: SweepSpec) -> np.ndarray:
 def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
     """One column per series, each from one array call.
 
-    V and the series value stay floats, so the closed forms raise them to a
-    power with float pow, as the scalar path does.  Validating the series'
-    ReducedParams raises the scalar path's error at its first bad point.
-    A division by zero raises FloatingPointError (an ArithmeticError, like
-    the scalar path's ZeroDivisionError) instead of writing inf or NaN.
-    An intermediate overflow is silent, as on the scalar path: a subnormal
-    k0**2 sends 16 eps (1 - eps) V**2 / k0**2 to inf and tau to a correctly
-    rounded -0.  A cell that is itself inf or NaN raises DomainError.
+    The closed forms raise to a power with ``ops.pow``, which rounds as
+    the scalar path's float pow does, so each column equals the scalar
+    closed form point by point.  Validating the series' ReducedParams, and
+    the closed forms' own checks, raise the scalar path's error at its
+    first bad point, so no cell is inf or NaN.  An intermediate overflow is
+    silent, as on the scalar path: in the phase, k0**2 G overflowing to
+    -inf raises solve_amplitudes' DomainError, not a numpy warning.
     """
     potential = float(spec.fixed.get("potential", DEFAULT_POTENTIAL))
     columns: list[np.ndarray] = []
@@ -183,15 +171,8 @@ def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
         else:
             eps, k0 = s, np.sqrt(grid)
         r = ReducedParams(epsilon=eps, potential=potential, coupling=k0)
-        with np.errstate(divide="raise", invalid="raise", over="ignore"):
-            column = row.evaluate(r, eps, potential, k0)
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise DomainError(
-                f"{row.column} is {column[bad[0]]} at {row.variable}="
-                f"{float(grid[bad[0]])!r}, {row.series}={s!r}: out of float range"
-            )
-        columns.append(column)
+        with np.errstate(over="ignore"):
+            columns.append(row.evaluate(r))
     return columns
 
 

@@ -102,29 +102,34 @@ def time_taxonomy(p: ModelParams) -> TimeTaxonomy:
 
 def transition_time(r: ReducedParams) -> float:
     """Closed-form reduced transition time tau(eps, V, k0); an array when
-    the parameters are."""
-    return reduced_transition_time(r.epsilon, r.potential, r.coupling, r.ops)
+    the parameters are.
 
-
-def reduced_transition_time(eps, v, k0, ops, ksq=None):
-    """Kernel of transition_time on plain values of a validated point.
-
-    eps, v and k0 are floats or float arrays that broadcast together, and
-    ``ops`` holds the sqrt and any of their type.  ``ksq`` is k0**2 unless
-    the caller passes the squares it needs.  Rejects k0 = 0 only.
+    Rejects k0 = 0, a k0**2 that underflows to 0, and a tau that overflows
+    in float arithmetic.
     """
+    ops, eps, k0 = r.ops, r.epsilon, r.coupling
     if ops.any(k0 == 0.0):
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )
-    if ksq is None:
-        ksq = k0**2
-    sqrt = ops.sqrt
+    ksq = ops.pow(k0, 2)
+    if ops.any(ksq == 0.0):
+        _, _, k0 = r.first_point(ksq == 0.0)
+        raise DomainError(
+            f"coupling={k0} is too small: k0**2 underflows to 0, so tau is "
+            "undefined in floats; k0 must be above about 1.6e-162"
+        )
     rest = 1.0 - eps
-    return (
-        2.0 * (2.0 * eps - 1.0)
-        / (sqrt(eps) * sqrt(rest) * (ksq + 16.0 * eps * rest * v**2 / ksq))
-    )
+    vsq_term = ops.muldiv(16.0 * eps * rest, ops.pow(r.potential, 2), ksq)
+    tau = ops.muldiv(2.0, 2.0 * eps - 1.0, ops.sqrt(eps) * ops.sqrt(rest) * (ksq + vsq_term))
+    if ops.any(abs(tau) == math.inf):
+        eps, v, k0 = r.first_point(abs(tau) == math.inf)
+        raise DomainError(
+            f"transition time overflows at epsilon={eps}, potential={v}, coupling={k0}: "
+            "in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps (1 - eps) V**2 / k0**2) "
+            "is below 2 |2 eps - 1| / 1.8e308"
+        )
+    return tau
 
 
 def extremal_coupling(epsilon: float, potential: float) -> tuple[float, float]:

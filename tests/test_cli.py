@@ -243,8 +243,9 @@ def test_sweep_cell_out_of_range_exits_2(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == (
-        "error: tau is -inf at epsilon=0.0001, coupling_sq=1e-308: "
-        "out of float range\n"
+        "error: transition time overflows at epsilon=0.0001, potential=1e-170, "
+        "coupling=1e-154: in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps "
+        "(1 - eps) V**2 / k0**2) is below 2 |2 eps - 1| / 1.8e308\n"
     )
     assert not out.exists()
 

@@ -179,8 +179,7 @@ def _counting(monkeypatch, module, name, calls):
 def test_one_closed_form_call_per_series(quantity, monkeypatch, tmp_path):
     calls = []
     for module, name in [
-        (scatter, "reduced_transmission"), (scatter, "transmission_probability"),
-        (scatter, "scattering_phases"), (times, "reduced_transition_time"),
+        (scatter, "transmission_probability"), (scatter, "scattering_phases"),
         (times, "transition_time"),
     ]:
         _counting(monkeypatch, module, name, calls)
