@@ -188,9 +188,9 @@ class _Validated:
             ok = ok & mask
         if not np.all(ok):
             # the scalar constructor raises the error of the first bad point
-            type(self)(*self.first_point(~ok))
+            type(self)(*self._first_point(~ok))
 
-    def first_point(self, mask) -> tuple[float, ...]:
+    def _first_point(self, mask) -> tuple[float, ...]:
         """The fields as floats at the first point where ``mask`` holds."""
         first = int(np.argmax(np.broadcast_to(mask, self.shape)))
         return tuple(float(np.broadcast_to(getattr(self, name), self.shape).flat[first])

@@ -70,8 +70,9 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     """
     ops = p.ops
     kn = wave_numbers(p)
-    # every field enters through G(xc, xc), so ratio has the full shape
-    lam = p.coupling**2 * greens_constant(p.center, p.center, p)
+    # every field enters through G(xc, xc), so ratio has the full shape;
+    # lam overflows to -inf with no warning on arrays, as on floats
+    lam = ops.muldiv(p.coupling**2, greens_constant(p.center, p.center, p), 1.0)
     ratio = ops.muldiv(p.mass, lam, p.hbar**2 * kn.k)  # negative in-regime
     if ops.any(ratio == -math.inf):
         raise DomainError(
@@ -97,12 +98,14 @@ def transmission_probability(r: ReducedParams) -> float:
 
     |T|^2 = 1 / (1 + k0^4 / (16 V^2 eps (1 - eps))); agrees with
     solve_amplitudes on the expanded parameters to rounding, and is an
-    array when the parameters are.  Rejects a spread that underflows to 0.
+    array when the parameters are.  Rejects a spread that underflows to 0;
+    one that overflows, above V of about 3.4e153, gives |T|^2 = 1 with no
+    warning on either path.
     """
     ops, eps = r.ops, r.epsilon
-    spread = 16.0 * ops.pow(r.potential, 2) * eps * (1.0 - eps)
+    spread = ops.muldiv(16.0, ops.pow(r.potential, 2), 1.0) * eps * (1.0 - eps)
     if ops.any(spread == 0.0):
-        _, v, _ = r.first_point(spread == 0.0)
+        _, v, _ = r._first_point(spread == 0.0)
         raise DomainError(
             f"potential={v} is too small: 16 V**2 eps (1 - eps) underflows to 0, "
             "so |T|^2 is undefined; V must be above about 1.6e-162, more with "

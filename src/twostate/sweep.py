@@ -159,9 +159,7 @@ def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
     the scalar path's float pow does, so each column equals the scalar
     closed form point by point.  Validating the series' ReducedParams, and
     the closed forms' own checks, raise the scalar path's error at its
-    first bad point, so no cell is inf or NaN.  An intermediate overflow is
-    silent, as on the scalar path: in the phase, k0**2 G overflowing to
-    -inf raises solve_amplitudes' DomainError, not a numpy warning.
+    first bad point, so no cell is inf or NaN.
     """
     potential = float(spec.fixed.get("potential", DEFAULT_POTENTIAL))
     columns: list[np.ndarray] = []
@@ -171,8 +169,7 @@ def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
         else:
             eps, k0 = s, np.sqrt(grid)
         r = ReducedParams(epsilon=eps, potential=potential, coupling=k0)
-        with np.errstate(over="ignore"):
-            columns.append(row.evaluate(r))
+        columns.append(row.evaluate(r))
     return columns
 
 

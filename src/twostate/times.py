@@ -114,7 +114,7 @@ def transition_time(r: ReducedParams) -> float:
         )
     ksq = ops.pow(k0, 2)
     if ops.any(ksq == 0.0):
-        _, _, k0 = r.first_point(ksq == 0.0)
+        _, _, k0 = r._first_point(ksq == 0.0)
         raise DomainError(
             f"coupling={k0} is too small: k0**2 underflows to 0, so tau is "
             "undefined in floats; k0 must be above about 1.6e-162"
@@ -123,7 +123,7 @@ def transition_time(r: ReducedParams) -> float:
     vsq_term = ops.muldiv(16.0 * eps * rest, ops.pow(r.potential, 2), ksq)
     tau = ops.muldiv(2.0, 2.0 * eps - 1.0, ops.sqrt(eps) * ops.sqrt(rest) * (ksq + vsq_term))
     if ops.any(abs(tau) == math.inf):
-        eps, v, k0 = r.first_point(abs(tau) == math.inf)
+        eps, v, k0 = r._first_point(abs(tau) == math.inf)
         raise DomainError(
             f"transition time overflows at epsilon={eps}, potential={v}, coupling={k0}: "
             "in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps (1 - eps) V**2 / k0**2) "

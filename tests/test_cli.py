@@ -250,6 +250,23 @@ def test_sweep_cell_out_of_range_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_phase_overflow_exits_2_quietly(tmp_path):
+    # k0**2 G overflows: the typed error alone, with no numpy warning before it
+    out = tmp_path / "phase.csv"
+    proc = _run_cli(
+        ["sweep", "phase", "--coupling-sq", "1e300", "--potential", "1e-300",
+         "--out", str(out)],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: m k0**2 G / (hbar**2 k) overflows at hbar=1.0, mass=0.5, "
+        "coupling=1e+150; the amplitudes need m k0**2 / (2 hbar**2 "
+        "sqrt(E (V - E))) below about 1.8e308\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_reports_pass(monkeypatch, capsys):
     fake = [checks.CheckResult("alpha", True, "fine")]
     monkeypatch.setattr(checks, "run_verification", lambda: fake)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twostate import ReducedParams, transition_time, transmission_probability
@@ -72,6 +72,7 @@ def _array_outcome(form, points, shared_v):
 @pytest.mark.parametrize("form", [transmission_probability, transition_time])
 @settings(max_examples=300, deadline=None)
 @given(points=st.lists(POINTS, min_size=1, max_size=8), shared_v=st.booleans())
+@example(points=[(0.5, 1e154, 1.0)], shared_v=False)  # 16 V**2 overflows
 def test_array_form_equals_scalar_calls(form, points, shared_v):
     if shared_v:  # one V for the whole grid, as a sweep series has
         points = [(eps, points[0][1], k0) for eps, _, k0 in points]
