@@ -71,13 +71,15 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     ops = p.ops
     kn = wave_numbers(p)
     # every field enters through G(xc, xc), so ratio has the full shape;
-    # lam overflows to -inf with no warning on arrays, as on floats
-    lam = ops.muldiv(p.coupling**2, greens_constant(p.center, p.center, p), 1.0)
+    # k0**2 and lam overflow to inf with no warning on arrays, as on floats
+    ksq = ops.muldiv(p.coupling, p.coupling, 1.0)
+    lam = ops.muldiv(ksq, greens_constant(p.center, p.center, p), 1.0)
     ratio = ops.muldiv(p.mass, lam, p.hbar**2 * kn.k)  # negative in-regime
     if ops.any(ratio == -math.inf):
+        _, _, k0, mass, hbar, _ = p._first_point(ratio == -math.inf)
         raise DomainError(
-            f"m k0**2 G / (hbar**2 k) overflows at hbar={p.hbar}, mass={p.mass}, "
-            f"coupling={p.coupling}; the amplitudes need "
+            f"m k0**2 G / (hbar**2 k) overflows at hbar={hbar}, mass={mass}, "
+            f"coupling={k0}; the amplitudes need "
             "m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308"
         )
     transmission = 1.0 / (1.0 + 1j * ratio)

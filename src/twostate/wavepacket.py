@@ -15,10 +15,12 @@ The closed channel's block T + V is diagonal in the orthonormal sine
 on the grid, channel 2 by its sine coefficients.  S is orthogonal, so the
 norm is that of the stacked vector; channel 2's edge values are two dot
 products with rows of S, and its density on the grid is computed, by one
-FFT, only for snapshot frames.  Each step is one tridiagonal LAPACK solve
-of channel 1 plus an exact rank-r Woodbury correction for the r coupled
+FFT, only for snapshot frames.  Each step solves channel 1 by two
+bidiagonal BLAS sweeps over the LU factors of one pivot-free LAPACK
+factorization, plus an exact rank-r Woodbury correction for the r coupled
 cells; channel 2 costs O(r n).  Channel 2 is carried only when some cell
-is coupled, so the free run solves the open channel alone.
+is coupled, so the free run solves the open channel alone.  The per-step
+norm, edge and centroid sums also run in scipy's BLAS, never numpy's.
 
 The arrival time is the instant the centroid of the transmitted density
 (open channel restricted to the far side of the strip) crosses the
@@ -179,28 +181,48 @@ def _dst(c: np.ndarray) -> np.ndarray:
 def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
     """Factor 1 + lam H for the state [phi1; S phi2]; bench/tracing.py hooks it.
 
-    Channel 1's block A1 = 1 + lam T is tridiagonal and factored once by
-    zgttrf.  Channel 2's block 1 + lam (T + V) is diagonal in the sine
-    basis, Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2 is
-    carried as S phi2 and eliminated exactly.  With P = S[cells, :] and
+    Channel 1's block A1 = 1 + lam T is tridiagonal and strictly diagonally
+    dominant (|1 + 2 lam t| > 2 |lam t| for imaginary lam), so zgttrf
+    factors it once with no row swaps: A1 = L D U, L unit lower and U unit
+    upper bidiagonal.  Both are kept in one 2 x n band array next to 1/D,
+    so each A1^-1 is two in-place ztbsv sweeps around one multiply, with
+    no division.  Channel 2's block 1 + lam (T + V) is diagonal in the
+    sine basis, Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2
+    is carried as S phi2 and eliminated exactly.  With P = S[cells, :] and
     K = lam g on the r coupled cells, channel 1 then solves
     (A1 - E M E^T) phi1 = b1 - E K P Lam2^-1 b2, M = K P Lam2^-1 P^T K,
     by Woodbury with Z = A1^-1 E precomputed, and
     S phi2 = Lam2^-1 (b2 - P^T K phi1[cells]).  ``solve(b)`` overwrites
-    the complex vector b with (1 + lam H)^-1 b and returns it: one n-row
-    zgttrs plus O(r n) work.  Without coupled cells the state is phi1
-    alone and the solve is the zgttrs.  scipy is imported here, when
-    called, and nowhere else in the package, so every other name imports
-    on numpy alone.
+    the complex vector b with (1 + lam H)^-1 b and returns it: one A1
+    solve plus O(r n) work.  Without coupled cells the state is phi1 alone
+    and the solve is the A1 solve.  scipy is imported here, when called,
+    and by ``_run`` once this has returned, so every other name imports on
+    numpy alone.
     """
-    from scipy.linalg.blas import zgemv
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.linalg.blas import zgemv, ztbsv
+    from scipy.linalg.lapack import zgttrf
 
     n = gvec.size
     off = np.full(n - 1, -lam * t)
-    lu = zgttrf(off, np.full(n, 1.0 + lam * (2.0 * t)), off)[:5]
+    dl, d, du, du2, ipiv, info = zgttrf(off, np.full(n, 1.0 + lam * (2.0 * t)), off)
+    if info or du2.any() or np.any(ipiv != np.arange(1, n + 1)):
+        raise DomainError(
+            f"the channel-1 step matrix 1 + lam T needed row swaps at "
+            f"lam t = {lam * t}; use a smaller dt or fewer grid points"
+        )
+    band = np.zeros((2, n), dtype=complex, order="F")
+    band[1, :-1] = dl  # L below its unit diagonal
+    band[0, 1:] = du / d[:-1]  # U above its unit diagonal
+    inv_d = 1.0 / d
+
+    def solve1(b: np.ndarray) -> np.ndarray:
+        ztbsv(1, band, b, lower=1, diag=1, overwrite_x=1)
+        b *= inv_d
+        ztbsv(1, band, b, diag=1, overwrite_x=1)
+        return b
+
     if not gvec.any():
-        return SimpleNamespace(solve=lambda b: zgttrs(*lu, b, overwrite_b=1)[0])
+        return SimpleNamespace(solve=solve1)
     cells = np.flatnonzero(gvec)
     r = cells.size
     kg = lam * gvec[cells]
@@ -210,7 +232,8 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
     q = (inv2 * p).T  # Lam2^-1 P^T
     z = np.zeros((n, r), dtype=complex, order="F")
     z[cells, np.arange(r)] = 1.0
-    z = zgttrs(*lu, z, overwrite_b=1)[0]
+    for column in z.T:
+        solve1(column)
     zc = z[cells]
     couple = kg[:, None] * (p @ q) * kg
     gain = np.linalg.solve(np.eye(r) - couple @ zc, couple)
@@ -226,7 +249,7 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
         b1, b2 = b[:n], b[n:]
         b2 *= inv2
         b1[cells] -= kg * zgemv(1.0, pt, b2, trans=1)
-        zgttrs(*lu, b1, overwrite_b=1)
+        solve1(b1)
         return zgemv(1.0, w, b1[cells], beta=1.0, y=b, overwrite_y=1)
 
     return SimpleNamespace(solve=solve)
@@ -235,17 +258,19 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
 def _frame_writer(handle, x: np.ndarray):
     """Write the CSV header; ``write(t, dens)`` then writes one frame.
 
-    A frame, rows (t, x, dens[0], dens[1] or 0), is one ``%`` call with x
-    formatted once per run: the bytes of np.savetxt(fmt="%.15g", delimiter=",").
+    A frame, rows (t, x, dens[0], dens[1] or 0), is one ``%`` call over the
+    densities.  x is formatted once per run into a template whose t fields
+    hold a sentinel, and t once per frame replaces it: the bytes of
+    np.savetxt(fmt="%.15g", delimiter=",").
     """
     handle.write("t,x,density1,density2\n")
-    template = "".join("%%.15g,%.15g,%%.15g,%%.15g\n" % v for v in x.tolist())
-    rows = np.zeros((x.size, 3))
+    template = "".join("\0,%.15g,%%.15g,%%.15g\n" % v for v in x.tolist())
+    rows = np.zeros((x.size, 2))
 
     def write(t: float, dens: np.ndarray) -> None:
-        rows[:, 0] = t
-        rows[:, 1 : 1 + len(dens)] = dens.T
-        handle.write(template % tuple(rows.ravel().tolist()))
+        rows[:, : len(dens)] = dens.T
+        frame = template.replace("\0", "%.15g" % t)
+        handle.write(frame % tuple(rows.ravel().tolist()))
 
     return write
 
@@ -263,17 +288,22 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     t = p.hbar**2 / (2.0 * p.mass * dx**2)
     lam = 1j * grid.dt / (2.0 * p.hbar)
     backward = splu(t, p.potential, gvec, lam)
+    from scipy.linalg.blas import ddot, dgemv, zdotu  # loaded by splu
 
     # [phi1; S phi2]: the norm is the stacked vector's (S is orthogonal).
-    # flat and tail view psi as interleaved (re, im) floats.  Sums run in
-    # einsum, not BLAS: numpy's BLAS thread pool, once woken, competes
-    # with scipy's for the cores during the next solve.
+    # flat and tail view psi as interleaved (re, im) floats.  Every sum
+    # runs in scipy's BLAS, the OpenBLAS of the solves: numpy's BLAS is a
+    # second library whose thread pool, once woken, competes with scipy's
+    # for the cores during the next solve.
     psi = np.pad(psi0, (0, (chans - 1) * n))
     half = np.empty_like(psi)
     flat = psi.view(float)
     tail = flat[2 * start : 2 * n]
-    xm = np.repeat(x[start:], 2)
-    edge_rows = _sine_rows(n, [0, n - 1]).astype(complex)
+    tail_dens = np.empty_like(tail)
+    moments = np.ones((tail.size, 2), order="F")  # columns [1, x] of the tail
+    moments[:, 1] = np.repeat(x[start:], 2)
+    sines = psi[n:]
+    first_row, last_row = _sine_rows(n, [0, n - 1]).astype(complex)
     times_out = grid.dt * np.arange(grid.steps + 1)
     cents = np.full(grid.steps + 1, np.nan)
     drift = mass = 0.0
@@ -281,30 +311,33 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     def densities() -> np.ndarray:
         dens = [np.abs(psi[:n]) ** 2]
         if chans == 2:
-            dens.append(np.abs(_dst(psi[n:])) ** 2)
+            dens.append(np.abs(_dst(sines)) ** 2)
         return np.array(dens)
 
     def observe(step: int) -> None:
         nonlocal drift, mass
         t = times_out[step]
-        err = abs(np.einsum("i,i->", flat, flat) * dx - 1.0)
+        err = abs(ddot(flat, flat) * dx - 1.0)
         if not err <= _DRIFT_TOL:
             raise NormDriftError(
                 f"norm drifted by {err:.3e} at t={t} (tolerance {_DRIFT_TOL})"
             )
         drift = max(drift, err)
-        ends = np.abs(psi[[0, n - 1]]) ** 2
+        left, right = abs(psi[0]) ** 2, abs(psi[n - 1]) ** 2
         if chans == 2:
-            ends += np.abs(np.einsum("ij,j->i", edge_rows, psi[n:])) ** 2
-        edge = ends.max()
+            left += abs(zdotu(first_row, sines)) ** 2
+            right += abs(zdotu(last_row, sines)) ** 2
+        edge = max(left, right)
         if edge > _EDGE_TOL:
             raise BoundaryContaminationError(
                 f"edge density {edge:.3e} exceeds {_EDGE_TOL} at t={t}; "
                 "enlarge the domain or shorten the run"
             )
-        mass = np.einsum("i,i->", tail, tail) * dx
+        np.multiply(tail, tail, out=tail_dens)
+        total, moment = dgemv(1.0, moments, tail_dens, trans=1)
+        mass = total * dx
         if mass > _MASS_FLOOR:
-            cents[step] = np.einsum("i,i,i->", xm, tail, tail) * dx / mass
+            cents[step] = moment / total
         if write is not None and step % stride == 0:
             write(t, densities())
 

@@ -90,6 +90,29 @@ def test_requires_propagating_energy():
         solve_amplitudes(p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "coupling, named",
+    [
+        (1.35e154, "1.35e+154"),
+        (1e160, "1e+160"),
+        (np.array([0.3, 1.0, 1e160, 1.35e154]), "1e+160"),
+    ],
+)
+def test_overflowing_coupling_square_is_one_domain_error(coupling, named):
+    # k0**2 overflows above about 1.34e154: floats and arrays raise the same
+    # typed error, naming the first such point, with no OverflowError and
+    # no numpy warning first
+    p = ModelParams(energy=0.25, potential=1.0, coupling=coupling)
+    with pytest.raises(DomainError) as info:
+        solve_amplitudes(p)
+    assert str(info.value) == (
+        f"m k0**2 G / (hbar**2 k) overflows at hbar=1.0, mass=0.5, "
+        f"coupling={named}; the amplitudes need m k0**2 / (2 hbar**2 "
+        "sqrt(E (V - E))) below about 1.8e308"
+    )
+
+
 def test_phases_reject_zero_coupling():
     p = ModelParams(energy=0.5, potential=1.0, coupling=0.0)
     with pytest.raises(DegenerateCouplingError):

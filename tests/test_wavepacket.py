@@ -1,9 +1,14 @@
+import ast
 import dataclasses
+import inspect
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.fft import dst
 from scipy.sparse.linalg import splu as superlu
@@ -152,6 +157,70 @@ def test_structured_solve_matches_superlu(chans, cells):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 2048),
+    t=st.floats(1e-2, 1e6),
+    dt=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel1_solve_matches_zgttrs(n, t, dt, seed):
+    # A1 = 1 + lam T is strictly diagonally dominant, so zgttrf swaps no
+    # rows; the free run's solve is then the unit-bidiagonal L D U solve
+    lam = 0.5j * dt
+    off = np.full(n - 1, -lam * t)
+    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.zgttrf(
+        off, np.full(n, 1.0 + lam * (2.0 * t)), off
+    )
+    assert info == 0
+    assert np.array_equal(ipiv, np.arange(1, n + 1))
+    assert not du2.any()
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv, b.copy())[0]
+    work = b.copy()
+    got = wavepacket.splu(t, 1.0, np.zeros(n), lam).solve(work)
+    assert got is work  # solved in place
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_row_swaps_in_the_channel1_factor_are_rejected(monkeypatch):
+    factor = scipy.linalg.lapack.zgttrf
+
+    def swapped(*args):
+        *lu, ipiv, info = factor(*args)
+        ipiv[:2] = ipiv[1::-1]
+        return (*lu, ipiv, info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", swapped)
+    with pytest.raises(DomainError, match="needed row swaps"):
+        wavepacket.splu(1.0, 1.0, np.zeros(8), 0.25j)
+
+
+def _closures(func, names):
+    tree = ast.parse(inspect.getsource(func))
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def test_per_step_closures_use_no_numpy_blas():
+    # numpy's BLAS is a second OpenBLAS whose thread pool, once woken,
+    # competes with scipy's during the next solve (11.8 s against 1.1 s
+    # for propagate at default threads); the benchmark pins one thread, so
+    # this guard stands in for it on the code that runs every step
+    closures = {**_closures(wavepacket.splu, {"solve", "solve1"}),
+                **_closures(wavepacket._run, {"observe"})}
+    assert sorted(closures) == ["observe", "solve", "solve1"]
+    banned = {"dot", "vdot", "matmul", "inner"}
+    for name, node in closures.items():
+        for sub in ast.walk(node):
+            op = getattr(sub, "op", None)
+            assert not isinstance(op, ast.MatMult), f"{name} uses @"
+            callee = sub.func if isinstance(sub, ast.Call) else None
+            called = getattr(callee, "attr", getattr(callee, "id", None))
+            assert called not in banned, f"{name} calls {called}"
+
+
 def test_cli_default_delay_matches_superlu(monkeypatch):
     o = {opt.name: opt.default for opt in _OPTIONS["wavepacket"]}
     p = ModelParams(
@@ -207,7 +276,9 @@ def test_snapshots_match_superlu(tmp_path):
 
 @pytest.mark.parametrize("chans", [1, 2])
 def test_frame_writer_matches_savetxt(chans, tmp_path):
-    # exact zeros, subnormals, 1e-300 and negative x all print as savetxt does
+    # exact zeros, subnormals, 1e-300 and negative x all print as savetxt
+    # does, and so does t, formatted once per frame, in exponent forms too
+    times = (0.0, 0.5, 689.5, 1e-7, 1e16, 5e-324, 1380.5)
     x = np.array([-720.0, -0.17578125, -0.0, 0.0, 1e-300, 5e-324, 3.5, 720.0])
     dens = np.array([
         [0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1.0, 0.0],
@@ -216,11 +287,11 @@ def test_frame_writer_matches_savetxt(chans, tmp_path):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     with open(got, "w", encoding="utf-8", newline="\n") as handle:
         write = wavepacket._frame_writer(handle, x)
-        for t in (0.0, 0.5, 689.5):
+        for t in times:
             write(t, dens)
     with open(want, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("t,x,density1,density2\n")
-        for t in (0.0, 0.5, 689.5):
+        for t in times:
             second = dens[1] if chans == 2 else np.zeros_like(x)
             block = np.column_stack((np.full(x.size, t), x, dens[0], second))
             np.savetxt(handle, block, fmt="%.15g", delimiter=",")
