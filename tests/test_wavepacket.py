@@ -205,9 +205,9 @@ def _closures(func, names):
 
 def test_per_step_closures_use_no_numpy_blas():
     # numpy's BLAS is a second OpenBLAS whose thread pool, once woken,
-    # competes with scipy's during the next solve (11.8 s against 1.1 s
-    # for propagate at default threads); the benchmark pins one thread, so
-    # this guard stands in for it on the code that runs every step
+    # competes with scipy's during the next solve (propagate took 11.8 s
+    # instead of 1.1 s on a 2-vCPU host at default threads); the benchmark
+    # pins one thread, so this guard stands in for it on every step's code
     closures = {**_closures(wavepacket.splu, {"solve", "solve1"}),
                 **_closures(wavepacket._run, {"observe"})}
     assert sorted(closures) == ["observe", "solve", "solve1"]
