@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .params import DomainError, ModelParams
+from .params import ModelParams
 
 __all__ = ["effective_strength", "greens_constant"]
 
@@ -31,14 +31,12 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     an array when the parameters are.
     """
     sqrt, exp = p.ops.sqrt, p.ops.exp
-    hbar_sq = p.hbar**2
     # inf where hbar**2 underflows to 0 or is small enough to overflow it
-    scale = p.ops.muldiv(p.mass, 1.0, 2.0 * hbar_sq)
+    scale = p.ops.muldiv(p.mass, 1.0, 2.0 * p._power("hbar", 2))
     if p.ops.any(scale == math.inf):
-        raise DomainError(
-            f"mass / (2 hbar**2) overflows at hbar={p.hbar}, mass={p.mass}; the "
-            "Green's function needs hbar above about 3.73e-155 at mass 1/2"
-        )
+        p._raise_at(scale == math.inf, "mass / (2 hbar**2) overflows at hbar={hbar}, "
+                    "mass={mass}; the Green's function needs hbar above about "
+                    "3.73e-155 at mass 1/2")
     gap = p.potential - p.energy
     kappa = sqrt(2.0 * p.mass * gap) / p.hbar
     return -sqrt(scale) * exp(-kappa * abs(x1 - x2)) / sqrt(gap)
@@ -50,4 +48,4 @@ def effective_strength(p: ModelParams) -> float:
     Returns 0 exactly when the coupling vanishes, positive otherwise; an
     array when the parameters are.
     """
-    return -(p.coupling**2) * greens_constant(p.center, p.center, p)
+    return -p._power("coupling", 2) * greens_constant(p.center, p.center, p)

@@ -87,10 +87,13 @@ def _grid_scales(
 ) -> tuple[float, float]:
     """Grid half-width 20 / kappa and spacing (0.005 / kappa by default).
 
-    Rejects a spacing that is not finite or whose ``refine``-th part is
+    Rejects a kappa outside [1e-150, 1e150], where h**2 leaves the float
+    range, and a spacing that is not finite or whose ``refine``-th part is
     below the rounding floor eps**(1/4) / kappa.
     """
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
+    if not 1e-150 <= kappa <= 1e150:
+        raise ValueError(f"the grid oracle needs kappa in [1e-150, 1e150], got {kappa!r}")
     h = 0.005 / kappa if spacing is None else spacing
     floor = refine * _KH_FLOOR / kappa
     if not floor <= h < math.inf:
@@ -117,9 +120,12 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     h = half / n
     # interior points -n+1 .. n-1 relative to the coupling; n - 1 rows on
     # each side of the centre row
-    t = p.hbar**2 / (2.0 * p.mass * h**2)
-    a = (p.energy - p.potential) - 2.0 * t
+    scale = 2.0 * p.mass * h**2
+    t = p._power("hbar", 2) / scale if scale else math.inf
     tsq = t * t
+    if tsq == math.inf:
+        raise ValueError(f"the grid oracle's t = hbar**2 / (2 m h**2) = {t!r} squares to inf")
+    a = (p.energy - p.potential) - 2.0 * t
     d = a
     for _ in range(n - 2):
         d = a - tsq / d

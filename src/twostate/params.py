@@ -18,8 +18,8 @@ grid of points in one object: it is validated once, and the closed forms
 that accept it (every one but ``extremal_coupling``) evaluate every point
 in one numpy call.  The closed forms call the functions the parameter type
 carries as ``ops``, ``math`` and ``cmath`` for floats and numpy for arrays.
-Its ``pow`` calls libm ``pow`` on both paths, so the reduced closed forms
-give the same bits for floats and arrays.
+Its ``_power`` calls libm ``pow`` on both paths, so the closed forms give
+the same bits, and the same DomainError where a power overflows, on both.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NoReturn
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class DegenerateCouplingError(DomainError):
 # inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined;
 # muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, with no
 # warning, for a caller that tests for the inf and raises its own error;
-# pow(x, n) is x**n rounded as CPython's float ** rounds it (both call libm
-# pow), and raises its OverflowError where x**n overflows.
+# pow(x, n) is x**n rounded as float ** rounds it (both call libm pow); where
+# it overflows, float ** raises OverflowError and arrays give inf, unwarned.
 _Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow")
 
 
@@ -89,7 +89,7 @@ def _float_inverse(x: float, undefined: bool) -> float:
 
 
 def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # ±inf, as float / gives
         return np.where(undefined, np.nan, 1.0 / x)
 
 
@@ -104,10 +104,7 @@ def _array_muldiv(a, b, c) -> np.ndarray:
 
 def _array_pow(x, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # np.power and x**2 round differently
-        y = np.float_power(x, n)
-    if np.isinf(y).any():  # float ** raises the scalar path's OverflowError
-        float(np.ravel(x)[np.argmax(np.isinf(y))]) ** n
-    return y
+        return np.float_power(x, n)
 
 
 _FLOAT_OPS = _Ops(
@@ -129,7 +126,8 @@ class _Validated:
 
     ``_conditions`` returns the domain conditions, plain comparisons that
     hold on floats and float arrays alike, and ``_MESSAGES`` holds the
-    message of each, in the same order.  Scalar fields must be finite, and
+    message of each, in the same order.  Scalar fields become Python floats
+    (a bool or a non-real is refused with TypeError) and must be finite, and
     the first condition that fails raises DomainError.  With a numpy array
     among the fields, every field becomes a float array (0-d for a scalar)
     and the fields must broadcast together, else ValueError; np.isfinite
@@ -144,35 +142,42 @@ class _Validated:
     ops: ClassVar[_Ops] = _FLOAT_OPS
 
     def __post_init__(self) -> None:
-        try:
-            for name in self.__match_args__:  # the field names, in order
-                value = getattr(self, name)
+        for name in self.__match_args__:  # the field names, in order
+            value = getattr(self, name)
+            if type(value) is not float:
                 # a type test, not math.isfinite failing: numpy 1.25 to 2.2 at
                 # least convert a size-1 array to a float with only a warning
-                if type(value) is _ndarray:
+                if isinstance(value, _ndarray):
                     break
-                if not _isfinite(value):
-                    raise DomainError(f"{name} must be finite, got {value!r}")
-            else:
-                conditions = self._conditions()
-                if all(conditions):
-                    return
-                message = self._MESSAGES[conditions.index(False)]
-                raise DomainError(message.format(**vars(self)))
-        except TypeError:  # not a number: _adopt_arrays names the field
-            pass
+                value = self._as_float(name, value)
+            if not _isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+        else:
+            conditions = self._conditions()
+            if all(conditions):
+                return
+            message = self._MESSAGES[conditions.index(False)]
+            raise DomainError(message.format(**vars(self)))
         self._adopt_arrays()
+
+    def _as_float(self, name: str, value) -> float:
+        """Store a real scalar field as a Python float; a bool is not one."""
+        if not isinstance(value, numbers.Real) or type(value) is bool:
+            raise TypeError(
+                f"{name} must be a real number or a float array, got {type(value).__name__}"
+            )
+        try:
+            value = float(value)
+        except OverflowError:  # an int or a fraction beyond the float range
+            raise DomainError(f"{name} must be finite, got {value!r:.24}...") from None
+        object.__setattr__(self, name, value)
+        return value
 
     def _adopt_arrays(self) -> None:
         names = self.__match_args__
         values = [getattr(self, name) for name in names]
-        for name, value in zip(names, values):
-            if not isinstance(value, (np.ndarray, numbers.Real)):
-                raise TypeError(
-                    f"{name} must be a real number or a float array, "
-                    f"got {type(value).__name__}"
-                )
-        arrays = [np.asarray(v, dtype=float) for v in values]
+        arrays = [np.asarray(v if isinstance(v, _ndarray) else self._as_float(n, v), dtype=float)
+                  for n, v in zip(names, values)]
         try:
             shape = np.broadcast_shapes(*(a.shape for a in arrays))
         except ValueError:
@@ -195,6 +200,24 @@ class _Validated:
         first = int(np.argmax(np.broadcast_to(mask, self.shape)))
         return tuple(float(np.broadcast_to(getattr(self, name), self.shape).flat[first])
                      for name in self.__match_args__)
+
+    def _raise_at(self, mask, message: str) -> NoReturn:
+        """DomainError(message), each ``{field}`` the first point's where ``mask`` holds."""
+        point = zip(self.__match_args__, self._first_point(mask))
+        raise DomainError(message.format(**dict(point)))
+
+    def _power(self, name: str, n: int):
+        """Field ``name`` to the n-th power through ``ops.pow``; where that
+        overflows, DomainError at the first point, on floats and arrays alike."""
+        try:
+            y = self.ops.pow(getattr(self, name), n)
+        except OverflowError:  # float **; the array path gives inf
+            y = math.inf
+        else:
+            if not (self.is_array and np.isinf(y).any()):
+                return y
+        self._raise_at(y == math.inf, f"{name}**{n} overflows at {name}={{{name}}}; "
+                       f"{name} must be at most {np.finfo(float).max ** (1 / n):.4g}")
 
 
 @dataclass(frozen=True)

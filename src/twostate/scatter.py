@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .greens import greens_constant
 from .params import (
     DegenerateCouplingError,
-    DomainError,
     ModelParams,
     ReducedParams,
     wave_numbers,
@@ -74,14 +73,11 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     # k0**2 and lam overflow to inf with no warning on arrays, as on floats
     ksq = ops.muldiv(p.coupling, p.coupling, 1.0)
     lam = ops.muldiv(ksq, greens_constant(p.center, p.center, p), 1.0)
-    ratio = ops.muldiv(p.mass, lam, p.hbar**2 * kn.k)  # negative in-regime
+    ratio = ops.muldiv(p.mass, lam, p._power("hbar", 2) * kn.k)  # negative in-regime
     if ops.any(ratio == -math.inf):
-        _, _, k0, mass, hbar, _ = p._first_point(ratio == -math.inf)
-        raise DomainError(
-            f"m k0**2 G / (hbar**2 k) overflows at hbar={hbar}, mass={mass}, "
-            f"coupling={k0}; the amplitudes need "
-            "m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308"
-        )
+        p._raise_at(ratio == -math.inf, "m k0**2 G / (hbar**2 k) overflows at "
+                    "hbar={hbar}, mass={mass}, coupling={coupling}; the amplitudes "
+                    "need m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308")
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
     reflection = reflection0 * ops.cexp(2j * kn.k * p.center)
@@ -100,20 +96,17 @@ def transmission_probability(r: ReducedParams) -> float:
 
     |T|^2 = 1 / (1 + k0^4 / (16 V^2 eps (1 - eps))); agrees with
     solve_amplitudes on the expanded parameters to rounding, and is an
-    array when the parameters are.  Rejects a spread that underflows to 0;
-    one that overflows, above V of about 3.4e153, gives |T|^2 = 1 with no
-    warning on either path.
+    array when the parameters are.  Rejects a spread that underflows to 0
+    and a V**2 or k0**4 that overflows; a spread that overflows (V from about
+    3.4e153 to 1.3e154) gives |T|^2 = 1 with no warning on either path.
     """
     ops, eps = r.ops, r.epsilon
-    spread = ops.muldiv(16.0, ops.pow(r.potential, 2), 1.0) * eps * (1.0 - eps)
+    spread = ops.muldiv(16.0, r._power("potential", 2), 1.0) * eps * (1.0 - eps)
     if ops.any(spread == 0.0):
-        _, v, _ = r._first_point(spread == 0.0)
-        raise DomainError(
-            f"potential={v} is too small: 16 V**2 eps (1 - eps) underflows to 0, "
-            "so |T|^2 is undefined; V must be above about 1.6e-162, more with "
-            "eps near 0 or 1"
-        )
-    return 1.0 / (1.0 + ops.muldiv(ops.pow(r.coupling, 4), 1.0, spread))
+        r._raise_at(spread == 0.0, "potential={potential} is too small: 16 V**2 "
+                    "eps (1 - eps) underflows to 0, so |T|^2 is undefined; V must "
+                    "be above about 1.6e-162, more with eps near 0 or 1")
+    return 1.0 / (1.0 + ops.muldiv(r._power("coupling", 4), 1.0, spread))
 
 
 def scattering_phases(p: ModelParams) -> tuple[float, float]:

@@ -155,7 +155,7 @@ def _clip_grid(spec: SweepSpec) -> np.ndarray:
 def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
     """One column per series, each from one array call.
 
-    The closed forms raise to a power with ``ops.pow``, which rounds as
+    The closed forms raise to a power with ``_power``, which rounds as
     the scalar path's float pow does, so each column equals the scalar
     closed form point by point.  Validating the series' ReducedParams, and
     the closed forms' own checks, raise the scalar path's error at its

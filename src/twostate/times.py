@@ -73,14 +73,14 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     it, and tau_g is the probability-weighted combination
     T2 * tau_gt + R2 * tau_gr, numerically indistinguishable from tau_gt.
     """
-    e, v, k0, m, hb = p.energy, p.potential, p.coupling, p.mass, p.hbar
+    e, v, m, power = p.energy, p.potential, p.mass, p._power
     amps = scatter.solve_amplitudes(p)
-    if p.ops.any(k0 == 0.0):
+    if p.ops.any(p.coupling == 0.0):
         raise DegenerateCouplingError("delays are degenerate at zero coupling")
     sqrt = p.ops.sqrt
-    numer = m * hb**3 * k0**2 * (2.0 * e - v)
-    denom = sqrt(e) * sqrt(v - e) * (4.0 * hb**4 * e * (v - e) + k0**4 * m**2)
-    tau_gt = numer / denom
+    numer = m * power("hbar", 3) * power("coupling", 2) * (2.0 * e - v)
+    quartic = 4.0 * power("hbar", 4) * e * (v - e) + power("coupling", 4) * power("mass", 2)
+    tau_gt = numer / (sqrt(e) * sqrt(v - e) * quartic)
     tau_gr = tau_gt
     tau_g = amps.transmission_prob * tau_gt + amps.reflection_prob * tau_gr
     return tau_gt, tau_gr, tau_g
@@ -104,31 +104,27 @@ def transition_time(r: ReducedParams) -> float:
     """Closed-form reduced transition time tau(eps, V, k0); an array when
     the parameters are.
 
-    Rejects k0 = 0, a k0**2 that underflows to 0, and a tau that overflows
-    in float arithmetic.
+    Rejects k0 = 0, a k0**2 that underflows to 0, and a power or a tau that
+    overflows in float arithmetic.
     """
     ops, eps, k0 = r.ops, r.epsilon, r.coupling
     if ops.any(k0 == 0.0):
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )
-    ksq = ops.pow(k0, 2)
+    ksq = r._power("coupling", 2)
     if ops.any(ksq == 0.0):
-        _, _, k0 = r._first_point(ksq == 0.0)
-        raise DomainError(
-            f"coupling={k0} is too small: k0**2 underflows to 0, so tau is "
-            "undefined in floats; k0 must be above about 1.6e-162"
-        )
+        r._raise_at(ksq == 0.0, "coupling={coupling} is too small: k0**2 "
+                    "underflows to 0, so tau is undefined in floats; k0 must be "
+                    "above about 1.6e-162")
     rest = 1.0 - eps
-    vsq_term = ops.muldiv(16.0 * eps * rest, ops.pow(r.potential, 2), ksq)
+    vsq_term = ops.muldiv(16.0 * eps * rest, r._power("potential", 2), ksq)
     tau = ops.muldiv(2.0, 2.0 * eps - 1.0, ops.sqrt(eps) * ops.sqrt(rest) * (ksq + vsq_term))
     if ops.any(abs(tau) == math.inf):
-        eps, v, k0 = r._first_point(abs(tau) == math.inf)
-        raise DomainError(
-            f"transition time overflows at epsilon={eps}, potential={v}, coupling={k0}: "
-            "in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps (1 - eps) V**2 / k0**2) "
-            "is below 2 |2 eps - 1| / 1.8e308"
-        )
+        r._raise_at(abs(tau) == math.inf, "transition time overflows at "
+                    "epsilon={epsilon}, potential={potential}, coupling={coupling}: "
+                    "in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps (1 - eps) V**2 "
+                    "/ k0**2) is below 2 |2 eps - 1| / 1.8e308")
     return tau
 
 

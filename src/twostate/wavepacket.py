@@ -86,8 +86,8 @@ class PacketSpec:
             math.isfinite(v) for v in (self.center, self.wavenumber, self.sigma)
         ):
             raise ValueError("packet parameters must be finite")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):  # the envelope divides by it
+            raise ValueError(f"sigma must be positive, its square too, got {self.sigma}")
         if self.wavenumber <= 0.0:
             raise ValueError(
                 f"wavenumber must be positive, got {self.wavenumber}"
@@ -108,7 +108,11 @@ class PacketSpec:
         return cls(center=center, wavenumber=kbar, sigma=sigma)
 
     def central_energy(self, p: ModelParams) -> float:
-        return (p.hbar * self.wavenumber) ** 2 / (2.0 * p.mass)
+        try:
+            return (p.hbar * self.wavenumber) ** 2 / (2.0 * p.mass)
+        except OverflowError:  # float **, where hbar k is within an ulp of 1.34e154
+            raise DomainError(f"(hbar k)**2 overflows at hbar={p.hbar}, "
+                              f"k={self.wavenumber}") from None
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,8 @@ class DelayResult:
 
 def _coupling_cells(x: np.ndarray, dx: float, p: ModelParams, width: float):
     """Cell-averaged square coupling; integral over the grid equals k0."""
+    if p.coupling / width == math.inf:
+        raise ValueError(f"coupling / width overflows at coupling={p.coupling}, width={width}")
     lo = p.center - width / 2.0
     hi = p.center + width / 2.0
     left = x - dx / 2.0
@@ -285,7 +291,7 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     """
     n = x.size
     chans = 2 if gvec.any() else 1
-    t = p.hbar**2 / (2.0 * p.mass * dx**2)
+    t = p._power("hbar", 2) / (2.0 * p.mass * dx**2)
     lam = 1j * grid.dt / (2.0 * p.hbar)
     backward = splu(t, p.potential, gvec, lam)
     from scipy.linalg.blas import ddot, dgemv, zdotu  # loaded by splu
@@ -395,7 +401,7 @@ def propagate(
             f"packet central energy {e0} must stay below the threshold "
             f"{p.potential}"
         )
-    spread = p.hbar**2 * packet.wavenumber / (p.mass * packet.sigma)
+    spread = p.ops.muldiv(p._power("hbar", 2), packet.wavenumber, p.mass * packet.sigma)
     budget = 0.1 * min(e0, p.potential - e0)
     if spread > budget:
         raise ValueError(
@@ -405,12 +411,19 @@ def propagate(
     if snapshot_stride < 1:
         raise ValueError("snapshot stride must be >= 1")
 
+    reach = grid.half_length - packet.center  # the largest |x - x0| on the grid
+    if not (reach * reach < math.inf and packet.wavenumber * reach < math.inf):
+        raise ValueError(f"(half-domain - x0)**2 or k (half-domain - x0) overflows at half-"
+                         f"domain {grid.half_length}, x0={packet.center}, k={packet.wavenumber}")
     x = np.linspace(-grid.half_length, grid.half_length, grid.points)
     dx = float(x[1] - x[0])
+    if not 2.0 * p.mass * dx**2 > 0.0:  # the hopping hbar**2 / (2 m dx**2)
+        raise ValueError(f"2 m dx**2 underflows to 0 at mass={p.mass}, dx={dx}")
     start = int(np.searchsorted(x, p.center + width / 2.0, side="right"))
     plane = grid.half_length / 2.0
 
-    envelope = np.exp(-((x - packet.center) ** 2) / (4.0 * packet.sigma**2))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the Gaussian's value there
+        envelope = np.exp(-((x - packet.center) ** 2) / (4.0 * packet.sigma**2))
     psi0 = envelope * np.exp(1j * packet.wavenumber * x)
     norm = float(np.sum(np.abs(psi0) ** 2)) * dx
     if not 0.0 < norm < math.inf:

@@ -268,6 +268,28 @@ def test_degenerate_arrays_raise_typed_errors():
         solve_amplitudes(heavy)
 
 
+@pytest.mark.parametrize(
+    ("closed_form", "k0", "message"),
+    [
+        # k0**4 overflows: no warning and no -0.0 cell on the array path
+        (group_delays, 1e80,
+         "coupling**4 overflows at coupling=1e+80; coupling must be at most 1.158e+77"),
+        # k0**2 overflows: no warning and no inf cell on the array path
+        (effective_strength, 1e200,
+         "coupling**2 overflows at coupling=1e+200; coupling must be at most 1.341e+154"),
+    ],
+    ids=["group_delays", "effective_strength"],
+)
+def test_overflowing_powers_raise_the_scalar_error_on_arrays(closed_form, k0, message):
+    for coupling in (k0, np.array([1.0, k0])):
+        p = ModelParams(0.25, 1.0, coupling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                closed_form(p)
+        assert str(info.value) == message
+
+
 def test_reduction_and_phases_match_scalar_calls():
     energy = np.array([0.2, 0.3, 0.7])
     coupling = np.array([[0.5], [1.0]])

@@ -136,6 +136,10 @@ def test_config_non_numeric_series_exits_2(value, tmp_path, capsys):
         ("sweep", {"count": True}, "count must be an integer, got True"),
         ("wavepacket", {"points": "8193"}, "points must be an integer, got '8193'"),
         ("sweep", {"out": 5}, "out must be a string, got 5"),
+        # JSON integers beyond the float range
+        ("greens", {"potential": 10**400}, "potential must be a number within the float range"),
+        ("sweep", {"coupling": [1, -(10**400)]},
+         "coupling must be a number or a list of numbers within the float range"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(
@@ -181,7 +185,7 @@ def test_config_from_to_match_flags(quantity, tmp_path):
     ],
 )
 def test_overflow_exits_2(argv, tmp_path, capsys):
-    detail = "OverflowError"
+    detail = "coupling**2 overflows at coupling=1e+200; coupling must be at most 1.341e+154"
     if "--potential" in argv:  # V**2 underflows instead
         detail = "potential=1e-170 is too small: 16 V**2 eps (1 - eps) underflows to 0"
     if argv[0] == "sweep":
@@ -265,6 +269,28 @@ def test_sweep_phase_overflow_exits_2_quietly(tmp_path):
         "sqrt(E (V - E))) below about 1.8e308\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        # propagate's spread hbar**2 k / (m sigma)
+        (["wavepacket", "--hbar", "1e200"],
+         "hbar**2 overflows at hbar=1e+200; hbar must be at most 1.341e+154"),
+        # (x - x0)**2 on the grid and _run's dx**2, rejected before the
+        # envelope, so numpy prints no overflow warning
+        (["wavepacket", "--half-domain", "1e200"],
+         "(half-domain - x0)**2 or k (half-domain - x0) overflows at "
+         "half-domain 1e+200, x0=-300.0, k=0.5"),
+        (["sweep", "transmission", "--coupling", "1e200", "--out", "t.csv"],
+         "coupling**2 overflows at coupling=1e+200; coupling must be at most 1.341e+154"),
+    ],
+)
+def test_range_errors_exit_2_with_one_typed_line(argv, message, tmp_path):
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 def test_verify_reports_pass(monkeypatch, capsys):

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twostate import (
@@ -10,6 +13,7 @@ from twostate import (
     ReducedParams,
     expand_reduced,
     make_reduced,
+    transition_time,
     wave_numbers,
 )
 
@@ -44,6 +48,31 @@ def test_model_is_frozen():
 def test_model_rejects_bad_parameters(kwargs):
     with pytest.raises(DomainError):
         ModelParams(**kwargs)
+
+
+def test_int_beyond_the_float_range_names_the_field():
+    with pytest.raises(DomainError, match=r"^potential must be finite, got 1000"):
+        ModelParams(0.25, 10**400, 1)
+    with pytest.raises(DomainError, match=r"^coupling must be finite"):
+        ReducedParams(np.array([0.3]), 1.0, Fraction(10**400))
+
+
+def test_scalar_fields_become_python_floats():
+    eps = np.float32(0.3)
+    r = ReducedParams(eps, 1, Fraction(1, 2))
+    assert all(type(getattr(r, name)) is float for name in ("epsilon", "potential", "coupling"))
+    assert (r.epsilon, r.coupling) == (float(eps), 0.5)
+    tau = transition_time(r)
+    assert type(tau) is float
+    assert tau == transition_time(ReducedParams(float(eps), 1.0, 0.5))
+
+
+@pytest.mark.parametrize("value", [True, Decimal("0.3")])
+def test_bool_and_decimal_fields_are_refused(value):
+    with pytest.raises(TypeError, match="^epsilon must be a real number"):
+        ReducedParams(value, 1.0, 1.0)
+    with pytest.raises(TypeError, match="^coupling must be a real number"):
+        ReducedParams(np.array([0.3]), 1.0, value)
 
 
 def test_model_accepts_zero_energy():

@@ -1,13 +1,13 @@
 """The reduced closed forms give the same bits on the float and array paths.
 
 `transmission_probability` and `transition_time` raise to a power with the
-parameter type's ``ops.pow``: CPython's float ``**`` for floats, and
-``np.float_power`` for arrays, which calls the same libm ``pow``.  The
-pinned sweep bytes rest on that, so the array pow is checked against float
-``**`` directly, and each closed form is checked point by point across the
-whole exponent range: the array result equals the scalar calls bit for
-bit, signed zeros included, and where a scalar call raises, the array call
-raises the same type and message.
+parameter type's ``_power``, through ``ops.pow``: CPython's float ``**`` for
+floats, and ``np.float_power`` for arrays, which calls the same libm
+``pow``.  The pinned sweep bytes rest on that, so the array pow is checked
+against float ``**`` directly, and each closed form is checked point by
+point across the whole exponent range: the array result equals the scalar
+calls bit for bit, signed zeros included, and where a scalar call raises,
+the array call raises the same type and message.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twostate import ReducedParams, transition_time, transmission_probability
+from twostate import DomainError, ReducedParams, transition_time, transmission_probability
 from twostate.params import _ARRAY_OPS
 
 
@@ -38,12 +38,16 @@ def test_array_pow_rounds_as_float_pow(n):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_array_pow_raises_the_float_overflow_error(n):
-    with pytest.raises(OverflowError) as scalar:
-        1e200**n
-    with pytest.raises(OverflowError) as array:
-        _ARRAY_OPS.pow(np.array([1.0, 1e200, 1e300]), n)
+def test_power_raises_one_domain_error_on_floats_and_arrays(n):
+    with pytest.raises(DomainError) as scalar:
+        ReducedParams(0.5, 1.0, 1e200)._power("coupling", n)
+    with pytest.raises(DomainError) as array:
+        ReducedParams(0.5, 1.0, np.array([1.0, 1e200, 1e300]))._power("coupling", n)
     assert array.value.args == scalar.value.args
+    assert str(scalar.value) == (
+        f"coupling**{n} overflows at coupling=1e+200; coupling must be at most "
+        f"{1.7976931348623157e308 ** (1 / n):.4g}"
+    )
 
 
 # any positive float: a mantissa in [1, 2) times 2**e, subnormals included

@@ -431,3 +431,10 @@ def test_packet_off_the_grid_is_rejected():
     far = PacketSpec.for_energy(1.0, P_COUPLED, sigma=20.0, center=-100000.0)
     with pytest.raises(ValueError, match=r"x0=-100000\.0, sigma=20\.0 has norm 0\.0"):
         propagate(far, P_COUPLED, width=1e-3, grid=GRID)
+
+
+def test_central_energy_overflow_is_a_domain_error():
+    # hbar k rounds to just above sqrt(float max), so float ** overflows
+    packet = PacketSpec(center=-10.0, wavenumber=1.3407807929942597e154, sigma=1.0)
+    with pytest.raises(DomainError, match=r"^\(hbar k\)\*\*2 overflows at hbar=1.0, k=1.34"):
+        packet.central_energy(ModelParams(0.25, 1.0, 1.0))
