@@ -11,8 +11,9 @@ An optional JSON config file takes the long flag names as keys (hyphens
 or underscores), each value type-checked; explicit flags take precedence
 over config values.  Exit codes: 0 success, 1 verification failure, 2
 usage, config or domain error (an input whose arithmetic would leave the
-float range included), a tripped wave-packet guard, or a dependency that
-is not installed (one ``error: <command> needs <package>`` line).
+float range included), a tripped wave-packet guard, an array too large
+for memory, or a dependency that is not installed (one
+``error: <command> needs <package>`` line).
 
 Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
 ``wavepacket``), so that a cold call pays only for its own imports.
@@ -285,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_resolve(args))
-    except (ValueError, OSError, RunGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RunGuardError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     except ModuleNotFoundError as exc:
         if exc.name is None:

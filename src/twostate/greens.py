@@ -30,22 +30,37 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).  It is
     an array when the parameters are.
     """
-    sqrt, exp = p.ops.sqrt, p.ops.exp
+    ops = p.ops
     # inf where hbar**2 underflows to 0 or is small enough to overflow it
-    scale = p.ops.muldiv(p.mass, 1.0, 2.0 * p._power("hbar", 2))
-    if p.ops.any(scale == math.inf):
+    scale = ops.muldiv(p.mass, 1.0, 2.0 * p._power("hbar", 2))
+    if ops.any(scale == math.inf):
         p._raise_at(scale == math.inf, "mass / (2 hbar**2) overflows at hbar={hbar}, "
                     "mass={mass}; the Green's function needs hbar above about "
                     "3.73e-155 at mass 1/2")
     gap = p.potential - p.energy
-    kappa = sqrt(2.0 * p.mass * gap) / p.hbar
-    return -sqrt(scale) * exp(-kappa * abs(x1 - x2)) / sqrt(gap)
+    kappa = ops.sqrt(ops.muldiv(2.0 * p.mass, gap, 1.0)) / p.hbar  # may be inf
+    distance = abs(x1 - x2)
+    # the exponent is 0 at x1 = x2 even where kappa overflows (inf * 0 is NaN)
+    exponent = ops.where(distance > 0.0, kappa, 0.0) * distance
+    value = ops.muldiv(-ops.sqrt(scale), ops.exp(-exponent), ops.sqrt(gap))
+    if ops.any(value == -math.inf):
+        p._raise_at(value == -math.inf, "the Green's function overflows at energy="
+                    "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
+                    "sqrt(m / (2 hbar**2 (V - E))) must stay below about 1.8e308")
+    return value
 
 
 def effective_strength(p: ModelParams) -> float:
     """Strength alpha = -k0^2 G(xc, xc) of the effective open-channel well.
 
     Returns 0 exactly when the coupling vanishes, positive otherwise; an
-    array when the parameters are.
+    array when the parameters are.  Raises DomainError at the first point
+    where alpha overflows.
     """
-    return -p._power("coupling", 2) * greens_constant(p.center, p.center, p)
+    alpha = p.ops.muldiv(-p._power("coupling", 2), greens_constant(p.center, p.center, p), 1.0)
+    if p.ops.any(alpha == math.inf):
+        p._raise_at(alpha == math.inf, "effective strength k0**2 |G| overflows at "
+                    "coupling={coupling}, hbar={hbar}, mass={mass}, energy={energy}, "
+                    "potential={potential}; k0**2 sqrt(m / (2 hbar**2 (V - E))) must "
+                    "stay below about 1.8e308")
+    return alpha

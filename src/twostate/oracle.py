@@ -228,54 +228,31 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     ) / p.hbar
 
     xm, xp = -width / 2.0, width / 2.0
-    em = [np.exp(1j * modes[j] * xm) for j in range(2)]
-    emi = [np.exp(-1j * modes[j] * xm) for j in range(2)]
-    ep = [np.exp(1j * modes[j] * xp) for j in range(2)]
-    epi = [np.exp(-1j * modes[j] * xp) for j in range(2)]
     fin = cmath.exp(1j * k * xm)
     fref = cmath.exp(-1j * k * xm)
     fout = cmath.exp(1j * k * xp)
     dec = math.exp(-kappa * width / 2.0)
 
-    # unknowns: [B, C, D_left, D_right, a1, b1, a2, b2]
+    # unknowns: [B, C, D_left, D_right, a1, b1, a2, b2].  At each strip edge
+    # y, rows r, r + 1 match channel 1's value and slope and rows r + 2, r + 3
+    # channel 2's.  The outside waves sit on the left-hand side: the open one
+    # in column c1 (value f1, slope s1), the evanescent one in column c2
+    # (slope s2); mode q with eigenvector (v1, v2) fills columns ca, ca + 1.
     mat = np.zeros((8, 8), dtype=complex)
+    for r, y, c1, f1, s1, c2, s2 in (
+        (0, xm, 0, -fref, 1j * k * fref, 2, -kappa * dec),
+        (4, xp, 1, -fout, -1j * k * fout, 3, kappa * dec),
+    ):
+        mat[r, c1], mat[r + 1, c1] = f1, s1
+        mat[r + 2, c2], mat[r + 3, c2] = -dec, s2
+        for ca, q, v1, v2 in zip((4, 6), modes, *w_eig):
+            up, down = np.exp(1j * q * y), np.exp(-1j * q * y)
+            cb = ca + 1
+            for row, v in ((r, v1), (r + 2, v2)):
+                mat[row, ca], mat[row, cb] = v * up, v * down
+                mat[row + 1, ca], mat[row + 1, cb] = v * 1j * q * up, -v * 1j * q * down
     rhs = np.zeros(8, dtype=complex)
-
-    for j in range(2):
-        va, vb = w_eig[0, j], w_eig[1, j]
-        q = modes[j]
-        ca, cb = 4 + 2 * j, 5 + 2 * j
-        # open-channel value and slope at the left edge
-        mat[0, ca] = va * em[j]
-        mat[0, cb] = va * emi[j]
-        mat[1, ca] = va * 1j * q * em[j]
-        mat[1, cb] = -va * 1j * q * emi[j]
-        # closed-channel value and slope at the left edge
-        mat[2, ca] = vb * em[j]
-        mat[2, cb] = vb * emi[j]
-        mat[3, ca] = vb * 1j * q * em[j]
-        mat[3, cb] = -vb * 1j * q * emi[j]
-        # open-channel value and slope at the right edge
-        mat[4, ca] = va * ep[j]
-        mat[4, cb] = va * epi[j]
-        mat[5, ca] = va * 1j * q * ep[j]
-        mat[5, cb] = -va * 1j * q * epi[j]
-        # closed-channel value and slope at the right edge
-        mat[6, ca] = vb * ep[j]
-        mat[6, cb] = vb * epi[j]
-        mat[7, ca] = vb * 1j * q * ep[j]
-        mat[7, cb] = -vb * 1j * q * epi[j]
-
-    mat[0, 0] = -fref
-    mat[1, 0] = 1j * k * fref
-    mat[2, 2] = -dec
-    mat[3, 2] = -kappa * dec
-    mat[4, 1] = -fout
-    mat[5, 1] = -1j * k * fout
-    mat[6, 3] = -dec
-    mat[7, 3] = kappa * dec
-    rhs[0] = fin
-    rhs[1] = 1j * k * fin
+    rhs[0], rhs[1] = fin, 1j * k * fin
 
     sol = np.linalg.solve(mat, rhs)
     residual = float(np.max(np.abs(mat @ sol - rhs)))

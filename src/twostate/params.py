@@ -73,8 +73,9 @@ class DegenerateCouplingError(DomainError):
 # muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, with no
 # warning, for a caller that tests for the inf and raises its own error;
 # pow(x, n) is x**n rounded as float ** rounds it (both call libm pow); where
-# it overflows, float ** raises OverflowError and arrays give inf, unwarned.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow")
+# it overflows, float ** raises OverflowError and arrays give inf, unwarned;
+# where(test, a, b) is a where the test holds and b elsewhere.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow where")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -102,6 +103,10 @@ def _array_muldiv(a, b, c) -> np.ndarray:
         return a * b / c
 
 
+def _float_where(test: bool, a: float, b: float) -> float:
+    return a if test else b
+
+
 def _array_pow(x, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # np.power and x**2 round differently
         return np.float_power(x, n)
@@ -109,12 +114,18 @@ def _array_pow(x, n: int) -> np.ndarray:
 
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
-    any=bool, inverse=_float_inverse, muldiv=_float_muldiv, pow=pow,
+    any=bool, inverse=_float_inverse, muldiv=_float_muldiv, pow=pow, where=_float_where,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
     any=np.any, inverse=_array_inverse, muldiv=_array_muldiv, pow=_array_pow,
+    where=np.where,
 )
+
+# the most float64 values one numpy array can hold: point and step counts
+# above it are refused before numpy sees them (np.linspace fails with an
+# IndexError at np.iinfo(np.intp).max, larger arrays with a ValueError)
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 # bound once: the scalar checks run in every constructor call
 _isfinite = math.isfinite
@@ -348,5 +359,6 @@ def wave_numbers(p: ModelParams) -> WaveNumbers:
     if p.ops.any(p.energy <= 0.0):
         raise DomainError("propagating open channel requires energy > 0")
     k = sqrt(2.0 * p.mass * p.energy) / p.hbar
-    kappa = sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
+    # 2 m (V - E) may overflow to inf, unwarned on arrays as on floats
+    kappa = sqrt(p.ops.muldiv(2.0 * p.mass, p.potential - p.energy, 1.0)) / p.hbar
     return WaveNumbers(k=k, kappa=kappa)

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scatter, times
-from .params import ReducedParams, expand_reduced
+from .params import _MAX_FLOATS, ReducedParams, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
@@ -88,6 +88,8 @@ class SweepVariable:
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ValueError(f"count must be at least 2, got {self.count}")
+        if self.count > _MAX_FLOATS:
+            raise ValueError(f"count must be at most {_MAX_FLOATS}, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep bounds must be finite")
 

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .params import DomainError, ModelParams, RunGuardError
+from .params import _MAX_FLOATS, DomainError, ModelParams, RunGuardError
 
 __all__ = [
     "BoundaryContaminationError",
@@ -138,6 +138,9 @@ class GridSpec:
             raise ValueError("dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+        for name, count in (("points", self.points), ("steps", self.steps)):
+            if count > _MAX_FLOATS:
+                raise ValueError(f"{name} must be at most {_MAX_FLOATS}, got {count}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ from twostate import checks, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
+# the most float64 values one numpy array can hold
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 WP_FAST = [
     "--energy", "1", "--potential", "2", "--sigma", "20", "--x0", "-100",
     "--half-domain", "300", "--points", "1025", "--dt", "0.4", "--steps", "370",
@@ -284,6 +287,18 @@ def test_sweep_phase_overflow_exits_2_quietly(tmp_path):
          "half-domain 1e+200, x0=-300.0, k=0.5"),
         (["sweep", "transmission", "--coupling", "1e200", "--out", "t.csv"],
          "coupling**2 overflows at coupling=1e+200; coupling must be at most 1.341e+154"),
+        # k0**2 and G are finite, their product is not
+        (["greens", "--coupling", "1e150", "--hbar", "1e-150"],
+         "effective strength k0**2 |G| overflows at coupling=1e+150, hbar=1e-150, "
+         "mass=0.5, energy=0.5, potential=1.0; k0**2 sqrt(m / (2 hbar**2 (V - E))) "
+         "must stay below about 1.8e308"),
+        # counts that no numpy array can hold, refused before np.linspace
+        (["sweep", "transmission", f"--count={2**63}", "--out", "t.csv"],
+         f"count must be at most {MAX_FLOATS}, got {2**63}"),
+        (["wavepacket", f"--points={2**63}"],
+         f"points must be at most {MAX_FLOATS}, got {2**63}"),
+        (["wavepacket", f"--steps={2**63}"],
+         f"steps must be at most {MAX_FLOATS}, got {2**63}"),
     ],
 )
 def test_range_errors_exit_2_with_one_typed_line(argv, message, tmp_path):
@@ -291,6 +306,20 @@ def test_range_errors_exit_2_with_one_typed_line(argv, message, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "transmission", "--count=100"], ["wavepacket", "--points=1025"]]
+)
+def test_memory_error_exits_2_with_one_line(argv, monkeypatch, tmp_path, capsys):
+    def linspace(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
 
 
 def test_verify_reports_pass(monkeypatch, capsys):

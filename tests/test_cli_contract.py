@@ -1,7 +1,9 @@
 """No CLI input reaches a traceback: every run exits 0, or 2 with one line.
 
 ``cli.main`` catches only typed failures: ValueError (DomainError among
-them), OSError, RunGuardError and a missing dependency.  Each subcommand
+them), OSError, RunGuardError, MemoryError and a missing dependency, and
+every ``name = value`` line a run prints must hold a finite number, so a
+silent inf or NaN fails the test too.  Each subcommand
 is driven with its numeric options drawn over the whole finite float
 range, each one given as a flag or as a config-file value (where a JSON
 integer may be far beyond the float range), so an OverflowError, a
@@ -17,9 +19,10 @@ documented defaults, so no example allocates a large array.
 """
 
 import json
+import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twostate import cli, sweep, wavepacket
@@ -81,35 +84,44 @@ def out_dir(tmp_path_factory):
         yield tmp_path_factory.mktemp("contract")
 
 
-def _argv(data, command: list[str], options: dict, out_dir) -> list[str]:
-    """``command`` with a drawn subset of ``options`` as ``--name=value``
-    flags or as config-file values; the rest take their defaults."""
-    names = data.draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+@st.composite
+def _call(draw, options: dict) -> tuple[list[str], dict]:
+    """A drawn subset of ``options`` as ``--name=value`` flags and as
+    config-file values; the rest take their defaults."""
+    names = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
     flags, config = [], {}
     for name in names:
-        value = data.draw(options[name])
-        if data.draw(st.booleans()):
-            if isinstance(value, float) and data.draw(st.booleans()):
+        value = draw(options[name])
+        if draw(st.booleans()):
+            if isinstance(value, float) and draw(st.booleans()):
                 # a JSON integer of any size is a number to the config reader
-                value = data.draw(st.integers(min_value=2**1024)) * (1 if value >= 0 else -1)
+                value = draw(st.integers(min_value=2**1024)) * (1 if value >= 0 else -1)
             config[name] = value
         else:
             text = ",".join(map(repr, value)) if isinstance(value, list) else value
             flags.append(f"--{name.replace('_', '-')}={text}")
+    return flags, config
+
+
+def _check(command: list[str], call, out_dir, capsys) -> None:
+    """Run ``command`` with the call's flags and config file: exit 0 with
+    nothing on stderr, or 2 with one ``error:`` line, and in either case
+    every ``name = value`` printed is a finite number."""
+    flags, config = call
     path = out_dir / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    return [*command, *flags, f"--config={path}"]
-
-
-def _check(argv, capsys) -> None:
+    argv = [*command, *flags, f"--config={path}"]
     rc = cli.main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if rc == 0:
         assert err == ""
     else:
         assert rc == 2, (argv, rc, err)
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+    for line in out.splitlines():
+        if " = " in line:
+            assert math.isfinite(float(line.partition(" = ")[2])), (argv, out)
 
 
 CONTRACT = settings(
@@ -125,16 +137,20 @@ CONTRACT = settings(
 def test_sweep_options(data, quantity, out_dir, capsys):
     series = SWEEP_SERIES[sweep.QUANTITY_ROWS[quantity].series]
     command = ["sweep", quantity, f"--out={out_dir / 'sweep'}"]
-    _check(_argv(data, command, {**SWEEP, **series}, out_dir), capsys)
+    _check(command, data.draw(_call({**SWEEP, **series})), out_dir, capsys)
 
 
 @CONTRACT
-@given(data=st.data())
-def test_greens_options(data, out_dir, capsys):
-    _check(_argv(data, ["greens"], GREENS, out_dir), capsys)
+@given(call=_call(GREENS))
+# k0**2 and G are finite, their product is not
+@example(call=(["--coupling=1e150", "--hbar=1e-150"], {}))
+# 2 m (V - E) overflows, so kappa is inf, yet G at x1 = x2 is finite
+@example(call=(["--energy=0.25", "--potential=4.49423283715579e307", "--mass=2"], {}))
+def test_greens_options(call, out_dir, capsys):
+    _check(["greens"], call, out_dir, capsys)
 
 
 @CONTRACT
-@given(data=st.data())
-def test_wavepacket_options(data, out_dir, capsys):
-    _check(_argv(data, ["wavepacket"], WAVEPACKET, out_dir), capsys)
+@given(call=_call(WAVEPACKET))
+def test_wavepacket_options(call, out_dir, capsys):
+    _check(["wavepacket"], call, out_dir, capsys)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from twostate import (
     greens_constant,
     group_delays,
     solve_amplitudes,
+    wave_numbers,
 )
 
 
@@ -98,3 +100,52 @@ def test_underflowing_hbar_squared_is_a_domain_error(hbar):
     for closed_form in (lambda: solve_amplitudes(p), lambda: group_delays(p)):
         with pytest.raises(DomainError, match=overflow):
             closed_form()
+
+
+@pytest.mark.parametrize("make", [float, lambda x: np.array([x, x])], ids=["float", "array"])
+def test_diagonal_is_finite_where_kappa_overflows(make):
+    # 2 m (V - E) overflows, so kappa is inf, yet G(xc, xc) = -sqrt(m / (2
+    # hbar**2 (V - E))) is finite: the exponent -kappa |x1 - x2| is exactly 0
+    p = ModelParams(make(0.25), 4.49423283715579e307, 1.0, mass=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(wave_numbers(p).kappa == math.inf)
+        diagonal = greens_constant(0.0, 0.0, p)
+        amps = solve_amplitudes(p)
+        delays = group_delays(p)
+        assert np.all(greens_constant(0.0, 1.0, p) == 0.0)  # exp(-inf)
+    exact = -math.sqrt(2.0 / 2.0) / math.sqrt(4.49423283715579e307 - 0.25)
+    assert np.all(diagonal == exact)
+    assert np.all(effective_strength(p) == -exact)
+    for value in (*vars(amps).values(), *delays):
+        assert np.all(np.isfinite(value))
+    assert np.all(amps.transmission_prob == 1.0)
+
+
+@pytest.mark.parametrize(
+    "coupling", [1e150, np.array([1.0, 1e150])], ids=["float", "array"]
+)
+def test_effective_strength_overflow_is_a_domain_error(coupling):
+    # k0**2 = 1e300 is finite, and so is G = -sqrt(0.5 / (2e-300 * 0.5)), but
+    # their product is not
+    p = ModelParams(energy=0.5, potential=1.0, coupling=coupling, hbar=1e-150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            effective_strength(p)
+    assert str(info.value) == (
+        "effective strength k0**2 |G| overflows at coupling=1e+150, hbar=1e-150, "
+        "mass=0.5, energy=0.5, potential=1.0; k0**2 sqrt(m / (2 hbar**2 (V - E))) "
+        "must stay below about 1.8e308"
+    )
+
+
+@pytest.mark.parametrize("make", [float, lambda x: np.array([1.0, x])], ids=["float", "array"])
+def test_greens_overflow_is_a_domain_error(make):
+    # sqrt(m / (2 hbar**2)) = 5e153 over sqrt(V - E) = 2.2e-162
+    p = ModelParams(energy=0.0, potential=make(5e-324), coupling=1.0, hbar=1e-154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the Green's function overflows at "
+                           r"energy=0.0, potential=5e-324, hbar=1e-154, mass=0.5;"):
+            greens_constant(0.0, 0.0, p)

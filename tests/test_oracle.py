@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import warnings
@@ -162,6 +163,98 @@ def test_regularized_solution_is_consistent():
     exact = solve_amplitudes(p)
     assert abs(sol.transmission - exact.transmission) <= 2e-3
     assert abs(sol.reflection - exact.reflection) <= 2e-3
+
+
+# float.hex of each field that no BLAS or LAPACK kernel rounds, made before
+# the matching system was built in one loop over the strip edges
+REGULARIZED_PINS = [
+    (ModelParams(0.3, 1.0, 0.0), 1e-2, {  # k0 = 0
+        "width": ("0x1.47ae147ae147bp-7",),
+        "k": ("0x1.186f174f88472p-1",),
+        "kappa": ("0x1.ac5eb3f7ab2f8p-1",),
+        "modes": ("0x1.186f174f88472p-1", "0x0.0p+0", "0x0.0p+0", "0x1.ac5eb3f7ab2f8p-1"),
+        "eigenvectors": ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+                         "0x1.0000000000000p+0"),
+        "center": ("0x0.0p+0",),
+    }),
+    (ModelParams(0.7, 1.3, 0.8, mass=0.9, hbar=1.4, center=0.3), 1e-3, {
+        "width": ("0x1.0624dd2f1a9fcp-10",),
+        "k": ("0x1.9a8365810363fp-1",),
+        "kappa": ("0x1.7c0fba294d401p-1",),
+        "modes": ("0x1.b1b289f1ec3bfp+4", "0x0.0p+0", "0x0.0p+0", "0x1.b1ab9993948d1p+4"),
+        "eigenvectors": ("-0x1.6a2f8b5d06235p-1", "0x1.69e43d886ee94p-1",
+                         "0x1.69e43d886ee94p-1", "0x1.6a2f8b5d06235p-1"),
+        "center": ("0x1.3333333333333p-2",),
+    }),
+    (ModelParams(0.25, 1.0, 1.0), 1e-4, {
+        "width": ("0x1.a36e2eb1c432dp-14",),
+        "k": ("0x1.0000000000000p-1",),
+        "kappa": ("0x1.bb67ae8584caap-1",),
+        "modes": ("0x1.8ffeb855970e5p+6", "0x0.0p+0", "0x0.0p+0", "0x1.900147b1bffe0p+6"),
+        "eigenvectors": ("-0x1.6a0c3790142e3p-1", "0x1.6a07953c07744p-1",
+                         "0x1.6a07953c07744p-1", "0x1.6a0c3790142e3p-1"),
+        "center": ("0x0.0p+0",),
+    }),
+]
+
+
+def _hexes(value) -> tuple[str, ...]:
+    a = np.asarray(value)
+    if np.iscomplexobj(a):
+        a = np.stack([a.real, a.imag], axis=-1)
+    return tuple(float(x).hex() for x in a.ravel())
+
+
+def _entrywise_solve(sol):
+    """Solution and residual of the matching system written out entry by
+    entry, each product in the order of the one-loop build."""
+    k, kappa, modes, w_eig, width = sol.k, sol.kappa, sol.modes, sol.eigenvectors, sol.width
+    xm, xp = -width / 2.0, width / 2.0
+    fin, fref = cmath.exp(1j * k * xm), cmath.exp(-1j * k * xm)
+    fout, dec = cmath.exp(1j * k * xp), math.exp(-kappa * width / 2.0)
+    mat = np.zeros((8, 8), dtype=complex)
+    for j in range(2):
+        va, vb, q = w_eig[0, j], w_eig[1, j], modes[j]
+        em, emi = np.exp(1j * q * xm), np.exp(-1j * q * xm)
+        ep, epi = np.exp(1j * q * xp), np.exp(-1j * q * xp)
+        ca, cb = 4 + 2 * j, 5 + 2 * j
+        mat[0, ca], mat[0, cb] = va * em, va * emi
+        mat[1, ca], mat[1, cb] = va * 1j * q * em, -va * 1j * q * emi
+        mat[2, ca], mat[2, cb] = vb * em, vb * emi
+        mat[3, ca], mat[3, cb] = vb * 1j * q * em, -vb * 1j * q * emi
+        mat[4, ca], mat[4, cb] = va * ep, va * epi
+        mat[5, ca], mat[5, cb] = va * 1j * q * ep, -va * 1j * q * epi
+        mat[6, ca], mat[6, cb] = vb * ep, vb * epi
+        mat[7, ca], mat[7, cb] = vb * 1j * q * ep, -vb * 1j * q * epi
+    mat[0, 0], mat[1, 0], mat[2, 2], mat[3, 2] = -fref, 1j * k * fref, -dec, -kappa * dec
+    mat[4, 1], mat[5, 1], mat[6, 3], mat[7, 3] = -fout, -1j * k * fout, -dec, kappa * dec
+    rhs = np.zeros(8, dtype=complex)
+    rhs[0], rhs[1] = fin, 1j * k * fin
+    x = np.linalg.solve(mat, rhs)
+    return x, float(np.max(np.abs(mat @ x - rhs)))
+
+
+@pytest.mark.parametrize(
+    ("p", "width", "pins"), REGULARIZED_PINS, ids=["k0=0", "mass-hbar-center", "w=1e-4"]
+)
+def test_regularized_solution_is_bit_identical(p, width, pins):
+    # the solved fields depend on how LAPACK rounds (OpenBLAS's kernels for
+    # different CPUs differ in the last bits), so they are compared with the
+    # same system solved here rather than with pins
+    sol = solve_regularized(p, width)
+    for field, want in pins.items():
+        assert _hexes(getattr(sol, field)) == want, field
+    x, residual = _entrywise_solve(sol)
+    solved = {
+        "reflection": complex(x[0]) * cmath.exp(2j * sol.k * p.center),
+        "transmission": x[1],
+        "evanescent_left": x[2],
+        "evanescent_right": x[3],
+        "interior": x[4:8],
+        "residual": residual,
+    }
+    for field, want in solved.items():
+        assert _hexes(getattr(sol, field)) == _hexes(want), field
 
 
 def test_regularized_wavefunction_continuity():

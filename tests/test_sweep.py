@@ -202,3 +202,6 @@ def test_run_sweep_validation(tmp_path):
         SweepVariable("epsilon", 0.1, 0.9, 1)
     with pytest.raises(ValueError):
         SweepVariable("epsilon", math.nan, 0.9, 5)
+    most = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
+    with pytest.raises(ValueError, match=f"^count must be at most {most}, got {2**63}$"):
+        SweepVariable("epsilon", 0.1, 0.9, 2**63)

@@ -409,6 +409,13 @@ def test_grid_validation(kwargs):
         GridSpec(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["points", "steps"])
+def test_grid_counts_beyond_any_array_are_refused(field):
+    most = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
+    with pytest.raises(ValueError, match=f"^{field} must be at most {most}, got {2**63}$"):
+        GridSpec(half_length=300.0, **{field: 2**63})
+
+
 def test_propagate_validation():
     with pytest.raises(ValueError):
         propagate(PACKET, P_COUPLED, width=0.0, grid=GRID)
