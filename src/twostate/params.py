@@ -132,6 +132,18 @@ _isfinite = math.isfinite
 _ndarray = np.ndarray
 
 
+def _as_float(name: str, value, kinds: str = "a real number") -> float:
+    """A real scalar as a Python float: a bool and a non-real raise TypeError
+    (naming ``kinds``, what ``name`` may be), an int or a fraction beyond the
+    float range a DomainError naming ``name``."""
+    if not isinstance(value, numbers.Real) or type(value) is bool:
+        raise TypeError(f"{name} must be {kinds}, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got {value!r:.24}...") from None
+
+
 class _Validated:
     """Validation shared by the parameter types, driven by one rule table.
 
@@ -160,7 +172,7 @@ class _Validated:
                 # least convert a size-1 array to a float with only a warning
                 if isinstance(value, _ndarray):
                     break
-                value = self._as_float(name, value)
+                value = self._store_float(name, value)
             if not _isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
         else:
@@ -171,24 +183,17 @@ class _Validated:
             raise DomainError(message.format(**vars(self)))
         self._adopt_arrays()
 
-    def _as_float(self, name: str, value) -> float:
-        """Store a real scalar field as a Python float; a bool is not one."""
-        if not isinstance(value, numbers.Real) or type(value) is bool:
-            raise TypeError(
-                f"{name} must be a real number or a float array, got {type(value).__name__}"
-            )
-        try:
-            value = float(value)
-        except OverflowError:  # an int or a fraction beyond the float range
-            raise DomainError(f"{name} must be finite, got {value!r:.24}...") from None
+    def _store_float(self, name: str, value) -> float:
+        """Store a real scalar field as a Python float (see ``_as_float``)."""
+        value = _as_float(name, value, "a real number or a float array")
         object.__setattr__(self, name, value)
         return value
 
     def _adopt_arrays(self) -> None:
         names = self.__match_args__
         values = [getattr(self, name) for name in names]
-        arrays = [np.asarray(v if isinstance(v, _ndarray) else self._as_float(n, v), dtype=float)
-                  for n, v in zip(names, values)]
+        arrays = [np.asarray(v if isinstance(v, _ndarray) else self._store_float(n, v),
+                             dtype=float) for n, v in zip(names, values)]
         try:
             shape = np.broadcast_shapes(*(a.shape for a in arrays))
         except ValueError:

@@ -80,8 +80,14 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     sqrt = p.ops.sqrt
     numer = m * power("hbar", 3) * power("coupling", 2) * (2.0 * e - v)
     quartic = 4.0 * power("hbar", 4) * e * (v - e) + power("coupling", 4) * power("mass", 2)
-    # the denominator may overflow to inf, unwarned on arrays as on floats
-    tau_gt = numer / p.ops.muldiv(sqrt(e) * sqrt(v - e), quartic, 1.0)
+    root = sqrt(e) * sqrt(v - e)
+    # the denominator may overflow to inf, unwarned on arrays as on floats;
+    # only there is the quotient taken in two steps, so no other bit moves
+    denominator = p.ops.muldiv(root, quartic, 1.0)
+    tau_gt = numer / denominator
+    if p.ops.any(denominator == math.inf):
+        tau_gt = p.ops.where(denominator == math.inf,
+                             p.ops.muldiv(numer, 1.0, root) / quartic, tau_gt)
     tau_gr = tau_gt
     tau_g = amps.transmission_prob * tau_gt + amps.reflection_prob * tau_gr
     return tau_gt, tau_gr, tau_g

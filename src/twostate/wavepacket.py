@@ -27,12 +27,16 @@ The arrival time is the instant the centroid of the transmitted density
 detector plane at half the domain radius.  A free run with the coupling
 switched off on the same grid supplies the reference; the reported delay
 is the difference and converges to the analytic group delay in the
-narrow-band limit, with a finite-bandwidth bias well inside 25%.
+narrow-band limit, with a finite-bandwidth bias well inside 25%.  The free
+run reads neither V, k0 nor the width, so its crossing time is kept in a
+small bounded cache and reused by every call on the same packet and grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .params import _MAX_FLOATS, DomainError, ModelParams, RunGuardError
+from .params import _MAX_FLOATS, DomainError, ModelParams, RunGuardError, _as_float
 
 __all__ = [
     "BoundaryContaminationError",
@@ -69,12 +73,21 @@ class NoCrossingError(RunGuardError):
     """The transmitted centroid never reached the detector plane."""
 
 
+def _as_count(name: str, value) -> int:
+    """A count as a Python int; a bool, a float or a non-integer raises TypeError."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class PacketSpec:
     """Gaussian open-channel packet exp(-(x-center)^2/(4 sigma^2) + i kbar x).
 
     center must sit on the incident side (negative) at least five widths
     from the coupling so the initial overlap with the strip is negligible.
+    The fields are stored as Python floats (``params._as_float``: a bool is
+    refused, an int beyond the float range raises DomainError).
     """
 
     center: float
@@ -82,6 +95,8 @@ class PacketSpec:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("center", "wavenumber", "sigma"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not all(
             math.isfinite(v) for v in (self.center, self.wavenumber, self.sigma)
         ):
@@ -117,7 +132,11 @@ class PacketSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid [-half_length, half_length] with fixed step count."""
+    """Uniform grid [-half_length, half_length] with fixed step count.
+
+    Like ``PacketSpec``, it stores its fields as Python floats and ints, so
+    that equal specs mean bit-identical runs.
+    """
 
     half_length: float
     points: int = 2048
@@ -125,6 +144,10 @@ class GridSpec:
     steps: int = 2000
 
     def __post_init__(self) -> None:
+        for name in ("half_length", "dt"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
+        for name in ("points", "steps"):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         if not (math.isfinite(self.half_length) and math.isfinite(self.dt)):
             raise ValueError(
                 f"half_length and dt must be finite, got {self.half_length} "
@@ -390,7 +413,9 @@ def propagate(
 
     Runs the coupled configuration and a free reference on the same grid
     and returns the centroid-crossing delay, the worst norm drift of the
-    coupled run and the transmitted fraction at the end of the run.  When
+    coupled run and the transmitted fraction at the end of the run.  The
+    free reference runs once per packet, grid, hbar, mass and strip edge
+    and is reused by later calls that share them (``_free_arrival``).  When
     ``snapshot_path`` is given, rows (t, x, |phi1|^2, |phi2|^2) of the
     coupled run are dumped every ``snapshot_stride`` steps.
     """
@@ -414,17 +439,35 @@ def propagate(
     if snapshot_stride < 1:
         raise ValueError("snapshot stride must be >= 1")
 
+    x, dx, psi0 = _initial_state(packet, grid)
+    if not 2.0 * p.mass * dx**2 > 0.0:  # the hopping hbar**2 / (2 m dx**2)
+        raise ValueError(f"2 m dx**2 underflows to 0 at mass={p.mass}, dx={dx}")
+    start = int(np.searchsorted(x, p.center + width / 2.0, side="right"))
+
+    gvec = _coupling_cells(x, dx, p, width)
+    ts, cs, drift, transmitted = _run(
+        psi0, x, dx, gvec, p, grid, start, snapshot_path, snapshot_stride
+    )
+    # float(): a 0-d array field is unhashable, and the key must be exact
+    t_free = _free_arrival(packet, grid, float(p.hbar), float(p.mass), start)
+    t_arrival = _crossing_time(ts, cs, grid.half_length / 2.0)
+    return DelayResult(
+        t_arrival=t_arrival,
+        t_free=t_free,
+        delay=t_arrival - t_free,
+        norm_drift=drift,
+        transmitted_fraction=transmitted,
+    )
+
+
+def _initial_state(packet: PacketSpec, grid: GridSpec):
+    """The grid x, its spacing dx and the packet psi0 on it, normalized."""
     reach = grid.half_length - packet.center  # the largest |x - x0| on the grid
     if not (reach * reach < math.inf and packet.wavenumber * reach < math.inf):
         raise ValueError(f"(half-domain - x0)**2 or k (half-domain - x0) overflows at half-"
                          f"domain {grid.half_length}, x0={packet.center}, k={packet.wavenumber}")
     x = np.linspace(-grid.half_length, grid.half_length, grid.points)
     dx = float(x[1] - x[0])
-    if not 2.0 * p.mass * dx**2 > 0.0:  # the hopping hbar**2 / (2 m dx**2)
-        raise ValueError(f"2 m dx**2 underflows to 0 at mass={p.mass}, dx={dx}")
-    start = int(np.searchsorted(x, p.center + width / 2.0, side="right"))
-    plane = grid.half_length / 2.0
-
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the Gaussian's value there
         envelope = np.exp(-((x - packet.center) ** 2) / (4.0 * packet.sigma**2))
     psi0 = envelope * np.exp(1j * packet.wavenumber * x)
@@ -435,19 +478,21 @@ def propagate(
             f"on the grid of half-domain {grid.half_length}; move x0 inside it"
         )
     psi0 /= math.sqrt(norm)
+    return x, dx, psi0
 
-    gvec = _coupling_cells(x, dx, p, width)
-    ts, cs, drift, transmitted = _run(
-        psi0, x, dx, gvec, p, grid, start, snapshot_path, snapshot_stride
-    )
-    ts_free, cs_free, _, _ = _run(psi0, x, dx, np.zeros_like(gvec), p, grid, start)
 
-    t_arrival = _crossing_time(ts, cs, plane)
-    t_free = _crossing_time(ts_free, cs_free, plane)
-    return DelayResult(
-        t_arrival=t_arrival,
-        t_free=t_free,
-        delay=t_arrival - t_free,
-        norm_drift=drift,
-        transmitted_fraction=transmitted,
-    )
+@functools.lru_cache(maxsize=16)
+def _free_arrival(packet: PacketSpec, grid: GridSpec, hbar: float, mass: float,
+                  start: int) -> float:
+    """Crossing time of the free reference run: the coupling off, on the grid.
+
+    The free run reads nothing but these arguments (``start`` is the first
+    grid index past the strip), so calls that share them, such as sweeps of
+    V, k0 or the width at one packet and grid, share one run.  A run that
+    raises caches nothing.  The specs store their fields as Python floats
+    and ints, so equal keys mean bit-identical runs.
+    """
+    x, dx, psi0 = _initial_state(packet, grid)
+    free = ModelParams(0.0, 1.0, 0.0, mass=mass, hbar=hbar)  # E, V, k0 unread at k0 = 0
+    ts, cs, _, _ = _run(psi0, x, dx, np.zeros_like(x), free, grid, start)
+    return _crossing_time(ts, cs, grid.half_length / 2.0)

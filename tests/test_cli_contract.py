@@ -79,9 +79,12 @@ def _stub_splu(*args):
 
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
+    # a cached free-run time would be read and kept under the stub: clear it
+    wavepacket._free_arrival.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wavepacket, "splu", _stub_splu)
         yield tmp_path_factory.mktemp("contract")
+    wavepacket._free_arrival.cache_clear()
 
 
 @st.composite

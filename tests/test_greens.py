@@ -113,7 +113,7 @@ def test_diagonal_is_finite_where_kappa_overflows(make):
         diagonal = greens_constant(0.0, 0.0, p)
         amps = solve_amplitudes(p)
         delays = group_delays(p)
-        assert np.all(greens_constant(0.0, 1.0, p) == 0.0)  # exp(-inf)
+        assert np.all(greens_constant(0.0, 1.0, p) == 0.0)  # exp(-1.3e154)
     exact = -math.sqrt(2.0 / 2.0) / math.sqrt(4.49423283715579e307 - 0.25)
     assert np.all(diagonal == exact)
     assert np.all(effective_strength(p) == -exact)
@@ -149,3 +149,58 @@ def test_greens_overflow_is_a_domain_error(make):
         with pytest.raises(DomainError, match=r"^the Green's function overflows at "
                            r"energy=0.0, potential=5e-324, hbar=1e-154, mass=0.5;"):
             greens_constant(0.0, 0.0, p)
+
+
+
+def _exact_greens(x1, x2, energy, potential, mass, hbar):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        m, h, gap = mp.mpf(mass), mp.mpf(hbar), mp.mpf(potential) - mp.mpf(energy)
+        kappa = mp.sqrt(2 * m * gap) / h
+        decay = mp.exp(-kappa * abs(mp.mpf(x1) - mp.mpf(x2)))
+        return float(-mp.sqrt(m / (2 * h**2)) * decay / mp.sqrt(gap))
+
+
+@pytest.mark.parametrize(
+    ("x1", "x2", "energy", "potential", "mass", "hbar"),
+    [
+        # |x1 - x2| overflows while kappa underflows to 0 and m / (2 hbar**2)
+        # to 0: the plain form gave NaN
+        (1e308, -1e308, 0.0, 1e-30, 1e-300, 1e154),
+        # 2 m (V - E) overflows though kappa = 1.34e154 is finite: the plain
+        # form gave -0.0
+        (0.0, 1e-300, 0.25, 4.49423283715579e307, 2.0, 1.0),
+        # 2 m overflows: the plain form gave -0.0, and warned on arrays
+        (0.0, 1e-160, 0.25, 1.0, 1.7e308, 1.0),
+    ],
+    ids=["distance-overflows", "kappa-product-overflows", "twice-mass-overflows"],
+)
+def test_extreme_exponents_match_mpmath(x1, x2, energy, potential, mass, hbar):
+    exact = _exact_greens(x1, x2, energy, potential, mass, hbar)
+    assert exact < 0.0 and math.isfinite(exact)
+    p = ModelParams(energy, potential, 1.0, mass=mass, hbar=hbar)
+    pair = ModelParams(*(np.array([v, v]) for v in (energy, potential, 1.0, mass, hbar)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = greens_constant(x1, x2, p)
+        values = greens_constant(x1, x2, pair)
+    assert type(value) is float
+    assert abs(value - exact) <= 2 * math.ulp(exact)
+    assert np.all(values == value)
+
+
+def test_points_beside_a_rescaled_one_keep_their_bits():
+    # the second point takes the rescaled form; the first keeps the bits the
+    # plain form gives it alone (pinned before the rescaled form existed)
+    p = ModelParams(np.array([0.25, 0.25]), np.array([1.0, 4.49423283715579e307]), 1.0,
+                    mass=np.array([0.5, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = greens_constant(0.0, 1e-300, p)
+        unit = greens_constant(0.0, 1.0, p)
+    alone = ModelParams(0.25, 1.0, 1.0)
+    assert values[0] == greens_constant(0.0, 1e-300, alone)
+    assert values[1] == greens_constant(0.0, 1e-300, ModelParams(0.25, 4.49423283715579e307,
+                                                                 1.0, mass=2.0))
+    assert float(unit[0]).hex() == greens_constant(0.0, 1.0, alone).hex() == "-0x1.f158c399cb320p-3"
+    assert unit[1] == 0.0  # exp(-1.3e154)

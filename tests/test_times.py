@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from twostate import (
@@ -152,3 +154,26 @@ def test_extremal_coupling_names_the_bad_field(epsilon, potential, message):
 def test_extremal_coupling_outside_float_range(potential, quantity):
     with pytest.raises(DomainError, match=f"{quantity} .* <= 1.798e\\+308"):
         extremal_coupling(0.25, potential)
+
+
+def test_group_delay_where_the_denominator_product_overflows():
+    # sqrt(E) sqrt(V - E) (4 hbar**4 E (V - E) + k0**4 m**2) overflows at the
+    # second point, so the quotient is taken in two steps there; the plain
+    # point keeps its bits (pinned before the two-step quotient existed)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        e, v, k0, m = map(mp.mpf, (0.25, 4.49423283715579e307, 1.0, 2.0))
+        exact = float(m * k0**2 * (2 * e - v)
+                      / (mp.sqrt(e) * mp.sqrt(v - e) * (4 * e * (v - e) + k0**4 * m**2)))
+    p = ModelParams(0.25, 4.49423283715579e307, 1.0, mass=2.0)
+    pair = ModelParams(np.array([0.25, 0.25]), np.array([1.0, 4.49423283715579e307]), 1.0,
+                       mass=np.array([0.5, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delays = group_delays(p)
+        arrays = group_delays(pair)
+    assert delays[0] < 0.0 and abs(delays[0] - exact) <= 2 * math.ulp(exact)
+    assert delays[0] == delays[1] == delays[2]  # |T|**2 = 1 there
+    assert [float(d[1]) for d in arrays] == list(delays)
+    assert [float(d[0]).hex() for d in arrays] == [
+        "-0x1.279a74590331dp-1", "-0x1.279a74590331dp-1", "-0x1.279a74590331bp-1"]

@@ -2,6 +2,11 @@ import ast
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +40,16 @@ P_COUPLED = ModelParams(energy=1.0, potential=2.0, coupling=1.0)
 P_FREE = ModelParams(energy=1.0, potential=2.0, coupling=0.0)
 PACKET = PacketSpec.for_energy(1.0, P_COUPLED, sigma=20.0, center=-100.0)
 GRID = GridSpec(half_length=300.0, points=3001, dt=0.4, steps=370)
+
+
+@pytest.fixture
+def fresh_reference():
+    """An empty free-run cache before and after the test, for a test that
+    substitutes ``splu``, ``_run`` or a tolerance: it must neither read a
+    cached t_free nor leave one behind."""
+    wavepacket._free_arrival.cache_clear()
+    yield
+    wavepacket._free_arrival.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +236,7 @@ def test_per_step_closures_use_no_numpy_blas():
             assert called not in banned, f"{name} calls {called}"
 
 
-def test_cli_default_delay_matches_superlu(monkeypatch):
+def test_cli_default_delay_matches_superlu(monkeypatch, fresh_reference):
     o = {opt.name: opt.default for opt in _OPTIONS["wavepacket"]}
     p = ModelParams(
         energy=o["energy"], potential=o["potential"], coupling=o["coupling"],
@@ -230,8 +245,18 @@ def test_cli_default_delay_matches_superlu(monkeypatch):
     packet = PacketSpec.for_energy(o["energy"], p, sigma=o["sigma"], center=o["x0"])
     grid = GridSpec(o["half_domain"], o["points"], o["dt"], o["steps"])
     got = propagate(packet, p, width=o["width"], grid=grid)
-    monkeypatch.setattr(wavepacket, "splu", _superlu_factor)
+    couplings = []
+
+    def factor(t, potential, gvec, lam):
+        couplings.append(gvec.copy())
+        return _superlu_factor(t, potential, gvec, lam)
+
+    # SuperLU must run the free reference too, not reuse the t_free just cached
+    wavepacket._free_arrival.cache_clear()
+    monkeypatch.setattr(wavepacket, "splu", factor)
     want = propagate(packet, p, width=o["width"], grid=grid)
+    wavepacket._free_arrival.cache_clear()
+    assert [bool(g.any()) for g in couplings] == [True, False]
     for name in ("t_arrival", "t_free", "transmitted_fraction"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10)
     assert abs(got.delay - want.delay) <= 1e-10 * want.t_free
@@ -319,7 +344,7 @@ def test_snapshots_written(tmp_path):
 
 
 @pytest.mark.parametrize("edge", [0, -1])
-def test_closed_channel_edge_density_is_guarded(edge, monkeypatch):
+def test_closed_channel_edge_density_is_guarded(edge, monkeypatch, fresh_reference):
     # channel 2 is carried as S phi2; a 1e-3 amplitude put on its first or
     # last grid point after the first step must trip the edge guard
     factor = wavepacket.splu
@@ -445,3 +470,120 @@ def test_central_energy_overflow_is_a_domain_error():
     packet = PacketSpec(center=-10.0, wavenumber=1.3407807929942597e154, sigma=1.0)
     with pytest.raises(DomainError, match=r"^\(hbar k\)\*\*2 overflows at hbar=1.0, k=1.34"):
         packet.central_energy(ModelParams(0.25, 1.0, 1.0))
+
+
+def _hexes(result):
+    return [float.hex(getattr(result, f.name)) for f in dataclasses.fields(DelayResult)]
+
+
+def test_reused_reference_is_bit_identical_to_a_fresh_process(fresh_reference):
+    first = propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID)
+    again = propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID)  # reads the cached t_free
+    script = (
+        "import dataclasses\n"
+        "from twostate import DelayResult, GridSpec, ModelParams, PacketSpec, propagate\n"
+        "p = ModelParams(energy=1.0, potential=2.0, coupling=1.0)\n"
+        "packet = PacketSpec.for_energy(1.0, p, sigma=20.0, center=-100.0)\n"
+        "grid = GridSpec(half_length=300.0, points=3001, dt=0.4, steps=370)\n"
+        "r = propagate(packet, p, width=1e-3, grid=grid)\n"
+        "print(*(float.hex(getattr(r, f.name)) for f in dataclasses.fields(DelayResult)))\n"
+    )
+    src = str(Path(wavepacket.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert fresh.stdout.split() == _hexes(first) == _hexes(again)
+
+
+def _counting_run(free_runs):
+    """A stand-in for ``_run`` that counts the free runs (no coupled cell)
+    and returns a centroid crossing the detector plane at t = 0.5."""
+
+    def run(psi0, x, dx, gvec, p, grid, start, *rest):
+        if not gvec.any():
+            free_runs.append(start)
+        plane = grid.half_length / 2.0
+        return np.array([0.0, 1.0]), np.array([plane - 1.0, plane + 1.0]), 0.0, 0.5
+
+    return run
+
+
+def test_free_reference_reruns_only_when_what_it_reads_changes(monkeypatch, fresh_reference):
+    free_runs = []
+    monkeypatch.setattr(wavepacket, "_run", _counting_run(free_runs))
+    p = ModelParams(energy=1.0, potential=2.0, coupling=1.0)
+    packet = PacketSpec(center=-125.0, wavenumber=1.0, sigma=25.0)
+    replace = dataclasses.replace
+    cases = [  # (packet, params, width, grid), and whether the free run repeats
+        ((packet, p, 1e-3, GRID), True),
+        ((packet, replace(p, potential=2.5), 1e-3, GRID), False),
+        ((packet, replace(p, coupling=0.5), 1e-3, GRID), False),
+        ((packet, p, 2e-3, GRID), False),  # the same start index
+        ((packet, replace(p, hbar=1.05), 1e-3, GRID), True),
+        ((packet, replace(p, mass=0.55), 1e-3, GRID), True),
+        ((packet, p, 1e-3, replace(GRID, dt=0.5)), True),
+        ((packet, p, 1e-3, replace(GRID, steps=371)), True),
+        ((packet, p, 1e-3, replace(GRID, points=3003)), True),
+        ((packet, p, 1e-3, replace(GRID, half_length=310.0)), True),
+        ((replace(packet, center=-130.0), p, 1e-3, GRID), True),
+        ((replace(packet, sigma=24.0), p, 1e-3, GRID), True),
+        ((replace(packet, wavenumber=1.05), p, 1e-3, GRID), True),
+        ((packet, replace(p, center=0.3), 1e-3, GRID), True),  # start moves by 1.5 cells
+        ((packet, p, 1e-3, GRID), False),
+    ]
+    for (spec, params, width, grid), reruns in cases:
+        free_runs.clear()
+        result = propagate(spec, params, width=width, grid=grid)
+        assert len(free_runs) == reruns, (spec, params, width, grid)
+        assert result.delay == 0.0
+    assert wavepacket._free_arrival.cache_info().currsize == 11
+
+
+def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
+    free_runs = []
+    run = _counting_run(free_runs)
+
+    def stalled(psi0, x, dx, gvec, p, grid, start, *rest):
+        ts, cs, drift, mass = run(psi0, x, dx, gvec, p, grid, start, *rest)
+        return ts, cs if gvec.any() else np.full(2, np.nan), drift, mass
+
+    monkeypatch.setattr(wavepacket, "_run", stalled)
+    with pytest.raises(NoCrossingError):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID)
+    monkeypatch.setattr(wavepacket, "_run", run)
+    assert propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID).delay == 0.0
+    assert len(free_runs) == 2
+
+
+@pytest.mark.parametrize(
+    ("make", "error", "match"),
+    [
+        (lambda: PacketSpec(center=-10**400, wavenumber=1.0, sigma=1.0),
+         DomainError, r"^center must be finite, got -1000"),
+        (lambda: GridSpec(half_length=10**400), DomainError, r"^half_length must be finite"),
+        (lambda: PacketSpec(center=-100.0, wavenumber=True, sigma=20.0),
+         TypeError, r"^wavenumber must be a real number, got bool$"),
+        (lambda: GridSpec(half_length=True), TypeError, r"^half_length must be a real number"),
+        (lambda: GridSpec(half_length=300.0, points=2049.5),
+         TypeError, r"^points must be an integer, got float$"),
+        (lambda: GridSpec(half_length=300.0, steps=700.5),
+         TypeError, r"^steps must be an integer, got float$"),
+        (lambda: GridSpec(half_length=300.0, steps=True),
+         TypeError, r"^steps must be an integer, got bool$"),
+    ],
+    ids=["huge-center", "huge-half-length", "bool-wavenumber", "bool-half-length",
+         "float-points", "float-steps", "bool-steps"],
+)
+def test_spec_fields_of_the_wrong_type_are_refused(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
+def test_spec_fields_become_python_floats_and_ints():
+    # the specs are the free-run cache key: an equal spec must be one that
+    # computes the same bits, so every field is stored in one type
+    packet = PacketSpec(center=-100, wavenumber=np.float32(0.5), sigma=Fraction(20))
+    grid = GridSpec(half_length=np.float64(300.0), points=np.int64(3001),
+                    dt=Fraction(2, 5), steps=np.int32(370))
+    assert [type(v) for v in vars(packet).values()] == [float, float, float]
+    assert [type(v) for v in vars(grid).values()] == [float, int, float, int]
+    assert grid == GRID and hash(grid) == hash(GRID)
