@@ -1,16 +1,19 @@
 """Named verification checks behind the `verify` CLI subcommand.
 
 Each check compares an independent computation path against the closed
-forms and reports a pass/fail with the measured figure of merit.  The
-collaborators are looked up through their modules on every call, so a
-fault injected into e.g. ``times.group_delays`` or
-``scatter.solve_amplitudes`` is guaranteed to surface in the matching
-check.
+forms and reports a pass/fail with the measured figures of merit.  A check
+computes its figures and hands them to ``_result``, which derives both the
+verdict and the printed text from that one list, so every figure that
+decides ``passed`` is printed beside its bound.  The collaborators are
+looked up through their modules on every call, so a fault injected into
+e.g. ``times.group_delays`` or ``scatter.solve_amplitudes`` is guaranteed
+to surface in the matching check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,15 @@ __all__ = ["CheckResult", "run_verification"]
 
 _TAU_TARGET = -0.5773502691896258  # closed-form value at (0.25, 1, 1)
 
+# rule -> test of a figure against its bound; a NaN meets none of them
+_RULES = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "==": operator.eq,
+    "in": lambda value, bound: bound[0] <= value <= bound[1],
+}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -30,8 +42,34 @@ class CheckResult:
     detail: str
 
 
+def _result(name: str, *figures: tuple) -> CheckResult:
+    """The result of check ``name`` from its figures.
+
+    Each figure is ``(label, value, rule, bound)``, with ``rule`` a key of
+    ``_RULES`` (``bound`` a (low, high) pair for ``in``), or ``(label,
+    value)`` for a figure that is reported and never asserted.  The check
+    passes when every asserted figure meets its bound; ``detail`` prints
+    every figure, floats to 4 significant digits, each with its bound.
+    """
+    passed, parts = True, []
+    for label, value, *test in figures:
+        part = f"{label} = {value:.4g}" if isinstance(value, float) else f"{label} = {value}"
+        if test:
+            rule, bound = test
+            passed = _RULES[rule](value, bound) and passed
+            shown = f"[{bound[0]:g}, {bound[1]:g}]" if rule == "in" else f"{bound:g}"
+            part += f" ({rule} {shown})"
+        parts.append(part)
+    return CheckResult(name=name, passed=bool(passed), detail="; ".join(parts))
+
+
+def _not_falling(values) -> int:
+    """How many consecutive values fail to fall; a NaN counts."""
+    return sum(not a > b for a, b in zip(values, values[1:]))
+
+
 def check_unitarity_grid() -> CheckResult:
-    """|T|^2 + |R|^2 = 1 to 1e-12 over >= 1e4 parameter triples."""
+    """|T|^2 + |R|^2 = 1 over about 1e4 parameter triples."""
     eps = np.linspace(0.01, 0.99, 50)
     k0 = np.sqrt(np.linspace(0.01, 10.0, 67))
     maxima = []
@@ -48,15 +86,12 @@ def check_unitarity_grid() -> CheckResult:
             maxima.append(defect.max())
             count += defect.size
     worst = float(np.max(maxima))  # NaN propagates and fails the check
-    return CheckResult(
-        name="unitarity_grid",
-        passed=worst <= 1e-12,
-        detail=f"max |T2+R2-1| = {worst:.3e} over {count} triples (tol 1e-12)",
-    )
+    return _result("unitarity_grid", ("max |T2+R2-1|", worst, "<=", 1e-12),
+                   ("triples", count))
 
 
 def check_closed_form_consistency() -> CheckResult:
-    """Full-unit delay, taxonomy value and reduced form agree to 1e-12."""
+    """Full-unit delay, taxonomy value and reduced form agree."""
     r = ReducedParams(
         epsilon=np.linspace(0.05, 0.95, 19),
         potential=np.array([0.5, 1.0, 2.0])[:, None, None],
@@ -71,11 +106,8 @@ def check_closed_form_consistency() -> CheckResult:
     keep = ~(np.abs(reduced) <= 1e-9)
     dev = np.maximum(np.abs(full - reduced), np.abs(taxonomy - reduced)) / np.abs(reduced)
     worst = float(np.max(dev[keep], initial=0.0))
-    return CheckResult(
-        name="closed_form_consistency",
-        passed=worst <= 1e-12,
-        detail=f"max relative spread of the three forms = {worst:.3e} (tol 1e-12)",
-    )
+    return _result("closed_form_consistency",
+                   ("max relative spread of the three forms", worst, "<=", 1e-12))
 
 
 def check_phase_derivative_oracle() -> CheckResult:
@@ -87,17 +119,11 @@ def check_phase_derivative_oracle() -> CheckResult:
     err_fine = abs(oracle.fd_group_delay(p, 5e-4 * p.potential) - analytic)
     ratio = err_coarse / err_fine if err_fine > 0.0 else math.inf
     tight = oracle.fd_group_delay(p, 1e-6 * p.potential)
-    gap_analytic = abs(tight - analytic)
-    gap_target = abs(tight - _TAU_TARGET)
-    ok = 3.5 <= ratio <= 4.5 and gap_analytic <= 1e-6 and gap_target <= 1e-6
-    return CheckResult(
-        name="phase_derivative_oracle",
-        passed=ok,
-        detail=(
-            f"halving ratio = {ratio:.3f} (want [3.5, 4.5]); "
-            f"|fd - analytic| = {gap_analytic:.3e}, "
-            f"|fd - target| = {gap_target:.3e} at h = 1e-6 (tol 1e-6)"
-        ),
+    return _result(
+        "phase_derivative_oracle",
+        ("halving ratio", ratio, "in", (3.5, 4.5)),
+        *((f"|fd - {label}| at h=1e-6", abs(tight - ref), "<=", 1e-6)
+          for label, ref in (("analytic", analytic), ("target", _TAU_TARGET))),
     )
 
 
@@ -111,27 +137,18 @@ def check_structural_laws() -> CheckResult:
         ReducedParams(epsilon=np.stack([grid, 1.0 - grid]), potential=1.0, coupling=1.0)
     )
     side = 2.0 * grid - 1.0
-    sign_ok = bool(np.all(
-        (np.signbit(tau) == np.signbit(side)) | ((tau == 0.0) & (side == 0.0))
-    ))
+    off = np.count_nonzero(
+        (np.signbit(tau) != np.signbit(side)) & ~((tau == 0.0) & (side == 0.0))
+    )
     anti_worst = float(np.max(np.abs(tau + mirror) / np.maximum(1.0, np.abs(tau))))
-    edge_low = times.transition_time(
-        ReducedParams(epsilon=1e-6, potential=1.0, coupling=1.0)
-    )
-    edge_high = times.transition_time(
-        ReducedParams(epsilon=1.0 - 1e-6, potential=1.0, coupling=1.0)
-    )
-    diverges = abs(edge_low) > 1e2 and abs(edge_high) > 1e2
-    ok = zero == 0.0 and sign_ok and anti_worst <= 1e-12 and diverges
-    return CheckResult(
-        name="structural_laws",
-        passed=ok,
-        detail=(
-            f"tau(1/2) = {zero!r}; sign law {'holds' if sign_ok else 'broken'}; "
-            f"max antisymmetry defect = {anti_worst:.3e} (tol 1e-12); "
-            f"|tau| at eps = 1e-6 / 1-1e-6: {abs(edge_low):.1f} / "
-            f"{abs(edge_high):.1f} (want > 1e2)"
-        ),
+    return _result(
+        "structural_laws",
+        ("tau(1/2)", zero, "==", 0.0),
+        ("points off the sign law", off, "==", 0),
+        ("max antisymmetry defect", anti_worst, "<=", 1e-12),
+        *((f"|tau| at eps={eps:g}", abs(times.transition_time(
+            ReducedParams(epsilon=eps, potential=1.0, coupling=1.0))), ">", 1e2)
+          for eps in (1e-6, 1.0 - 1e-6)),
     )
 
 
@@ -140,16 +157,12 @@ def check_extremum_law() -> CheckResult:
     found = np.array([oracle.extremum_search(eps, 1.0) for eps in (0.25, 0.75)])
     ref = np.array([times.extremal_coupling(eps, 1.0) for eps in (0.25, 0.75)])
     # np.max, unlike max(0.0, gap), keeps a NaN gap, so it fails the check
-    worst_k = float(np.max(np.abs(found[:, 0] - ref[:, 0])))
-    worst_t = float(np.max(np.abs(np.abs(found[:, 1]) - np.abs(ref[:, 1]))))
-    ok = worst_k <= 1e-6 and worst_t <= 1e-9
-    return CheckResult(
-        name="extremum_law",
-        passed=ok,
-        detail=(
-            f"max |k0_sq - closed form| = {worst_k:.3e} (tol 1e-6); "
-            f"max ||tau*| - closed form| = {worst_t:.3e} (tol 1e-9)"
-        ),
+    return _result(
+        "extremum_law",
+        ("max |k0_sq - closed form|", float(np.max(np.abs(found[:, 0] - ref[:, 0]))),
+         "<=", 1e-6),
+        ("max ||tau*| - closed form|",
+         float(np.max(np.abs(np.abs(found[:, 1]) - np.abs(ref[:, 1])))), "<=", 1e-9),
     )
 
 
@@ -159,51 +172,31 @@ def check_reduction_chain() -> CheckResult:
     widths = (1e-1, 1e-2, 1e-3)
     report = oracle.convergence_study(p, widths)
     sols = [oracle.solve_regularized(p, w) for w in widths]
-    residual = float(np.max([sol.residual for sol in sols]))
-    flux_defect = float(np.max([
-        abs(abs(sol.reflection) ** 2 + abs(sol.transmission) ** 2 - 1.0)
-        for sol in sols
-    ]))
-    decreasing = all(
-        a > b for a, b in zip(report.errors, report.errors[1:])
-    )
-    ok = (
-        report.observed_order >= 0.8
-        and report.errors[-1] <= 2e-3
-        and residual <= 1e-10
-        and flux_defect <= 1e-10
-        and decreasing
-    )
-    return CheckResult(
-        name="reduction_chain",
-        passed=ok,
-        detail=(
-            f"observed order = {report.observed_order:.3f} (want >= 0.8); "
-            f"error at w=1e-3 = {report.errors[-1]:.3e} (tol 2e-3); "
-            f"max residual = {residual:.3e} (tol 1e-10); "
-            f"max flux defect = {flux_defect:.3e} (tol 1e-10)"
-        ),
+    return _result(
+        "reduction_chain",
+        ("observed order", report.observed_order, ">=", 0.8),
+        ("error at w=1e-3", report.errors[-1], "<=", 2e-3),
+        ("width steps where the error does not fall", _not_falling(report.errors), "==", 0),
+        ("max residual", float(np.max([sol.residual for sol in sols])), "<=", 1e-10),
+        ("max flux defect", float(np.max([
+            abs(abs(sol.reflection) ** 2 + abs(sol.transmission) ** 2 - 1.0)
+            for sol in sols
+        ])), "<=", 1e-10),
     )
 
 
 def check_dwell_limit() -> CheckResult:
     """Dwell time over the strip collapses linearly with the width."""
     p = expand_reduced(ReducedParams(epsilon=0.5, potential=1.0, coupling=1.0))
-    widths = (1e-1, 1e-2, 1e-3)
-    dwell = [oracle.dwell_time_regularized(p, w) for w in widths]
-    window = oracle.dwell_time_window(p, 1e-3, 0.5)
-    decreasing = all(a > b for a, b in zip(dwell, dwell[1:]))
-    ratio = dwell[1] / dwell[2] if dwell[2] > 0.0 else math.inf
-    ok = decreasing and dwell[-1] <= 1e-2 and ratio >= 5.0
-    return CheckResult(
-        name="dwell_limit",
-        passed=ok,
-        detail=(
-            f"dwell at widths {widths} = "
-            f"({dwell[0]:.3e}, {dwell[1]:.3e}, {dwell[2]:.3e}), "
-            f"decade ratio = {ratio:.2f} (want >= 5); "
-            f"fixed-window diagnostic (half-window 0.5) = {window:.3e}"
-        ),
+    dwell = [oracle.dwell_time_regularized(p, w) for w in (1e-1, 1e-2, 1e-3)]
+    return _result(
+        "dwell_limit",
+        ("dwell at w=1e-1", dwell[0]),
+        ("dwell at w=1e-2", dwell[1]),
+        ("dwell at w=1e-3", dwell[2], "<=", 1e-2),
+        ("width steps where the dwell does not fall", _not_falling(dwell), "==", 0),
+        ("decade ratio", dwell[1] / dwell[2] if dwell[2] > 0.0 else math.inf, ">=", 5.0),
+        ("fixed-window dwell (half-window 0.5)", oracle.dwell_time_window(p, 1e-3, 0.5)),
     )
 
 
@@ -214,24 +207,18 @@ def check_taxonomy_identities() -> CheckResult:
         potential=1.0,
         coupling=np.sqrt([0.5, 2.0])[:, None],
     )))
-    zeros_ok = tax.dwell == 0.0 and tax.absorption == 0.0
     # a NaN delay propagates into both figures and fails the check
     identity = tax.dwell - (tax.absorption + tax.group_delay - tax.self_interference)
-    worst_identity = float(np.max(np.abs(identity)))
-    worst_spread = float(np.max(np.maximum(
+    spread = np.maximum(
         np.abs(tax.transition - tax.transmission_delay)
         / np.maximum(1.0, np.abs(tax.transition)),
         np.abs(tax.transmission_delay - tax.reflection_delay),
-    )))
-    ok = zeros_ok and worst_identity == 0.0 and worst_spread <= 1e-12
-    return CheckResult(
-        name="taxonomy_identities",
-        passed=ok,
-        detail=(
-            f"identity defect = {worst_identity!r} (want 0 exactly); "
-            f"delay spread = {worst_spread:.3e} (tol 1e-12); "
-            f"dwell/absorption zero: {zeros_ok}"
-        ),
+    )
+    return _result(
+        "taxonomy_identities",
+        ("identity defect", float(np.max(np.abs(identity))), "==", 0.0),
+        ("delay spread", float(np.max(spread)), "<=", 1e-12),
+        ("nonzero dwell/absorption", np.count_nonzero([tax.dwell, tax.absorption]), "==", 0),
     )
 
 

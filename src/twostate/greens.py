@@ -48,7 +48,7 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     # 2 m (V - E), inf where 2 m or the product overflows, unwarned on arrays
     product = ops.muldiv(ops.muldiv(2.0, p.mass, 1.0), gap, 1.0)
     kappa = ops.sqrt(product) / p.hbar
-    distance = abs(x1 - x2)
+    distance = ops.distance(x1, x2)  # inf where x1 - x2 overflows
     lossy = (hbar_sq < _TINY) | (scale < _TINY)  # the prefactor lost bits
     suspect = (lossy | (product < _TINY) | (kappa < _TINY) | (kappa == math.inf)
                | (distance == math.inf))

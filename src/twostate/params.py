@@ -27,8 +27,10 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar, NoReturn
 
 import numpy as np
@@ -70,12 +72,14 @@ class DegenerateCouplingError(DomainError):
 # Functions of one parameter type (floats or float arrays).  any(mask) is
 # True if the test holds at some point, so one test covers every point;
 # inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined;
-# muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, with no
-# warning, for a caller that tests for the inf and raises its own error;
+# muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, NaN where
+# a * b is 0 too, with no warning, for a caller that tests for the inf or
+# NaN and raises its own error;
 # pow(x, n) is x**n rounded as float ** rounds it (both call libm pow); where
 # it overflows, float ** raises OverflowError and arrays give inf, unwarned;
-# where(test, a, b) is a where the test holds and b elsewhere.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow where")
+# where(test, a, b) is a where the test holds and b elsewhere; distance(a, b)
+# is |a - b|, inf where a - b overflows, with no warning.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow where distance")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -95,16 +99,28 @@ def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
 
 
 def _float_muldiv(a: float, b: float, c: float) -> float:
-    return a * b / c if c else math.copysign(math.inf, a * b)
+    if c:
+        return a * b / c
+    product = a * b
+    return math.copysign(math.inf, product) if product else math.nan
 
 
 def _array_muldiv(a, b, c) -> np.ndarray:
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return a * b / c
 
 
 def _float_where(test: bool, a: float, b: float) -> float:
     return a if test else b
+
+
+def _float_distance(a: float, b: float) -> float:
+    return abs(a - b)
+
+
+def _array_distance(a, b) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.abs(np.subtract(a, b))
 
 
 def _array_pow(x, n: int) -> np.ndarray:
@@ -115,16 +131,17 @@ def _array_pow(x, n: int) -> np.ndarray:
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
     any=bool, inverse=_float_inverse, muldiv=_float_muldiv, pow=pow, where=_float_where,
+    distance=_float_distance,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
     any=np.any, inverse=_array_inverse, muldiv=_array_muldiv, pow=_array_pow,
-    where=np.where,
+    where=np.where, distance=_array_distance,
 )
 
-# the most float64 values one numpy array can hold: point and step counts
-# above it are refused before numpy sees them (np.linspace fails with an
-# IndexError at np.iinfo(np.intp).max, larger arrays with a ValueError)
+# the most float64 values one numpy array can hold: point, step and sweep
+# counts above it are refused before numpy sees them (np.linspace fails
+# with an IndexError at np.iinfo(np.intp).max, larger arrays with a ValueError)
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 # bound once: the scalar checks run in every constructor call
@@ -142,6 +159,20 @@ def _as_float(name: str, value, kinds: str = "a real number") -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got {value!r:.24}...") from None
+
+
+def _as_count(name: str, value, least: int) -> int:
+    """A count from ``least`` to ``_MAX_FLOATS`` as a Python int: a bool, a
+    float or another non-integer raises TypeError, a count out of range
+    ValueError."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    count = operator.index(value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    if count > _MAX_FLOATS:
+        raise ValueError(f"{name} must be at most {_MAX_FLOATS}, got {count}")
+    return count
 
 
 class _Validated:
@@ -221,6 +252,20 @@ class _Validated:
         """DomainError(message), each ``{field}`` the first point's where ``mask`` holds."""
         point = zip(self.__match_args__, self._first_point(mask))
         raise DomainError(message.format(**dict(point)))
+
+    def _mend(self, mask, value, exact):
+        """``value`` with each point where ``mask`` holds replaced by
+        ``exact(fields)``, the fields there given as exact Fractions by name;
+        a float for float parameters."""
+        from fractions import Fraction
+
+        names, shape = self.__match_args__, self.shape
+        value = np.array(np.broadcast_to(value, shape))
+        fields = [np.broadcast_to(getattr(self, n), shape) for n in names]
+        for at in np.flatnonzero(np.broadcast_to(mask, shape)):
+            value.flat[at] = exact(SimpleNamespace(
+                **{n: Fraction(float(f.flat[at])) for n, f in zip(names, fields)}))
+        return value if self.is_array else float(value)
 
     def _power(self, name: str, n: int):
         """Field ``name`` to the n-th power through ``ops.pow``; where that
@@ -360,10 +405,51 @@ def expand_reduced(r: ReducedParams) -> ModelParams:
 def wave_numbers(p: ModelParams) -> WaveNumbers:
     """Open-channel k and closed-channel kappa for validated parameters;
     arrays when the parameters are."""
-    sqrt = p.ops.sqrt
-    if p.ops.any(p.energy <= 0.0):
+    return WaveNumbers(k=_wave_number(p, closed=False), kappa=_wave_number(p, closed=True))
+
+
+def _wave_number(p: ModelParams, closed: bool):
+    """k = sqrt(2 m E) / hbar, which needs E > 0, or kappa = sqrt(2 m (V - E))
+    / hbar if ``closed``.
+
+    Where the plain form overflows or underflows to 0 (in 2 m, 2 m x or the
+    quotient) the value is the correctly rounded one from exact rational
+    arithmetic (``_mend``); every other point keeps the plain form's bits.
+    DomainError at the first point where the exact value is above the float
+    range.
+    """
+    ops = p.ops
+    if not closed and ops.any(p.energy <= 0.0):
         raise DomainError("propagating open channel requires energy > 0")
-    k = sqrt(2.0 * p.mass * p.energy) / p.hbar
-    # 2 m (V - E) may overflow to inf, unwarned on arrays as on floats
-    kappa = sqrt(p.ops.muldiv(2.0 * p.mass, p.potential - p.energy, 1.0)) / p.hbar
-    return WaveNumbers(k=k, kappa=kappa)
+    x = p.potential - p.energy if closed else p.energy
+    # inf where an intermediate overflows, unwarned on arrays as on floats
+    value = ops.muldiv(ops.sqrt(ops.muldiv(ops.muldiv(2.0, p.mass, 1.0), x, 1.0)), 1.0, p.hbar)
+    lost = (value == 0.0) | (value == math.inf)  # x > 0, so the exact value is neither
+    if ops.any(lost):
+        value = p._mend(lost, value, lambda f: _rounded_sqrt(
+            2 * f.mass * (f.potential - f.energy if closed else f.energy) / f.hbar**2))
+        if ops.any(value == math.inf):
+            formula = "kappa = sqrt(2 m (V - E))" if closed else "k = sqrt(2 m E)"
+            p._raise_at(value == math.inf, f"{formula} / hbar overflows at energy={{energy}}, "
+                        "potential={potential}, mass={mass}, hbar={hbar}; it must stay "
+                        "below about 1.8e308")
+    return value
+
+
+def _rounded_sqrt(square) -> float:
+    """The float nearest the square root of the Fraction ``square`` >= 0;
+    inf where it exceeds the float range."""
+    from fractions import Fraction
+
+    if not square:
+        return 0.0
+    # 4**shift * square has at least 240 bits, so its integer root has 120;
+    # with a sticky last bit where that root is inexact, one rounding is right
+    shift = (240 - square.numerator.bit_length() + square.denominator.bit_length()) // 2 + 1
+    scaled = square * Fraction(4) ** shift
+    root = math.isqrt(math.floor(scaled))
+    root = 2 * root + (root * root != scaled)
+    try:
+        return float(root / Fraction(2) ** (shift + 1))  # int / int rounds correctly
+    except OverflowError:
+        return math.inf

@@ -31,7 +31,7 @@ from .params import (
     DegenerateCouplingError,
     ModelParams,
     ReducedParams,
-    wave_numbers,
+    _wave_number,
 )
 
 __all__ = [
@@ -68,19 +68,27 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     too, except the reflection phase, which is set to NaN.
     """
     ops = p.ops
-    kn = wave_numbers(p)
+    k = _wave_number(p, closed=False)
     # every field enters through G(xc, xc), so ratio has the full shape;
     # k0**2 and lam overflow to inf with no warning on arrays, as on floats
     ksq = ops.muldiv(p.coupling, p.coupling, 1.0)
     lam = ops.muldiv(ksq, greens_constant(p.center, p.center, p), 1.0)
-    ratio = ops.muldiv(p.mass, lam, p._power("hbar", 2) * kn.k)  # negative in-regime
+    ratio = ops.muldiv(p.mass, lam, p._power("hbar", 2) * k)  # negative in-regime
+    if ops.any(ratio != ratio):  # NaN: k0**2 G and hbar**2 k both underflow to 0
+        p._raise_at(ratio != ratio, "m k0**2 G / (hbar**2 k) is 0 / 0 in floats at "
+                    "hbar={hbar}, mass={mass}, energy={energy}, coupling={coupling}")
     if ops.any(ratio == -math.inf):
         p._raise_at(ratio == -math.inf, "m k0**2 G / (hbar**2 k) overflows at "
                     "hbar={hbar}, mass={mass}, coupling={coupling}; the amplitudes "
                     "need m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308")
+    phase = ops.muldiv(ops.muldiv(2.0, k, 1.0), p.center, 1.0)  # 2 k xc, inf on overflow
+    if ops.any(abs(phase) == math.inf):
+        p._raise_at(abs(phase) == math.inf, "2 k xc overflows at center={center}, energy="
+                    "{energy}, mass={mass}, hbar={hbar}, so the reflection phase "
+                    "exp(2 i k xc) is undefined in floats")
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
-    reflection = reflection0 * ops.cexp(2j * kn.k * p.center)
+    reflection = reflection0 * ops.cexp(1j * phase)
     return Amplitudes(
         reflection=reflection,
         transmission=transmission,

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scatter, times
-from .params import _MAX_FLOATS, ReducedParams, expand_reduced
+from .params import ReducedParams, _as_count, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
@@ -86,10 +86,7 @@ class SweepVariable:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ValueError(f"count must be at least 2, got {self.count}")
-        if self.count > _MAX_FLOATS:
-            raise ValueError(f"count must be at most {_MAX_FLOATS}, got {self.count}")
+        object.__setattr__(self, "count", _as_count("count", self.count, 2))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep bounds must be finite")
 

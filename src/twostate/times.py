@@ -32,12 +32,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import scatter
 from .params import (
     DegenerateCouplingError,
     DomainError,
     ModelParams,
     ReducedParams,
+    _rounded_sqrt,
 )
 
 __all__ = [
@@ -72,25 +75,55 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     tau_gt comes from the closed-form phase derivative above, tau_gr equals
     it, and tau_g is the probability-weighted combination
     T2 * tau_gt + R2 * tau_gr, numerically indistinguishable from tau_gt.
+    tau_gt is finite wherever its exact value is, and raises DomainError at
+    the first point where it is not.
     """
-    e, v, m, power = p.energy, p.potential, p.mass, p._power
     amps = scatter.solve_amplitudes(p)
     if p.ops.any(p.coupling == 0.0):
         raise DegenerateCouplingError("delays are degenerate at zero coupling")
-    sqrt = p.ops.sqrt
-    numer = m * power("hbar", 3) * power("coupling", 2) * (2.0 * e - v)
-    quartic = 4.0 * power("hbar", 4) * e * (v - e) + power("coupling", 4) * power("mass", 2)
-    root = sqrt(e) * sqrt(v - e)
-    # the denominator may overflow to inf, unwarned on arrays as on floats;
-    # only there is the quotient taken in two steps, so no other bit moves
-    denominator = p.ops.muldiv(root, quartic, 1.0)
-    tau_gt = numer / denominator
-    if p.ops.any(denominator == math.inf):
-        tau_gt = p.ops.where(denominator == math.inf,
-                             p.ops.muldiv(numer, 1.0, root) / quartic, tau_gt)
+    if p.is_array:
+        with np.errstate(all="ignore"):  # inf and NaN, as floats give them, mended below
+            tau_gt = _plain_delay(p)
+    else:
+        tau_gt = _plain_delay(p)
+    lost = (abs(tau_gt) == math.inf) | (tau_gt != tau_gt)  # inf or NaN
+    if p.ops.any(lost):
+        tau_gt = p._mend(lost, tau_gt, _exact_delay)
+        if p.ops.any(abs(tau_gt) == math.inf):
+            p._raise_at(abs(tau_gt) == math.inf, "the group delay overflows at energy="
+                        "{energy}, potential={potential}, coupling={coupling}, mass={mass}, "
+                        "hbar={hbar}; |tau_gt| must stay below about 1.8e308")
     tau_gr = tau_gt
     tau_g = amps.transmission_prob * tau_gt + amps.reflection_prob * tau_gr
     return tau_gt, tau_gr, tau_g
+
+
+def _plain_delay(p: ModelParams):
+    """tau_gt from the closed form above; inf or NaN where its numerator or
+    denominator leaves the float range."""
+    e, v, m, power = p.energy, p.potential, p.mass, p._power
+    numer = m * power("hbar", 3) * power("coupling", 2) * (2.0 * e - v)
+    quartic = 4.0 * power("hbar", 4) * e * (v - e) + power("coupling", 4) * power("mass", 2)
+    root = p.ops.sqrt(e) * p.ops.sqrt(v - e)
+    # the denominator may overflow to inf; only there is the quotient taken
+    # in two steps, so no other bit moves
+    denominator = p.ops.muldiv(root, quartic, 1.0)
+    tau_gt = p.ops.muldiv(numer, 1.0, denominator)  # ±inf or NaN where it is 0
+    if p.ops.any(denominator == math.inf):
+        tau_gt = p.ops.where(denominator == math.inf,
+                             p.ops.muldiv(numer, 1.0, root) / quartic, tau_gt)
+    return tau_gt
+
+
+def _exact_delay(f) -> float:
+    """tau_gt at one point from the closed form above in exact rational
+    arithmetic (the fields of ``f`` are Fractions), correctly rounded;
+    ±inf where it exceeds the float range."""
+    numer = f.mass * f.hbar**3 * f.coupling**2 * (2 * f.energy - f.potential)
+    gap = f.potential - f.energy
+    quartic = 4 * f.hbar**4 * f.energy * gap + f.coupling**4 * f.mass**2
+    magnitude = _rounded_sqrt(numer**2 / (f.energy * gap * quartic**2))
+    return -magnitude if numer < 0 else magnitude
 
 
 def time_taxonomy(p: ModelParams) -> TimeTaxonomy:

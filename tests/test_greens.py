@@ -104,12 +104,13 @@ def test_underflowing_hbar_squared_is_a_domain_error(hbar):
 
 @pytest.mark.parametrize("make", [float, lambda x: np.array([x, x])], ids=["float", "array"])
 def test_diagonal_is_finite_where_kappa_overflows(make):
-    # 2 m (V - E) overflows, so kappa is inf, yet G(xc, xc) = -sqrt(m / (2
-    # hbar**2 (V - E))) is finite: the exponent -kappa |x1 - x2| is exactly 0
+    # 2 m (V - E) overflows, yet kappa = 2 sqrt(V - E) is finite, and so is
+    # G(xc, xc) = -sqrt(m / (2 hbar**2 (V - E))): the exponent -kappa |x1 - x2|
+    # is exactly 0
     p = ModelParams(make(0.25), 4.49423283715579e307, 1.0, mass=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(wave_numbers(p).kappa == math.inf)
+        assert np.all(wave_numbers(p).kappa == 2.0 * math.sqrt(4.49423283715579e307))
         diagonal = greens_constant(0.0, 0.0, p)
         amps = solve_amplitudes(p)
         delays = group_delays(p)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -149,3 +150,37 @@ def test_wave_numbers_need_propagation():
     p = ModelParams(energy=0.0, potential=1.0, coupling=1.0)
     with pytest.raises(DomainError):
         wave_numbers(p)
+
+
+def _float_and_array(**fields):
+    return (ModelParams(**fields),
+            ModelParams(**{name: np.array([value, value]) for name, value in fields.items()}))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(energy=0.25, potential=1.0, coupling=1.0, mass=1e308),  # 2 m overflows
+    dict(energy=0.25, potential=4.49423283715579e307, coupling=1.0, mass=2.0),  # 2 m (V - E)
+    # 2 m E underflows to 0, though k is 1.4e-162
+    dict(energy=1.0484326333116877e-23, potential=1.0, coupling=0.0, mass=9.332636185032189e-302),
+])
+def test_wave_numbers_are_the_nearest_floats_where_the_plain_form_is_lost(fields):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        e, v, m = (mp.mpf(fields[name]) for name in ("energy", "potential", "mass"))
+        want = (float(mp.sqrt(2 * m * e)), float(mp.sqrt(2 * m * (v - e))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _float_and_array(**fields):
+            kn = wave_numbers(p)
+            assert np.all(kn.k == want[0]) and np.all(kn.kappa == want[1])
+
+
+def test_wave_numbers_beyond_the_float_range_raise():
+    # the exact k is 2.4e384
+    fields = dict(energy=2.866409686187577e188, potential=3.5027426300836074e188,
+                  coupling=4.693813821417284e-169, hbar=7.108416342810307e-291)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _float_and_array(**fields):
+            with pytest.raises(DomainError, match=r"^k = sqrt\(2 m E\) / hbar overflows at"):
+                wave_numbers(p)

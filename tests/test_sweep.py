@@ -205,3 +205,20 @@ def test_run_sweep_validation(tmp_path):
     most = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
     with pytest.raises(ValueError, match=f"^count must be at most {most}, got {2**63}$"):
         SweepVariable("epsilon", 0.1, 0.9, 2**63)
+
+
+@pytest.mark.parametrize("count, error, match", [
+    (10.5, TypeError, r"^count must be an integer, got float$"),
+    (10.0, TypeError, r"^count must be an integer, got float$"),
+    (True, TypeError, r"^count must be an integer, got bool$"),
+    (1, ValueError, r"^count must be at least 2, got 1$"),
+])
+def test_sweep_count_follows_the_one_count_rule(count, error, match):
+    # the rule of GridSpec's points and steps: an int, refused before numpy
+    with pytest.raises(error, match=match):
+        SweepVariable("epsilon", 0.0, 1.0, count)
+
+
+def test_sweep_count_is_stored_as_a_python_int():
+    count = SweepVariable("epsilon", 0.0, 1.0, np.int64(7)).count
+    assert type(count) is int and count == 7

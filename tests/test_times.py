@@ -177,3 +177,65 @@ def test_group_delay_where_the_denominator_product_overflows():
     assert [float(d[1]) for d in arrays] == list(delays)
     assert [float(d[0]).hex() for d in arrays] == [
         "-0x1.279a74590331dp-1", "-0x1.279a74590331dp-1", "-0x1.279a74590331bp-1"]
+
+
+def _both(fields: dict):
+    """The same point as float parameters and as a two-point array."""
+    return (ModelParams(**fields),
+            ModelParams(**{name: np.array([value, value]) for name, value in fields.items()}))
+
+
+@pytest.mark.parametrize("fields, want", [
+    # numerator and denominator both underflow to 0; the exact tau_gt is -1.3e-495
+    (dict(energy=6.110217636905391e-64, potential=5.901476869729932e-63,
+          coupling=2.211353215042252e-270, mass=3.9638958482868515e-180,
+          hbar=2.9720066382313664e-99), -0.0),
+    # both overflow; the exact tau_gt is 9e-487
+    (dict(energy=3.3881176012719845e277, potential=6.413762747233867e277,
+          coupling=3.928387707325421e26, mass=2.0673576620345306e17), 0.0),
+])
+def test_delay_where_the_plain_quotient_is_lost(fields, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _both(fields):
+            for tau in group_delays(p):
+                assert np.all(tau == want) and np.all(np.signbit(tau) == np.signbit(want))
+
+
+def test_mended_delays_are_correctly_rounded():
+    # points over the whole float range where the plain quotient is inf or
+    # NaN: the mended tau_gt is within half an ulp of mpmath's, or a
+    # DomainError where mpmath's is beyond the float range
+    mp = pytest.importorskip("mpmath")
+    from twostate import times
+
+    rng = np.random.default_rng(5)
+    mended = 0
+    for fields in 10.0 ** rng.uniform(-300, 300, size=(3000, 5)):
+        eps, potential, coupling, mass, hbar = map(float, fields)
+        energy = potential * eps / 1e300  # E / V in (1e-300, 1)
+        if energy == 0.0:
+            continue
+        try:
+            p = ModelParams(energy, potential, coupling, mass=mass, hbar=hbar)
+            with np.errstate(all="ignore"):
+                if math.isfinite(times._plain_delay(p)):
+                    continue
+        except DomainError:
+            continue
+        mended += 1
+        with mp.workdps(60):
+            e, v, k0, m, h = map(mp.mpf, (energy, potential, coupling, mass, hbar))
+            exact = (m * h**3 * k0**2 * (2 * e - v)
+                     / (mp.sqrt(e) * mp.sqrt(v - e) * (4 * h**4 * e * (v - e) + k0**4 * m**2)))
+            if abs(exact) > mp.mpf(1.7976931348623157e308):
+                with pytest.raises(DomainError, match="^the group delay overflows at"):
+                    group_delays(p)
+                continue
+            try:
+                tau = group_delays(p)[0]
+            except DomainError:  # the amplitudes' own range errors
+                continue
+            ulp = math.ulp(tau) if tau else 5e-324
+            assert abs(mp.mpf(tau) - exact) <= mp.mpf(ulp) / 2, (p, tau, exact)
+    assert mended > 100

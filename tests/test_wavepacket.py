@@ -569,9 +569,13 @@ def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
          TypeError, r"^steps must be an integer, got float$"),
         (lambda: GridSpec(half_length=300.0, steps=True),
          TypeError, r"^steps must be an integer, got bool$"),
+        (lambda: GridSpec(half_length=300.0, points=127),
+         ValueError, r"^points must be at least 128, got 127$"),
+        (lambda: GridSpec(half_length=300.0, steps=0),
+         ValueError, r"^steps must be at least 1, got 0$"),
     ],
     ids=["huge-center", "huge-half-length", "bool-wavenumber", "bool-half-length",
-         "float-points", "float-steps", "bool-steps"],
+         "float-points", "float-steps", "bool-steps", "few-points", "no-steps"],
 )
 def test_spec_fields_of_the_wrong_type_are_refused(make, error, match):
     with pytest.raises(error, match=match):
