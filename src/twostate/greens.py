@@ -17,15 +17,10 @@ alpha grows monotonically with E and diverges at the threshold E -> V.
 from __future__ import annotations
 
 import math
-import sys
 
-import numpy as np
-
-from .params import ModelParams
+from .params import _TINY, ModelParams
 
 __all__ = ["effective_strength", "greens_constant"]
-
-_TINY = sys.float_info.min  # the smallest normal float
 
 
 def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
@@ -33,7 +28,8 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
 
     Valid for any E < V including E = 0; the value is strictly negative
     and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).  It is
-    an array when the parameters are.
+    an array when the parameters are.  Where the plain form may have lost
+    bits, G is ``_mend``'s, or DomainError where that is beyond the floats.
     """
     ops = p.ops
     hbar_sq = p._power("hbar", 2)
@@ -49,14 +45,16 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     product = ops.muldiv(ops.muldiv(2.0, p.mass, 1.0), gap, 1.0)
     kappa = ops.sqrt(product) / p.hbar
     distance = ops.distance(x1, x2)  # inf where x1 - x2 overflows
-    lossy = (hbar_sq < _TINY) | (scale < _TINY)  # the prefactor lost bits
-    suspect = (lossy | (product < _TINY) | (kappa < _TINY) | (kappa == math.inf)
-               | (distance == math.inf))
-    if ops.any(suspect):
-        value = _rescaled(x1, x2, p, scale, kappa, suspect, lossy)
-    else:  # kappa |x1 - x2| may overflow, and exp(-inf) = 0 is right there
-        value = ops.muldiv(-ops.sqrt(scale), ops.exp(-ops.muldiv(kappa, distance, 1.0)),
-                           ops.sqrt(gap))
+    # kappa |x1 - x2| may overflow: exp(-inf) = 0 is then mended below
+    decay = ops.exp(-ops.muldiv(kappa, distance, 1.0))  # NaN only where kappa is inf
+    scaled = -ops.sqrt(scale) * decay  # at most 1.34e154
+    value = ops.muldiv(scaled, 1.0, ops.sqrt(gap))
+    # where an intermediate is not a normal float, or G is -inf, the plain
+    # form may have lost bits or left the float range
+    lost = ((ops.least(hbar_sq, scale, product, kappa, decay, -scaled, -value) < _TINY)
+            | (kappa == math.inf) | (distance == math.inf) | (value == -math.inf))
+    if ops.any(lost):
+        value = p._mend(lost, value, _exact, x1, x2)
     if ops.any(value == -math.inf):
         p._raise_at(value == -math.inf, "the Green's function overflows at energy="
                     "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
@@ -64,38 +62,11 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     return value
 
 
-def _rescaled(x1, x2, p: ModelParams, scale, kappa, suspect, lossy):
-    """G at the points where ``suspect``: where an intermediate of the plain
-    form (hbar**2, m / (2 hbar**2), 2 m (V - E), kappa or |x1 - x2|) is not
-    a normal float, so its exponent, or where ``lossy`` its prefactor, may
-    have lost bits or left the float range.
-
-    There the exponent sqrt(2 m (V - E)) |x1 - x2| / hbar and, where
-    ``lossy``, the prefactor sqrt(m / (2 (V - E))) / hbar are formed as a
-    mantissa near 1 times a power of 2, from the frexp parts of m, hbar,
-    V - E and |x1 - x2| (taken in halves where it overflows).  Every other
-    point, and the prefactor where it is not lossy, keeps the plain form's
-    bits.
-    """
-    gap = p.potential - p.energy
-    fm, em = np.frexp(p.mass)
-    fh, eh = np.frexp(p.hbar)
-    fg, eg = np.frexp(gap)
-    with np.errstate(all="ignore"):  # the plain form's inf and NaN are not kept
-        distance = np.abs(np.subtract(x1, x2))
-        halves = np.abs(np.subtract(np.divide(x1, 2.0), np.divide(x2, 2.0)))
-        fd, ed = np.frexp(np.where(distance < np.inf, distance, halves))
-        ed = ed + (distance == np.inf)
-        odd = (em + eg) % 2  # an even power of 2 under each square root
-        exponent = np.where(suspect, np.ldexp(np.sqrt(2.0 * fm * fg * (1 + odd)) * fd / fh,
-                                              (em + eg - odd) // 2 + ed - eh),
-                            kappa * distance)
-        decay = np.exp(-exponent)
-        odd = (em - eg) % 2
-        exact = -np.ldexp(np.sqrt(fm * (1 + odd) / (2.0 * fg)) / fh * decay,
-                          (em - eg - odd) // 2 - eh)
-        value = np.where(lossy, exact, -np.sqrt(scale) * decay / np.sqrt(gap))
-    return value if p.is_array else float(value)
+def _exact(f, x1, x2):
+    """G at one point from the closed form above, on Decimals."""
+    gap = f.potential - f.energy
+    decay = (-(2 * f.mass * gap).sqrt() * abs(x1 - x2) / f.hbar).exp()
+    return -(f.mass / (2 * gap)).sqrt() / f.hbar * decay
 
 
 def effective_strength(p: ModelParams) -> float:

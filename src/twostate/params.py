@@ -20,14 +20,18 @@ in one numpy call.  The closed forms call the functions the parameter type
 carries as ``ops``, ``math`` and ``cmath`` for floats and numpy for arrays.
 Its ``_power`` calls libm ``pow`` on both paths, so the closed forms give
 the same bits, and the same DomainError where a power overflows, on both.
+Its ``_mend``, the one exact fallback, evaluates a closed form again in
+``decimal`` where a float intermediate of it is not normal, and rounds once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import operator
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -78,8 +82,9 @@ class DegenerateCouplingError(DomainError):
 # pow(x, n) is x**n rounded as float ** rounds it (both call libm pow); where
 # it overflows, float ** raises OverflowError and arrays give inf, unwarned;
 # where(test, a, b) is a where the test holds and b elsewhere; distance(a, b)
-# is |a - b|, inf where a - b overflows, with no warning.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow where distance")
+# is |a - b|, inf where a - b overflows, with no warning; least(*xs) is the
+# smallest of xs that is not NaN, the first never NaN, as min() needs.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow where distance least")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -123,6 +128,10 @@ def _array_distance(a, b) -> np.ndarray:
         return np.abs(np.subtract(a, b))
 
 
+def _array_least(*xs) -> np.ndarray:
+    return functools.reduce(np.fmin, xs)
+
+
 def _array_pow(x, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # np.power and x**2 round differently
         return np.float_power(x, n)
@@ -131,12 +140,12 @@ def _array_pow(x, n: int) -> np.ndarray:
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
     any=bool, inverse=_float_inverse, muldiv=_float_muldiv, pow=pow, where=_float_where,
-    distance=_float_distance,
+    distance=_float_distance, least=min,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
     any=np.any, inverse=_array_inverse, muldiv=_array_muldiv, pow=_array_pow,
-    where=np.where, distance=_array_distance,
+    where=np.where, distance=_array_distance, least=_array_least,
 )
 
 # the most float64 values one numpy array can hold: point, step and sweep
@@ -147,6 +156,8 @@ _MAX_FLOATS = np.iinfo(np.intp).max // 8
 # bound once: the scalar checks run in every constructor call
 _isfinite = math.isfinite
 _ndarray = np.ndarray
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _as_float(name: str, value, kinds: str = "a real number") -> float:
@@ -253,18 +264,23 @@ class _Validated:
         point = zip(self.__match_args__, self._first_point(mask))
         raise DomainError(message.format(**dict(point)))
 
-    def _mend(self, mask, value, exact):
+    def _mend(self, mask, value, exact, *extra):
         """``value`` with each point where ``mask`` holds replaced by
-        ``exact(fields)``, the fields there given as exact Fractions by name;
-        a float for float parameters."""
-        from fractions import Fraction
+        ``exact(fields, *extra)``: the fields there, by name, and the
+        ``extra`` arrays that broadcast with them, as exact Decimals, in one
+        60-digit context with no exponent limit, the result rounded once to
+        a float; a float for float parameters."""
+        from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-        names, shape = self.__match_args__, self.shape
+        names = self.__match_args__
+        shape = np.broadcast_shapes(self.shape, *map(np.shape, extra))
         value = np.array(np.broadcast_to(value, shape))
         fields = [np.broadcast_to(getattr(self, n), shape) for n in names]
-        for at in np.flatnonzero(np.broadcast_to(mask, shape)):
-            value.flat[at] = exact(SimpleNamespace(
-                **{n: Fraction(float(f.flat[at])) for n, f in zip(names, fields)}))
+        extra = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in extra]
+        with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+            for at in np.flatnonzero(np.broadcast_to(mask, shape)):
+                f = SimpleNamespace(**{n: Decimal(a.flat[at]) for n, a in zip(names, fields)})
+                value.flat[at] = float(exact(f, *(Decimal(x.flat[at]) for x in extra)))
         return value if self.is_array else float(value)
 
     def _power(self, name: str, n: int):
@@ -412,44 +428,24 @@ def _wave_number(p: ModelParams, closed: bool):
     """k = sqrt(2 m E) / hbar, which needs E > 0, or kappa = sqrt(2 m (V - E))
     / hbar if ``closed``.
 
-    Where the plain form overflows or underflows to 0 (in 2 m, 2 m x or the
-    quotient) the value is the correctly rounded one from exact rational
-    arithmetic (``_mend``); every other point keeps the plain form's bits.
-    DomainError at the first point where the exact value is above the float
-    range.
+    Where 2 m x is not a normal float or the value is 0 or inf, the value
+    is ``_mend``'s, or DomainError at the first point where that is inf;
+    every other point keeps the plain form's bits.
     """
     ops = p.ops
     if not closed and ops.any(p.energy <= 0.0):
         raise DomainError("propagating open channel requires energy > 0")
     x = p.potential - p.energy if closed else p.energy
-    # inf where an intermediate overflows, unwarned on arrays as on floats
-    value = ops.muldiv(ops.sqrt(ops.muldiv(ops.muldiv(2.0, p.mass, 1.0), x, 1.0)), 1.0, p.hbar)
-    lost = (value == 0.0) | (value == math.inf)  # x > 0, so the exact value is neither
+    # 2 m x, inf where 2 m or the product overflows, unwarned on arrays as on floats
+    square = ops.muldiv(ops.muldiv(2.0, p.mass, 1.0), x, 1.0)
+    value = ops.muldiv(ops.sqrt(square), 1.0, p.hbar)
+    lost = (square < _TINY) | (value == 0.0) | (value == math.inf)  # x > 0: neither is exact
     if ops.any(lost):
-        value = p._mend(lost, value, lambda f: _rounded_sqrt(
-            2 * f.mass * (f.potential - f.energy if closed else f.energy) / f.hbar**2))
+        value = p._mend(lost, value, lambda f: (
+            2 * f.mass * (f.potential - f.energy if closed else f.energy)).sqrt() / f.hbar)
         if ops.any(value == math.inf):
             formula = "kappa = sqrt(2 m (V - E))" if closed else "k = sqrt(2 m E)"
             p._raise_at(value == math.inf, f"{formula} / hbar overflows at energy={{energy}}, "
                         "potential={potential}, mass={mass}, hbar={hbar}; it must stay "
                         "below about 1.8e308")
     return value
-
-
-def _rounded_sqrt(square) -> float:
-    """The float nearest the square root of the Fraction ``square`` >= 0;
-    inf where it exceeds the float range."""
-    from fractions import Fraction
-
-    if not square:
-        return 0.0
-    # 4**shift * square has at least 240 bits, so its integer root has 120;
-    # with a sticky last bit where that root is inexact, one rounding is right
-    shift = (240 - square.numerator.bit_length() + square.denominator.bit_length()) // 2 + 1
-    scaled = square * Fraction(4) ** shift
-    root = math.isqrt(math.floor(scaled))
-    root = 2 * root + (root * root != scaled)
-    try:
-        return float(root / Fraction(2) ** (shift + 1))  # int / int rounds correctly
-    except OverflowError:
-        return math.inf

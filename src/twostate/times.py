@@ -35,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scatter
-from .params import (
-    DegenerateCouplingError,
-    DomainError,
-    ModelParams,
-    ReducedParams,
-    _rounded_sqrt,
-)
+from .params import _TINY, DegenerateCouplingError, DomainError, ModelParams, ReducedParams
 
 __all__ = [
     "TimeTaxonomy",
@@ -75,8 +69,8 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
     tau_gt comes from the closed-form phase derivative above, tau_gr equals
     it, and tau_g is the probability-weighted combination
     T2 * tau_gt + R2 * tau_gr, numerically indistinguishable from tau_gt.
-    tau_gt is finite wherever its exact value is, and raises DomainError at
-    the first point where it is not.
+    Where ``_plain_delay`` is NaN or inf, tau_gt is ``_mend``'s, or
+    DomainError at the first point where that is beyond the floats.
     """
     amps = scatter.solve_amplitudes(p)
     if p.ops.any(p.coupling == 0.0):
@@ -99,31 +93,33 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
 
 
 def _plain_delay(p: ModelParams):
-    """tau_gt from the closed form above; inf or NaN where its numerator or
-    denominator leaves the float range."""
+    """tau_gt from the closed form above; NaN wherever a power or a partial
+    product of its numerator or denominator is not a normal float, so that
+    its rounding error may be unbounded, and inf or NaN where the quotient
+    leaves the float range."""
     e, v, m, power = p.energy, p.potential, p.mass, p._power
-    numer = m * power("hbar", 3) * power("coupling", 2) * (2.0 * e - v)
-    quartic = 4.0 * power("hbar", 4) * e * (v - e) + power("coupling", 4) * power("mass", 2)
+    hbar_cube, hbar_quartic = power("hbar", 3), power("hbar", 4)
+    k0_sq, k0_quartic, m_sq = power("coupling", 2), power("coupling", 4), power("mass", 2)
+    m_hbar, scaled_e, mass_term = m * hbar_cube, 4.0 * hbar_quartic * e, k0_quartic * m_sq
+    coupled, band = m_hbar * k0_sq, scaled_e * (v - e)
+    numer = coupled * (2.0 * e - v)  # exactly 0 at 2 E = V
     root = p.ops.sqrt(e) * p.ops.sqrt(v - e)
-    # the denominator may overflow to inf; only there is the quotient taken
-    # in two steps, so no other bit moves
-    denominator = p.ops.muldiv(root, quartic, 1.0)
+    denominator = p.ops.muldiv(root, band + mass_term, 1.0)
     tau_gt = p.ops.muldiv(numer, 1.0, denominator)  # ±inf or NaN where it is 0
-    if p.ops.any(denominator == math.inf):
-        tau_gt = p.ops.where(denominator == math.inf,
-                             p.ops.muldiv(numer, 1.0, root) / quartic, tau_gt)
-    return tau_gt
+    # a partial product that overflows or is NaN makes the numerator or the
+    # denominator inf or NaN, and so tau_gt inf, NaN or (the denominator inf) 0
+    normal = ((p.ops.least(hbar_cube, hbar_quartic, k0_sq, k0_quartic, m_sq, m_hbar, coupled,
+                           scaled_e, band, mass_term, root, denominator) >= _TINY)
+              & ((abs(numer) >= _TINY) | (2.0 * e == v)) & (denominator <= sys.float_info.max))
+    return p.ops.where(normal, tau_gt, math.nan)
 
 
-def _exact_delay(f) -> float:
-    """tau_gt at one point from the closed form above in exact rational
-    arithmetic (the fields of ``f`` are Fractions), correctly rounded;
-    ±inf where it exceeds the float range."""
-    numer = f.mass * f.hbar**3 * f.coupling**2 * (2 * f.energy - f.potential)
+def _exact_delay(f):
+    """tau_gt at one point from the closed form above, on Decimals."""
     gap = f.potential - f.energy
     quartic = 4 * f.hbar**4 * f.energy * gap + f.coupling**4 * f.mass**2
-    magnitude = _rounded_sqrt(numer**2 / (f.energy * gap * quartic**2))
-    return -magnitude if numer < 0 else magnitude
+    return (f.mass * f.hbar**3 * f.coupling**2 * (2 * f.energy - f.potential)
+            / ((f.energy * gap).sqrt() * quartic))
 
 
 def time_taxonomy(p: ModelParams) -> TimeTaxonomy:
@@ -144,27 +140,31 @@ def transition_time(r: ReducedParams) -> float:
     """Closed-form reduced transition time tau(eps, V, k0); an array when
     the parameters are.
 
-    Rejects k0 = 0, a k0**2 that underflows to 0, and a power or a tau that
-    overflows in float arithmetic.
+    Rejects k0 = 0 and a power that overflows.  Where a partial product of
+    the denominator is not a normal float or tau overflows, tau is
+    ``_mend``'s, or DomainError at the first point where that is inf.
     """
     ops, eps, k0 = r.ops, r.epsilon, r.coupling
     if ops.any(k0 == 0.0):
         raise DegenerateCouplingError(
             "transition time is degenerate at zero coupling"
         )
-    ksq = r._power("coupling", 2)
-    if ops.any(ksq == 0.0):
-        r._raise_at(ksq == 0.0, "coupling={coupling} is too small: k0**2 "
-                    "underflows to 0, so tau is undefined in floats; k0 must be "
-                    "above about 1.6e-162")
+    ksq, vsq = r._power("coupling", 2), r._power("potential", 2)
     rest = 1.0 - eps
-    vsq_term = ops.muldiv(16.0 * eps * rest, r._power("potential", 2), ksq)
-    tau = ops.muldiv(2.0, 2.0 * eps - 1.0, ops.sqrt(eps) * ops.sqrt(rest) * (ksq + vsq_term))
-    if ops.any(abs(tau) == math.inf):
-        r._raise_at(abs(tau) == math.inf, "transition time overflows at "
-                    "epsilon={epsilon}, potential={potential}, coupling={coupling}: "
-                    "in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps (1 - eps) V**2 "
-                    "/ k0**2) is below 2 |2 eps - 1| / 1.8e308")
+    weighted = ops.muldiv(16.0 * eps * rest, vsq, 1.0)
+    vsq_term = ops.muldiv(weighted, 1.0, ksq)  # inf or NaN where k0**2 is 0
+    denominator = ops.sqrt(eps) * ops.sqrt(rest) * (ksq + vsq_term)
+    tau = ops.muldiv(2.0, 2.0 * eps - 1.0, denominator)
+    lost = ((ops.least(ksq, vsq, weighted, vsq_term, denominator) < _TINY)
+            | (denominator == math.inf) | (abs(tau) == math.inf))
+    if ops.any(lost):
+        tau = r._mend(lost, tau, lambda f: 2 * (2 * f.epsilon - 1) / (
+            (f.epsilon * (1 - f.epsilon)).sqrt()
+            * (f.coupling**2 + 16 * f.epsilon * (1 - f.epsilon) * f.potential**2 / f.coupling**2)))
+        if ops.any(abs(tau) == math.inf):
+            r._raise_at(abs(tau) == math.inf, "transition time overflows at "
+                        "epsilon={epsilon}, potential={potential}, coupling={coupling}; "
+                        "|tau| must stay below about 1.8e308")
     return tau
 
 

@@ -224,8 +224,9 @@ def _run_cli(argv, cwd):
 
 
 def test_subnormal_coupling_sweep_is_quiet(tmp_path):
-    # 16 eps (1 - eps) V**2 / k0**2 overflows at k0**2 = 5e-324, and tau
-    # rounds to -0 below eps = 1/2 and to +0 from there on
+    # 16 eps (1 - eps) V**2 / k0**2 overflows at k0**2 = 5e-324, so every
+    # cell is mended: tau is a subnormal or zero, negative below eps = 1/2
+    # and positive from there on
     out = tmp_path / "tau.csv"
     proc = _run_cli(
         ["sweep", "tau_vs_energy", "--coupling-sq", "5e-324", "--out", str(out)],
@@ -234,26 +235,27 @@ def test_subnormal_coupling_sweep_is_quiet(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
-    cells = {row.split(",")[1] for row in rows}
-    assert cells == {"-0", "0"}
-    eps = np.array([float(row.split(",")[0]) for row in rows])
-    assert all(row.endswith(",-0") for row in np.array(rows)[eps < 0.5])
+    eps, tau = np.array([[float(cell) for cell in row.split(",")] for row in rows]).T
+    assert np.all(np.abs(tau) < sys.float_info.min)
+    # a cell printed as 0.5 may lie on either side of it
+    assert np.all(np.signbit(tau[eps < 0.5])) and not np.any(np.signbit(tau[eps > 0.5]))
+    assert np.count_nonzero(tau) > len(rows) // 2
 
 
 def test_sweep_cell_out_of_range_exits_2(tmp_path):
-    # tau itself overflows to -inf: a typed error, not an inf cell
+    # the exact tau itself, about -2.5e310 at the first cell, is beyond the
+    # float range: a typed error, not an inf cell
     out = tmp_path / "tau.csv"
     proc = _run_cli(
-        ["sweep", "tau_vs_energy", "--coupling-sq", "1e-308",
-         "--potential", "1e-170", "--out", str(out)],
+        ["sweep", "tau_vs_energy", "--coupling-sq", "4e-309",
+         "--potential", "1e-307", "--out", str(out)],
         tmp_path,
     )
     assert proc.returncode == 2
-    assert proc.stderr == (
-        "error: transition time overflows at epsilon=0.0001, potential=1e-170, "
-        "coupling=1e-154: in floats, sqrt(eps (1 - eps)) (k0**2 + 16 eps "
-        "(1 - eps) V**2 / k0**2) is below 2 |2 eps - 1| / 1.8e308\n"
-    )
+    assert proc.stderr.startswith(
+        "error: transition time overflows at epsilon=0.0001, potential=1e-307, coupling=")
+    assert proc.stderr.endswith("; |tau| must stay below about 1.8e308\n")
+    assert proc.stderr.count("\n") == 1
     assert not out.exists()
 
 

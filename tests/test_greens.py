@@ -173,8 +173,13 @@ def _exact_greens(x1, x2, energy, potential, mass, hbar):
         (0.0, 1e-300, 0.25, 4.49423283715579e307, 2.0, 1.0),
         # 2 m overflows: the plain form gave -0.0, and warned on arrays
         (0.0, 1e-160, 0.25, 1.0, 1.7e308, 1.0),
+        # every intermediate is normal, but exp(-748.45) underflows before
+        # the prefactor 3.9e157 brings G back: the plain form gave -0.0
+        (-3.2780224470475803e34, 1.8350593078047765e-237, 0.0, 2.974439175266286e-190,
+         0.9448854617480593, 1.0383795248566614e-63),
     ],
-    ids=["distance-overflows", "kappa-product-overflows", "twice-mass-overflows"],
+    ids=["distance-overflows", "kappa-product-overflows", "twice-mass-overflows",
+         "decay-underflows"],
 )
 def test_extreme_exponents_match_mpmath(x1, x2, energy, potential, mass, hbar):
     exact = _exact_greens(x1, x2, energy, potential, mass, hbar)
@@ -186,13 +191,13 @@ def test_extreme_exponents_match_mpmath(x1, x2, energy, potential, mass, hbar):
         value = greens_constant(x1, x2, p)
         values = greens_constant(x1, x2, pair)
     assert type(value) is float
-    assert abs(value - exact) <= 2 * math.ulp(exact)
+    assert value == exact  # correctly rounded
     assert np.all(values == value)
 
 
-def test_points_beside_a_rescaled_one_keep_their_bits():
-    # the second point takes the rescaled form; the first keeps the bits the
-    # plain form gives it alone (pinned before the rescaled form existed)
+def test_points_beside_a_mended_one_keep_their_bits():
+    # the second point is mended; the first keeps the bits the plain form
+    # gives it alone (pinned before any point was mended)
     p = ModelParams(np.array([0.25, 0.25]), np.array([1.0, 4.49423283715579e307]), 1.0,
                     mass=np.array([0.5, 2.0]))
     with warnings.catch_warnings():

@@ -162,12 +162,16 @@ def _float_and_array(**fields):
     dict(energy=0.25, potential=4.49423283715579e307, coupling=1.0, mass=2.0),  # 2 m (V - E)
     # 2 m E underflows to 0, though k is 1.4e-162
     dict(energy=1.0484326333116877e-23, potential=1.0, coupling=0.0, mass=9.332636185032189e-302),
+    # 2 m E is subnormal: the plain k was 3.8739e-151, 1.1% off
+    dict(energy=5.305247052818001e-56, potential=9.206897804594856e-56, coupling=1.0,
+         mass=7.61253601517369e-268, hbar=2.2951258434684764e-11),
 ])
 def test_wave_numbers_are_the_nearest_floats_where_the_plain_form_is_lost(fields):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
         e, v, m = (mp.mpf(fields[name]) for name in ("energy", "potential", "mass"))
-        want = (float(mp.sqrt(2 * m * e)), float(mp.sqrt(2 * m * (v - e))))
+        h = mp.mpf(fields.get("hbar", 1.0))
+        want = (float(mp.sqrt(2 * m * e) / h), float(mp.sqrt(2 * m * (v - e)) / h))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in _float_and_array(**fields):

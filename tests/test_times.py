@@ -158,8 +158,8 @@ def test_extremal_coupling_outside_float_range(potential, quantity):
 
 def test_group_delay_where_the_denominator_product_overflows():
     # sqrt(E) sqrt(V - E) (4 hbar**4 E (V - E) + k0**4 m**2) overflows at the
-    # second point, so the quotient is taken in two steps there; the plain
-    # point keeps its bits (pinned before the two-step quotient existed)
+    # second point, which is mended; the plain point keeps its bits (pinned
+    # before any point was mended)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
         e, v, k0, m = map(mp.mpf, (0.25, 4.49423283715579e307, 1.0, 2.0))
@@ -172,7 +172,7 @@ def test_group_delay_where_the_denominator_product_overflows():
         warnings.simplefilter("error")
         delays = group_delays(p)
         arrays = group_delays(pair)
-    assert delays[0] < 0.0 and abs(delays[0] - exact) <= 2 * math.ulp(exact)
+    assert delays[0] < 0.0 and delays[0] == exact  # correctly rounded
     assert delays[0] == delays[1] == delays[2]  # |T|**2 = 1 there
     assert [float(d[1]) for d in arrays] == list(delays)
     assert [float(d[0]).hex() for d in arrays] == [
@@ -200,6 +200,40 @@ def test_delay_where_the_plain_quotient_is_lost(fields, want):
         for p in _both(fields):
             for tau in group_delays(p):
                 assert np.all(tau == want) and np.all(np.signbit(tau) == np.signbit(want))
+
+
+def test_delay_where_a_partial_product_underflows():
+    # m hbar**3 and 4 hbar**4 E underflow to 0, yet the exact quotient is
+    # normal: the plain form gave -0.0, mpmath gives -4.3024e-217
+    mp = pytest.importorskip("mpmath")
+    fields = dict(energy=1.4788088077279265e-113, potential=4.00310257123262e-113,
+                  coupling=2.359953873367474e57, mass=1.747366556589846e-120,
+                  hbar=1.977902126335489e-74)
+    with mp.workdps(60):
+        e, v, k0, m, h = (mp.mpf(fields[name]) for name in
+                          ("energy", "potential", "coupling", "mass", "hbar"))
+        exact = float(m * h**3 * k0**2 * (2 * e - v) / (
+            mp.sqrt(e) * mp.sqrt(v - e) * (4 * h**4 * e * (v - e) + k0**4 * m**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _both(fields):
+            assert np.all(group_delays(p)[0] == exact)
+
+
+def test_transition_time_where_v_squared_underflows():
+    # V**2 = 1e-340 underflows to 0, so the plain tau overflowed; the exact
+    # tau is finite
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        eps, v, k0 = mp.mpf(1e-4), mp.mpf(1e-170), mp.mpf(1e-154)
+        exact = float(2 * (2 * eps - 1) / (mp.sqrt(eps * (1 - eps))
+                                           * (k0**2 + 16 * eps * (1 - eps) * v**2 / k0**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = transition_time(ReducedParams(1e-4, 1e-170, 1e-154))
+        taus = transition_time(ReducedParams(np.array([1e-4, 0.25]), 1e-170, 1e-154))
+    assert tau == exact and f"{tau:.5g}" == "-1.2499e+37"
+    assert taus[0] == tau
 
 
 def test_mended_delays_are_correctly_rounded():
