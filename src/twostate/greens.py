@@ -30,6 +30,9 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).  It is
     an array when the parameters are.  Where the plain form may have lost
     bits, G is ``_mend``'s, or DomainError where that is beyond the floats.
+    Elsewhere G is within 2 (1 + kappa |x1 - x2|) ulp of the exact value:
+    exp(-y) turns the rounding of y = kappa |x1 - x2| into about y ulp, a
+    backward error of about one ulp in the inputs.
     """
     ops = p.ops
     hbar_sq = p._power("hbar", 2)

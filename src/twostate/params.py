@@ -253,11 +253,18 @@ class _Validated:
             # the scalar constructor raises the error of the first bad point
             type(self)(*self._first_point(~ok))
 
+    def _broadcast(self, *arrays):
+        """The shape of the fields broadcast with ``arrays``, which may add
+        axes (``greens_constant``'s x1 and x2, or a mask built from them),
+        and the fields broadcast to it."""
+        shape = np.broadcast_shapes(self.shape, *map(np.shape, arrays))
+        return shape, [np.broadcast_to(getattr(self, n), shape) for n in self.__match_args__]
+
     def _first_point(self, mask) -> tuple[float, ...]:
         """The fields as floats at the first point where ``mask`` holds."""
-        first = int(np.argmax(np.broadcast_to(mask, self.shape)))
-        return tuple(float(np.broadcast_to(getattr(self, name), self.shape).flat[first])
-                     for name in self.__match_args__)
+        shape, fields = self._broadcast(mask)
+        first = int(np.argmax(np.broadcast_to(mask, shape)))
+        return tuple(float(field.flat[first]) for field in fields)
 
     def _raise_at(self, mask, message: str) -> NoReturn:
         """DomainError(message), each ``{field}`` the first point's where ``mask`` holds."""
@@ -273,9 +280,8 @@ class _Validated:
         from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
         names = self.__match_args__
-        shape = np.broadcast_shapes(self.shape, *map(np.shape, extra))
+        shape, fields = self._broadcast(mask, *extra)
         value = np.array(np.broadcast_to(value, shape))
-        fields = [np.broadcast_to(getattr(self, n), shape) for n in names]
         extra = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in extra]
         with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
             for at in np.flatnonzero(np.broadcast_to(mask, shape)):

@@ -70,10 +70,11 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     ops = p.ops
     k = _wave_number(p, closed=False)
     # every field enters through G(xc, xc), so ratio has the full shape;
-    # k0**2 and lam overflow to inf with no warning on arrays, as on floats
+    # k0**2, lam and hbar**2 k overflow to inf with no warning on arrays, as
+    # on floats
     ksq = ops.muldiv(p.coupling, p.coupling, 1.0)
     lam = ops.muldiv(ksq, greens_constant(p.center, p.center, p), 1.0)
-    ratio = ops.muldiv(p.mass, lam, p._power("hbar", 2) * k)  # negative in-regime
+    ratio = ops.muldiv(p.mass, lam, ops.muldiv(p._power("hbar", 2), k, 1.0))  # negative in-regime
     if ops.any(ratio != ratio):  # NaN: k0**2 G and hbar**2 k both underflow to 0
         p._raise_at(ratio != ratio, "m k0**2 G / (hbar**2 k) is 0 / 0 in floats at "
                     "hbar={hbar}, mass={mass}, energy={energy}, coupling={coupling}")

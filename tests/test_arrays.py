@@ -12,8 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from closed_form_draws import _rel
 
 from twostate import (
     ConventionError,
@@ -57,10 +56,6 @@ TAXONOMY_FIELDS = (
     "group_delay", "self_interference", "transmission_delay", "reflection_delay",
     "transition",
 )
-
-
-def _rel(got, want) -> float:
-    return abs(got - want) / abs(want) if want else abs(got)
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -350,30 +345,3 @@ def test_empty_arrays_give_empty_results():
     assert transition_time(r).shape == (0,)
     assert solve_amplitudes(expand_reduced(r)).transmission.shape == (0,)
 
-
-EDGES = st.sampled_from(
-    [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, math.inf, -math.inf, math.nan]
-)
-VALUES = st.one_of(EDGES, st.floats(allow_nan=True, allow_infinity=True))
-
-
-@settings(max_examples=300, deadline=None)
-@given(points=st.lists(st.tuples(*[VALUES] * 6), min_size=3, max_size=3))
-def test_array_mask_agrees_with_scalar_checks(points):
-    # a 3-point array raises the scalar error of its first bad point, so a
-    # later point failing an earlier rule does not change the message
-    for cls in (ReducedParams, ModelParams):
-        size = len(cls.__match_args__)
-        scalar = None
-        for point in points:
-            try:
-                cls(*point[:size])
-            except DomainError as exc:
-                scalar = str(exc)
-                break
-        try:
-            cls(*(np.array(column) for column in list(zip(*points))[:size]))
-            vector = None
-        except DomainError as exc:
-            vector = str(exc)
-        assert vector == scalar

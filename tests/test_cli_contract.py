@@ -22,21 +22,12 @@ import json
 import math
 
 import pytest
+from closed_form_draws import _number
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twostate import cli, sweep, wavepacket
 from twostate.params import RunGuardError
-
-# any finite float, hypothesis's own mix of edge values included
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def _number(default: float):
-    """A finite float, or the default times a power of two, so that most
-    draws pass the first checks and reach the arithmetic behind them."""
-    return st.one_of(FINITE, st.integers(-1074, 1023).map(lambda e: default * 2.0**e))
-
 
 def _numbers(default: float):
     return st.lists(_number(default), min_size=1, max_size=3)
