@@ -1,193 +1,28 @@
-"""Every closed form, drawn once per example, on floats and on arrays.
+"""Every closed form gives finite fields or one typed DomainError, and the
+same on floats and on arrays.
 
-The CLI contract test (``test_cli_contract.py``) reaches the closed forms
-only through the CLI, which never calls ``group_delays`` or
-``solve_amplitudes`` with a general mass and hbar.  Here one hypothesis test
-per parameter type draws a short list of points, each field over the whole
-finite float range (``closed_form_draws``), sets up to two fields to NaN or
-an infinity, and calls every closed form of that type on it, with numpy's
-RuntimeWarnings turned into errors by the test settings.  Each example
-asserts, for every form:
-
-- a call returns finite fields (the one documented exception:
-  ``reflection_phase`` is NaN at k0 = 0) or raises a DomainError
-  (``DegenerateCouplingError`` among them); an OverflowError, a
-  ZeroDivisionError, a warning, an inf or a NaN fails the test;
-- one array call over the points where every float call returns gives what
-  those float calls give: within 1e-15 relative for the model forms, as
-  numpy's exp, arctan and complex division may round differently from
-  libm's and CPython's, and bit for bit, signed zeros included, for the
-  reduced forms, whose powers go through ``ops.pow`` (libm ``pow`` on both
-  paths; the pinned sweep bytes rest on that);
-- a one-point array at a point whose float call raises raises the same
-  type and message, and the array call over all points raises one of the
-  errors its float calls raise;
-- the array constructor raises the scalar constructor's error at the first
-  point that has one, so a later point failing an earlier rule does not
-  change the message.
-
-The Green's function is called with x1 and x2 as a column, so that its
-value has a larger shape than the fields.
+Each test reports one closed form's verdict from the shared draw of its
+parameter type (``closed_form_draws``): the draw calls every form on each
+of its 400 derandomized examples, so a form's test fails with the first
+example at which that form broke a contract or its float and array paths
+disagreed.  The assertions are listed in ``closed_form_draws``.
 """
 
-import math
-
-import numpy as np
+import pytest
 from closed_form_draws import (
-    MODEL,
     MODEL_FORMS,
-    REDUCED,
     REDUCED_FORMS,
-    _bits,
-    _fields,
-    _holes,
-    _number,
-    _outcome,
+    assert_passed,
+    model_failures,
+    reduced_failures,
 )
-from hypothesis import example, given, note, settings
-from hypothesis import strategies as st
-
-from twostate.params import ModelParams, ReducedParams
-
-CONTRACT = settings(max_examples=400, deadline=None, derandomize=True)
 
 
-def _points(points: list, holes: list) -> list:
-    """Copies of the drawn points with the holes' fields set."""
-    points = [dict(point) for point in points]
-    for at, name, value in holes:
-        points[at % len(points)][name] = value
-    return points
+@pytest.mark.parametrize("name", MODEL_FORMS)
+def test_model_closed_forms(name):
+    assert_passed(model_failures(), name)
 
 
-def _columns(points: list) -> dict:
-    """The points as one array per field."""
-    return {name: np.array([point[name] for point in points]) for name in points[0]}
-
-
-def _call(form, cls, fields: dict, *args):
-    """The fields of ``form(cls(**fields), *args)`` and None, or None and the
-    (type, message) of the DomainError that construction or the form raises;
-    any other exception fails the test, and the fields must be finite."""
-    p, error = _outcome(cls, **fields)
-    if error is None:
-        result, error = _outcome(form, p, *args)
-    if error is not None:
-        return None, error
-    result = _fields(result)
-    for name, value in result.items():
-        finite = np.isfinite(value)
-        if name == "reflection_phase":  # NaN, by design, where k0 = 0
-            finite |= np.broadcast_to(p.coupling == 0.0, np.shape(finite))
-        assert np.all(finite), (name, value, fields)
-    return result, None
-
-
-def _close(got: complex, want: complex) -> bool:
-    """Equal, or within 1e-15 relative (about 4 ulp) in each component, or
-    both NaN."""
-    return all(g == w or abs(g - w) <= 1e-15 * abs(w) or (math.isnan(g) and math.isnan(w))
-               for g, w in ((got.real, want.real), (got.imag, want.imag)))
-
-
-def _check(form, cls, points: list, grid, positions=((),), exact=False) -> None:
-    """``form`` at each point and position on floats, then as arrays, with
-    the points' fields as ``grid`` makes them of a list of points and the
-    positions as columns, so that the value has shape (positions, points)."""
-    columns = [np.array(x)[:, None] for x in zip(*positions)]
-    # one[j][i]: the float call at point j and position i
-    one = [[_call(form, cls, point, *at) for at in positions] for point in points]
-    fine = [all(error is None for _, error in row) for row in one]
-    good = [row for row, ok in zip(one, fine) if ok]
-    if good:
-        both, error = _call(form, cls, grid([p for p, ok in zip(points, fine) if ok]), *columns)
-        assert error is None, (error, points)
-        for name, value in both.items():
-            value = np.broadcast_to(value, (len(positions), len(good)))
-            for j, row in enumerate(good):
-                for i, (want, _) in enumerate(row):
-                    if exact:
-                        assert type(want[name]) is float
-                        assert _bits(value[i, j]) == _bits(want[name]), (name, points)
-                    else:
-                        got, want = complex(value[i, j]), complex(want[name])
-                        assert _close(got, want), (name, got, want, points)
-    for point, row in zip(points, one):
-        for at, (_, error) in zip(positions, row):
-            if error is not None:
-                alone = _call(form, cls, _columns([point]), *(np.array([[x]]) for x in at))
-                assert alone[1] == error, (alone[1], error, point, at)
-    if not all(fine):
-        errors = {error for row in one for _, error in row if error is not None}
-        assert _call(form, cls, grid(points), *columns)[1] in errors, points
-
-
-def _valid(cls, points: list, grid: dict) -> list:
-    """The points whose scalar constructor returns; the array constructor
-    raises the error of the first point whose scalar constructor raises, at
-    that point alone and over the grid."""
-    errors = [_outcome(cls, **point)[1] for point in points]
-    for point, error in zip(points, errors):
-        if error is not None:
-            assert _outcome(cls, **_columns([point]))[1] == error, point
-    assert _outcome(cls, **grid)[1] == next((e for e in errors if e is not None), None)
-    return [point for point, error in zip(points, errors) if error is None]
-
-
-DEFAULT = {"energy": 0.25, "potential": 1.0, "coupling": 1.0, "mass": 0.5, "hbar": 1.0,
-           "center": 0.0}
-
-
-def _point(energy, potential, coupling, mass=0.5, hbar=1.0):
-    return {**DEFAULT, "energy": energy, "potential": potential, "coupling": coupling,
-            "mass": mass, "hbar": hbar}
-
-
-@CONTRACT
-@given(points=st.lists(MODEL, min_size=2, max_size=3), holes=_holes(ModelParams.__match_args__),
-       positions=st.lists(st.tuples(_number(1.0), _number(1.0)), min_size=1, max_size=2))
-# numerator and denominator of the delay both underflow to 0
-@example(points=[_point(6.110217636905391e-64, 5.901476869729932e-63, 2.211353215042252e-270,
-                        mass=3.9638958482868515e-180, hbar=2.9720066382313664e-99), DEFAULT],
-         holes=[], positions=[(0.0, -0.0)])
-# numerator and denominator of the delay both overflow
-@example(points=[_point(3.3881176012719845e277, 6.413762747233867e277, 3.928387707325421e26,
-                        mass=2.0673576620345306e17), DEFAULT], holes=[], positions=[(0.0, -0.0)])
-# 2 m overflows, though k is 7.07e153
-@example(points=[_point(0.25, 1.0, 1.0, mass=1e308), DEFAULT], holes=[], positions=[(0.0, -0.0)])
-# k is 2.4e384, beyond the float range
-@example(points=[_point(2.866409686187577e188, 3.5027426300836074e188, 4.693813821417284e-169,
-                        hbar=7.108416342810307e-291), DEFAULT], holes=[], positions=[(0.0, -0.0)])
-# G overflows at the first point, on a grid whose x1 adds an axis
-@example(points=[_point(0.0, 5e-324, 1.0, hbar=1e-154), _point(0.0, 1.0, 1.0, hbar=1e-154)],
-         holes=[], positions=[(0.0, 0.0), (1.0, 0.0)])
-def test_model_closed_forms(points, holes, positions):
-    points = _points(points, holes)
-    valid = _valid(ModelParams, points, _columns(points))
-    for name, form in MODEL_FORMS.items():
-        if valid:
-            note(name)
-            _check(form, ModelParams, valid, _columns, positions)
-
-
-@CONTRACT
-@given(points=st.lists(REDUCED, min_size=1, max_size=8), shared_v=st.booleans(),
-       holes=_holes(ReducedParams.__match_args__))
-@example(points=[{"epsilon": 0.5, "potential": 1e154, "coupling": 1.0}], shared_v=False,
-         holes=[])  # 16 V**2 overflows
-def test_reduced_closed_forms(points, shared_v, holes):
-    points = _points(points, holes)
-    if shared_v:  # one V for the whole grid, as a sweep series has
-        points = [{**point, "potential": points[0]["potential"]} for point in points]
-
-    def grid(subset: list) -> dict:
-        columns = _columns(subset)
-        if shared_v:
-            columns["potential"] = columns["potential"][:1]
-        return columns
-
-    valid = _valid(ReducedParams, points, grid(points))
-    for name, form in REDUCED_FORMS.items():
-        if valid:
-            note(name)
-            _check(form, ReducedParams, valid, grid, exact=True)
+@pytest.mark.parametrize("name", REDUCED_FORMS)
+def test_reduced_closed_forms(name):
+    assert_passed(reduced_failures(), name)

@@ -4,15 +4,16 @@
 parameter type's ``_power``, through ``ops.pow``: CPython's float ``**`` for
 floats, and ``np.float_power`` for arrays, which calls the same libm
 ``pow``.  The pinned sweep bytes rest on that, so the array pow is checked
-against float ``**`` directly, signed zeros and subnormal results included.
-That each reduced closed form then gives the same bits, and raises the same
-type and message, on floats and arrays is asserted point by point by
-``test_library_contract.py``.
+against float ``**`` directly, signed zeros and subnormal results included,
+and each closed form is checked point by point on the shared reduced draw
+(``closed_form_draws``): the array result equals the scalar calls bit for
+bit, signed zeros included, and where a scalar call raises, the array call
+raises the same type and message.
 """
 
 import numpy as np
 import pytest
-from closed_form_draws import _bits
+from closed_form_draws import REDUCED_FORMS, _bits, assert_passed, reduced_failures
 
 from twostate import DomainError, ReducedParams
 from twostate.params import _ARRAY_OPS
@@ -42,3 +43,7 @@ def test_power_raises_one_domain_error_on_floats_and_arrays(n):
         f"{1.7976931348623157e308 ** (1 / n):.4g}"
     )
 
+
+@pytest.mark.parametrize("form", REDUCED_FORMS)
+def test_array_form_equals_scalar_calls(form):
+    assert_passed(reduced_failures(), form, kinds=("mismatch",))
