@@ -169,9 +169,8 @@ def check_extremum_law() -> CheckResult:
 def check_reduction_chain() -> CheckResult:
     """Square-regularized amplitudes converge to the closed forms."""
     p = expand_reduced(ReducedParams(epsilon=0.5, potential=1.0, coupling=1.0))
-    widths = (1e-1, 1e-2, 1e-3)
-    report = oracle.convergence_study(p, widths)
-    sols = [oracle.solve_regularized(p, w) for w in widths]
+    report = oracle.convergence_study(p)
+    sols = [oracle.solve_regularized(p, w) for w in report.widths]
     return _result(
         "reduction_chain",
         ("observed order", report.observed_order, ">=", 0.8),

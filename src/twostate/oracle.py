@@ -7,8 +7,8 @@ everything here runs on numpy alone:
   differences, converging to the analytic group delay at O(h^2).
 * ``greens_grid`` solves (E - H2) G = delta on a finite-difference grid
   with Dirichlet ends, eliminating the tridiagonal system from both ends
-  to the centre row; ``greens_grid_extrapolated`` Richardson-combines
-  spacings h and h/2.
+  to the centre row; ``greens_grid_extrapolated`` Richardson-combines the
+  default spacing h and h/2.
 * ``solve_regularized`` replaces the point coupling by a square coupling
   of width w and height k0/w and solves the genuine two-channel matching
   problem (8 unknowns); its w -> 0 limit recovers the point-coupling
@@ -17,7 +17,8 @@ everything here runs on numpy alone:
   coupling strip by panelled 64-node Gauss-Legendre quadrature,
   exhibiting the dwell-time collapse tau_d -> 0.
 * ``extremum_search`` locates the coupling that maximizes |tau| by a
-  golden-section search, without using the closed-form extremum.
+  golden-section search over k0^2 in [1e-6, 50], without using the
+  closed-form extremum.
 """
 
 from __future__ import annotations
@@ -82,20 +83,18 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
 _KH_FLOOR = float(np.finfo(float).eps) ** 0.25
 
 
-def _grid_scales(
-    p: ModelParams, spacing: float | None, refine: int = 1
-) -> tuple[float, float]:
+def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
     """Grid half-width 20 / kappa and spacing (0.005 / kappa by default).
 
     Rejects a kappa outside [1e-150, 1e150], where h**2 leaves the float
-    range, and a spacing that is not finite or whose ``refine``-th part is
-    below the rounding floor eps**(1/4) / kappa.
+    range, and a spacing that is not finite or is below the rounding floor
+    eps**(1/4) / kappa.
     """
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
     if not 1e-150 <= kappa <= 1e150:
         raise ValueError(f"the grid oracle needs kappa in [1e-150, 1e150], got {kappa!r}")
     h = 0.005 / kappa if spacing is None else spacing
-    floor = refine * _KH_FLOOR / kappa
+    floor = _KH_FLOOR / kappa
     if not floor <= h < math.inf:
         raise ValueError(
             f"grid spacing must be finite and at least {floor!r} "
@@ -132,9 +131,10 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     return (1.0 / h) / (a - 2.0 * tsq / d)
 
 
-def greens_grid_extrapolated(p: ModelParams, spacing: float | None = None) -> float:
-    """Richardson combination (4 G(h/2) - G(h)) / 3 of two grid solves."""
-    _, h = _grid_scales(p, spacing, refine=2)
+def greens_grid_extrapolated(p: ModelParams) -> float:
+    """Richardson combination (4 G(h/2) - G(h)) / 3 of two grid solves at
+    the default spacing h = 0.005 / kappa."""
+    _, h = _grid_scales(p, None)
     coarse = greens_grid(p, h)
     fine = greens_grid(p, h / 2.0)
     return (4.0 * fine - coarse) / 3.0
@@ -289,22 +289,14 @@ class ConvergenceReport:
     observed_order: float
 
 
-def convergence_study(
-    p: ModelParams, widths: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
-) -> ConvergenceReport:
-    """Error |B_w - B| + |C_w - C| for each width, plus the log-log slope.
+def convergence_study(p: ModelParams) -> ConvergenceReport:
+    """Error |B_w - B| + |C_w - C| at widths 1e-1, 1e-2 and 1e-3, plus the
+    log-log slope.
 
-    Widths must be strictly decreasing and at least three.  When every
-    error sits at rounding level (the uncoupled case) the order is
-    reported as +inf rather than a meaningless slope.
+    When every error sits at rounding level (the uncoupled case) the order
+    is reported as +inf rather than a meaningless slope.
     """
-    if len(widths) < 3:
-        raise ValueError("need at least three widths for an order estimate")
-    if any(w <= 0.0 for w in widths):
-        raise ValueError("widths must be positive")
-    if not all(a > b for a, b in zip(widths, widths[1:])):
-        raise ValueError("widths must be strictly decreasing")
-
+    widths = (1e-1, 1e-2, 1e-3)
     exact = scatter.solve_amplitudes(p)
     errors = []
     for w in widths:
@@ -318,9 +310,7 @@ def convergence_study(
     else:
         slope = np.polyfit(np.log(np.asarray(widths)), np.log(errors), 1)[0]
         order = float(slope)
-    return ConvergenceReport(
-        widths=tuple(widths), errors=tuple(errors), observed_order=order
-    )
+    return ConvergenceReport(widths=widths, errors=tuple(errors), observed_order=order)
 
 
 @functools.cache
@@ -408,28 +398,21 @@ def dwell_time_window(p: ModelParams, width: float, half_window: float) -> float
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def extremum_search(
-    epsilon: float, potential: float, bracket: tuple[float, float] = (1e-6, 50.0)
-) -> tuple[float, float]:
+def extremum_search(epsilon: float, potential: float) -> tuple[float, float]:
     """Numerically maximize |tau| over k0^2 at fixed (epsilon, V).
 
-    Golden-section search over ``bracket`` = (lo, hi), 0 < lo < hi < inf,
-    until the bracket is 1e-10 wide.  Returns (k0_sq_at_max, tau_at_max).
-    Independent of the closed-form extremum, which it is used to verify.
+    Golden-section search over k0^2 in [1e-6, 50] until the bracket is
+    1e-10 wide.  Returns (k0_sq_at_max, tau_at_max).  Independent of the
+    closed-form extremum, which it is used to verify.
     """
-    lo, hi = bracket
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(
-            f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}"
-        )
+    lo, hi = 1e-6, 50.0
 
     def tau(ksq: float) -> float:
         r = ReducedParams(epsilon=epsilon, potential=potential, coupling=math.sqrt(ksq))
         return times.transition_time(r)
 
     # each step keeps the sub-bracket holding the larger |tau| and shrinks
-    # the bracket by 1 / phi; the step count is fixed up front, so a
-    # bracket that rounding cannot narrow to 1e-10 still ends
+    # the bracket by 1 / phi
     steps = math.ceil(math.log((hi - lo) / 1e-10) / -math.log(_INV_PHI))
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = abs(tau(c)), abs(tau(d))

@@ -161,15 +161,19 @@ _TINY = sys.float_info.min  # the smallest normal float
 
 
 def _as_float(name: str, value, kinds: str = "a real number") -> float:
-    """A real scalar as a Python float: a bool and a non-real raise TypeError
-    (naming ``kinds``, what ``name`` may be), an int or a fraction beyond the
-    float range a DomainError naming ``name``."""
+    """A real scalar as a finite Python float: a bool and a non-real raise
+    TypeError (naming ``kinds``, what ``name`` may be), a NaN, an infinity
+    and an int or a fraction beyond the float range a DomainError naming
+    ``name``."""
     if not isinstance(value, numbers.Real) or type(value) is bool:
         raise TypeError(f"{name} must be {kinds}, got {type(value).__name__}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got {value!r:.24}...") from None
+    if not _isfinite(number):
+        raise DomainError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def _as_count(name: str, value, least: int) -> int:
@@ -194,11 +198,12 @@ class _Validated:
     message of each, in the same order.  Scalar fields become Python floats
     (a bool or a non-real is refused with TypeError) and must be finite, and
     the first condition that fails raises DomainError.  With a numpy array
-    among the fields, every field becomes a float array (0-d for a scalar)
-    and the fields must broadcast together, else ValueError; np.isfinite
-    and the conditions are ANDed over the grid, and at the first point
-    outside the domain the scalar constructor runs, so the error is the one
-    a scalar call at that point raises.
+    among the fields, every field becomes a float array (0-d for a scalar,
+    which ``_as_float`` converts first, so a scalar that is not finite is
+    named before any array point) and the fields must broadcast together,
+    else ValueError; np.isfinite and the conditions are ANDed over the grid,
+    and at the first point outside the domain the scalar constructor runs,
+    so the error is the one a scalar call at that point raises.
     """
 
     # set by validation when the fields are arrays

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scatter, times
-from .params import ReducedParams, _as_count, expand_reduced
+from .params import ReducedParams, _as_count, _as_float, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
@@ -78,7 +78,8 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 @dataclass(frozen=True)
 class SweepVariable:
-    """Linearly spaced sweep variable."""
+    """Linearly spaced sweep variable, its bounds stored as finite floats
+    and its count as an int (``params._as_float`` and ``_as_count``)."""
 
     name: str
     start: float
@@ -86,9 +87,9 @@ class SweepVariable:
     count: int
 
     def __post_init__(self) -> None:
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         object.__setattr__(self, "count", _as_count("count", self.count, 2))
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("sweep bounds must be finite")
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def _row(quantity: str) -> QuantityRow:
     return QUANTITY_ROWS[quantity]
 
 
-def default_spec(quantity: str, output: Path, fmt: str = SweepSpec.format) -> SweepSpec:
-    """Sweep specs reproducing the canonical figures of the model."""
+def default_spec(quantity: str, output: Path) -> SweepSpec:
+    """CSV sweep specs reproducing the canonical figures of the model."""
     row = _row(quantity)
     return SweepSpec(
         quantity=quantity,
@@ -120,7 +121,6 @@ def default_spec(quantity: str, output: Path, fmt: str = SweepSpec.format) -> Sw
             row.series: row.default_series(DEFAULT_POTENTIAL),
         },
         output=Path(output),
-        format=fmt,
     )
 
 

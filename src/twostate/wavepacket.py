@@ -79,7 +79,7 @@ class PacketSpec:
     center must sit on the incident side (negative) at least five widths
     from the coupling so the initial overlap with the strip is negligible.
     The fields are stored as Python floats (``params._as_float``: a bool is
-    refused, an int beyond the float range raises DomainError).
+    refused, a field that is not finite raises DomainError naming it).
     """
 
     center: float
@@ -89,10 +89,6 @@ class PacketSpec:
     def __post_init__(self) -> None:
         for name in ("center", "wavenumber", "sigma"):
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        if not all(
-            math.isfinite(v) for v in (self.center, self.wavenumber, self.sigma)
-        ):
-            raise ValueError("packet parameters must be finite")
         if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):  # the envelope divides by it
             raise ValueError(f"sigma must be positive, its square too, got {self.sigma}")
         if self.wavenumber <= 0.0:
@@ -126,25 +122,20 @@ class PacketSpec:
 class GridSpec:
     """Uniform grid [-half_length, half_length] with fixed step count.
 
-    Like ``PacketSpec``, it stores its fields as Python floats and ints, so
-    that equal specs mean bit-identical runs.
+    Like ``PacketSpec``, it stores its fields as finite Python floats and
+    ints, so that equal specs mean bit-identical runs.
     """
 
     half_length: float
-    points: int = 2048
-    dt: float = 0.25
-    steps: int = 2000
+    points: int
+    dt: float
+    steps: int
 
     def __post_init__(self) -> None:
         for name in ("half_length", "dt"):
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         for name, least in (("points", 128), ("steps", 1)):
             object.__setattr__(self, name, _as_count(name, getattr(self, name), least))
-        if not (math.isfinite(self.half_length) and math.isfinite(self.dt)):
-            raise ValueError(
-                f"half_length and dt must be finite, got {self.half_length} "
-                f"and {self.dt}"
-            )
         if self.half_length <= 0.0:
             raise ValueError("half_length must be positive")
         if self.dt <= 0.0:
@@ -372,18 +363,17 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
 
 
 def _crossing_time(ts: np.ndarray, cs: np.ndarray, plane: float) -> float:
-    """First linear-interpolated crossing of the detector plane."""
-    valid = np.isfinite(cs)
-    for i in range(1, ts.size):
-        if not (valid[i - 1] and valid[i]):
-            continue
-        if cs[i - 1] < plane <= cs[i]:
-            frac = (plane - cs[i - 1]) / (cs[i] - cs[i - 1])
-            return float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
-    raise NoCrossingError(
-        "transmitted centroid never crossed the detector plane; "
-        "increase grid.steps or enlarge the domain"
-    )
+    """First linear-interpolated crossing of the detector plane; a NaN
+    centroid (too little transmitted mass) fails both comparisons."""
+    crossings = np.flatnonzero((cs[:-1] < plane) & (plane <= cs[1:]))
+    if not crossings.size:
+        raise NoCrossingError(
+            "transmitted centroid never crossed the detector plane; "
+            "increase grid.steps or enlarge the domain"
+        )
+    i = crossings[0]
+    frac = (plane - cs[i]) / (cs[i + 1] - cs[i])
+    return float(ts[i] + frac * (ts[i + 1] - ts[i]))
 
 
 def propagate(
@@ -402,7 +392,8 @@ def propagate(
     free reference runs once per packet, grid, hbar, mass and strip edge
     and is reused by later calls that share them (``_free_arrival``).  When
     ``snapshot_path`` is given, rows (t, x, |phi1|^2, |phi2|^2) of the
-    coupled run are dumped every ``snapshot_stride`` steps.
+    coupled run are dumped every ``snapshot_stride`` steps, a count from 1
+    (``params._as_count``: a float or a bool raises TypeError).
     """
     if not 0.0 < width <= 1e-2:
         raise ValueError(
@@ -421,8 +412,7 @@ def propagate(
             f"packet too broadband: energy spread {spread:.3e} exceeds "
             f"0.1 * min(E0, V - E0) = {budget:.3e}; widen sigma"
         )
-    if snapshot_stride < 1:
-        raise ValueError("snapshot stride must be >= 1")
+    stride = _as_count("snapshot_stride", snapshot_stride, 1)
 
     x, dx, psi0 = _initial_state(packet, grid)
     if not 2.0 * p.mass * dx**2 > 0.0:  # the hopping hbar**2 / (2 m dx**2)
@@ -431,7 +421,7 @@ def propagate(
 
     gvec = _coupling_cells(x, dx, p, width)
     ts, cs, drift, transmitted = _run(
-        psi0, x, dx, gvec, p, grid, start, snapshot_path, snapshot_stride
+        psi0, x, dx, gvec, p, grid, start, snapshot_path, stride
     )
     # float(): a 0-d array field is unhashable, and the key must be exact
     t_free = _free_arrival(packet, grid, float(p.hbar), float(p.mass), start)

@@ -187,8 +187,8 @@ def test_a_bound_is_met_at_its_edge():
 def test_errors_that_stop_falling_are_caught(monkeypatch):
     real = oracle.convergence_study
 
-    def swapped(p, widths):
-        report = real(p, widths)
+    def swapped(p):
+        report = real(p)
         e = report.errors
         return dataclasses.replace(report, errors=(e[1], e[0], e[2]))
 

@@ -109,10 +109,6 @@ def test_grid_spacing_floor():
     assert abs(greens_grid(p, floor) - exact) <= 1e-6 * abs(exact)
     with pytest.raises(ValueError, match="rounding floor"):
         greens_grid(p, math.nextafter(floor, 0.0))
-    # the extrapolated form also solves on h / 2
-    greens_grid_extrapolated(p, 2.0 * floor)
-    with pytest.raises(ValueError, match=repr(2.0 * floor)):
-        greens_grid_extrapolated(p, 1.5 * floor)
 
 
 def _banded_grid(p, spacing):
@@ -304,16 +300,6 @@ def test_convergence_study_uncoupled_is_exact():
     assert max(report.errors) < 1e-12
 
 
-def test_convergence_study_validation():
-    p = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        convergence_study(p, widths=(1e-1, 1e-2))
-    with pytest.raises(ValueError):
-        convergence_study(p, widths=(1e-3, 1e-2, 1e-1))
-    with pytest.raises(ValueError):
-        convergence_study(p, widths=(1e-1, 0.0, -1e-3))
-
-
 def test_dwell_time_collapses_with_width():
     p = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
     dwell = [dwell_time_regularized(p, w) for w in (1e-1, 1e-2, 1e-3)]
@@ -426,11 +412,6 @@ P_HALF = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
         (lambda: dwell_time_window(P_HALF, 1e-3, math.inf), "half_window"),
         (lambda: greens_grid(P_HALF, math.nan), "grid spacing"),
         (lambda: greens_grid(P_HALF, math.inf), "grid spacing"),
-        (lambda: greens_grid_extrapolated(P_HALF, math.inf), "grid spacing"),
-        (lambda: extremum_search(0.25, 1.0, (0.0, 50.0)), "bracket"),
-        (lambda: extremum_search(0.25, 1.0, (2.0, 1.0)), "bracket"),
-        (lambda: extremum_search(0.25, 1.0, (1e-6, math.inf)), "bracket"),
-        (lambda: extremum_search(0.25, 1.0, (math.nan, 1.0)), "bracket"),
     ],
 )
 def test_nonfinite_oracle_inputs_raise_typed_errors(call, names):

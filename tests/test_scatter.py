@@ -84,6 +84,19 @@ def test_uncoupled_channel_is_transparent():
     assert math.isnan(a.reflection_phase)
 
 
+@pytest.mark.filterwarnings("error")
+def test_hbar_squared_k_overflow_gives_the_float_result_on_arrays():
+    # hbar**2 * k overflows here; ops.muldiv keeps the array call unwarned
+    fields = dict(potential=2.0**303, coupling=0.0, mass=2.5436883695607526e282,
+                  hbar=2.792153336231947e121)
+    want = solve_amplitudes(ModelParams(2.0**302, **fields))
+    got = solve_amplitudes(ModelParams(np.array([2.0**302]), **fields))
+    assert (want.transmission_prob, want.reflection_prob) == (1.0, 0.0)
+    assert math.isnan(want.reflection_phase)
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), [value], equal_nan=True), name
+
+
 def test_requires_propagating_energy():
     p = ModelParams(energy=0.0, potential=1.0, coupling=1.0)
     with pytest.raises(DomainError):

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from twostate import ReducedParams, SweepSpec, SweepVariable, run_sweep, transition_time
+from twostate import (
+    DomainError, ReducedParams, SweepSpec, SweepVariable, run_sweep, transition_time,
+)
 from twostate import cli
 from twostate.sweep import QUANTITIES, default_spec
 
@@ -158,7 +161,7 @@ def test_margin_clips_open_interval(tmp_path):
 
 def test_svg_structure(tmp_path):
     path = tmp_path / "t.svg"
-    run_sweep(default_spec("transmission", path, fmt="svg"))
+    run_sweep(dataclasses.replace(default_spec("transmission", path), format="svg"))
     text = path.read_text(encoding="utf-8")
     assert text.startswith("<svg ")
     assert text.endswith("</svg>\n")
@@ -168,7 +171,7 @@ def test_svg_structure(tmp_path):
 
 def test_both_formats(tmp_path):
     out = tmp_path / "t.csv"
-    written = run_sweep(default_spec("tau_vs_energy", out, fmt="both"))
+    written = run_sweep(dataclasses.replace(default_spec("tau_vs_energy", out), format="both"))
     assert sorted(p.suffix for p in written) == [".csv", ".svg"]
     for p in written:
         assert p.exists()
@@ -200,8 +203,10 @@ def test_run_sweep_validation(tmp_path):
         run_sweep(SweepSpec("transmission", good, {"potential": 1.0}, out))
     with pytest.raises(ValueError):
         SweepVariable("epsilon", 0.1, 0.9, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^start must be finite, got nan$"):
         SweepVariable("epsilon", math.nan, 0.9, 5)
+    with pytest.raises(DomainError, match="^stop must be finite, got inf$"):
+        SweepVariable("epsilon", 0.1, math.inf, 5)
     most = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
     with pytest.raises(ValueError, match=f"^count must be at most {most}, got {2**63}$"):
         SweepVariable("epsilon", 0.1, 0.9, 2**63)
@@ -222,3 +227,11 @@ def test_sweep_count_follows_the_one_count_rule(count, error, match):
 def test_sweep_count_is_stored_as_a_python_int():
     count = SweepVariable("epsilon", 0.0, 1.0, np.int64(7)).count
     assert type(count) is int and count == 7
+
+
+def test_sweep_bounds_are_stored_as_python_floats():
+    variable = SweepVariable("epsilon", 0, np.float32(0.5), 10)
+    assert (type(variable.start), type(variable.stop)) == (float, float)
+    assert (variable.start, variable.stop) == (0.0, 0.5)
+    with pytest.raises(TypeError, match=r"^start must be a real number, got bool$"):
+        SweepVariable("epsilon", True, 1, 10)

@@ -379,6 +379,35 @@ def test_detector_never_reached():
     assert info.type is NoCrossingError
 
 
+def _loop_crossing(ts, cs, plane):
+    """The first crossing by a loop over the steps that skips NaN centroids,
+    or None."""
+    valid = np.isfinite(cs)
+    for i in range(1, ts.size):
+        if valid[i - 1] and valid[i] and cs[i - 1] < plane <= cs[i]:
+            frac = (plane - cs[i - 1]) / (cs[i] - cs[i - 1])
+            return float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
+    return None
+
+
+def test_crossing_time_equals_the_loop_over_steps():
+    rng = np.random.default_rng(5)
+    ts = 0.4 * np.arange(200)
+    outcomes = set()
+    for _ in range(300):
+        cs = np.cumsum(rng.normal(0.2, 1.0, ts.size))
+        cs[rng.random(ts.size) < 0.3] = np.nan  # too little transmitted mass
+        plane = rng.uniform(-5.0, 40.0)
+        want = _loop_crossing(ts, cs, plane)
+        outcomes.add(want is None)
+        if want is None:
+            with pytest.raises(NoCrossingError, match="^transmitted centroid never crossed"):
+                wavepacket._crossing_time(ts, cs, plane)
+        else:
+            assert float.hex(wavepacket._crossing_time(ts, cs, plane)) == float.hex(want)
+    assert outcomes == {True, False}
+
+
 def test_boundary_contamination_detected():
     grid = GridSpec(half_length=180.0, points=1025, dt=0.4, steps=10)
     with pytest.raises(BoundaryContaminationError, match="edge density"):
@@ -431,14 +460,14 @@ def test_packet_for_energy():
 )
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
-        GridSpec(**kwargs)
+        dataclasses.replace(GRID, **kwargs)
 
 
 @pytest.mark.parametrize("field", ["points", "steps"])
 def test_grid_counts_beyond_any_array_are_refused(field):
     most = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
     with pytest.raises(ValueError, match=f"^{field} must be at most {most}, got {2**63}$"):
-        GridSpec(half_length=300.0, **{field: 2**63})
+        dataclasses.replace(GRID, **{field: 2**63})
 
 
 def test_propagate_validation():
@@ -448,7 +477,7 @@ def test_propagate_validation():
         propagate(PACKET, P_COUPLED, width=0.02, grid=GRID)
     with pytest.raises(ValueError):
         propagate(PACKET, P_COUPLED, width=math.nan, grid=GRID)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^snapshot_stride must be at least 1, got 0$"):
         propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID, snapshot_stride=0)
     hot = PacketSpec.for_energy(2.5, P_COUPLED, sigma=20.0, center=-100.0)
     with pytest.raises(DomainError):
@@ -538,6 +567,25 @@ def test_free_reference_reruns_only_when_what_it_reads_changes(monkeypatch, fres
     assert wavepacket._free_arrival.cache_info().currsize == 11
 
 
+@pytest.mark.parametrize("stride", [2.5, 50.0, True])
+def test_snapshot_stride_must_be_an_integer(stride):
+    with pytest.raises(TypeError, match="^snapshot_stride must be an integer, got "):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID, snapshot_stride=stride)
+
+
+def test_a_numpy_integer_stride_reaches_the_run_as_an_int(monkeypatch, fresh_reference):
+    tails = []
+    run = _counting_run([])
+
+    def recording(*args):
+        tails.append(args[7:])  # (snapshot_path, stride) of the coupled run
+        return run(*args)
+
+    monkeypatch.setattr(wavepacket, "_run", recording)
+    propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID, snapshot_stride=np.int64(50))
+    assert tails == [(None, 50), ()] and type(tails[0][1]) is int
+
+
 def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
     free_runs = []
     run = _counting_run(free_runs)
@@ -559,23 +607,29 @@ def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
     [
         (lambda: PacketSpec(center=-10**400, wavenumber=1.0, sigma=1.0),
          DomainError, r"^center must be finite, got -1000"),
-        (lambda: GridSpec(half_length=10**400), DomainError, r"^half_length must be finite"),
+        (lambda: dataclasses.replace(GRID, half_length=10**400),
+         DomainError, r"^half_length must be finite"),
+        (lambda: PacketSpec(center=-100.0, wavenumber=1.0, sigma=math.nan),
+         DomainError, r"^sigma must be finite, got nan$"),
+        (lambda: dataclasses.replace(GRID, dt=math.inf), DomainError, r"^dt must be finite, got inf$"),
         (lambda: PacketSpec(center=-100.0, wavenumber=True, sigma=20.0),
          TypeError, r"^wavenumber must be a real number, got bool$"),
-        (lambda: GridSpec(half_length=True), TypeError, r"^half_length must be a real number"),
-        (lambda: GridSpec(half_length=300.0, points=2049.5),
+        (lambda: dataclasses.replace(GRID, half_length=True),
+         TypeError, r"^half_length must be a real number"),
+        (lambda: dataclasses.replace(GRID, points=2049.5),
          TypeError, r"^points must be an integer, got float$"),
-        (lambda: GridSpec(half_length=300.0, steps=700.5),
+        (lambda: dataclasses.replace(GRID, steps=700.5),
          TypeError, r"^steps must be an integer, got float$"),
-        (lambda: GridSpec(half_length=300.0, steps=True),
+        (lambda: dataclasses.replace(GRID, steps=True),
          TypeError, r"^steps must be an integer, got bool$"),
-        (lambda: GridSpec(half_length=300.0, points=127),
+        (lambda: dataclasses.replace(GRID, points=127),
          ValueError, r"^points must be at least 128, got 127$"),
-        (lambda: GridSpec(half_length=300.0, steps=0),
+        (lambda: dataclasses.replace(GRID, steps=0),
          ValueError, r"^steps must be at least 1, got 0$"),
     ],
-    ids=["huge-center", "huge-half-length", "bool-wavenumber", "bool-half-length",
-         "float-points", "float-steps", "bool-steps", "few-points", "no-steps"],
+    ids=["huge-center", "huge-half-length", "nan-sigma", "inf-dt", "bool-wavenumber",
+         "bool-half-length", "float-points", "float-steps", "bool-steps", "few-points",
+         "no-steps"],
 )
 def test_spec_fields_of_the_wrong_type_are_refused(make, error, match):
     with pytest.raises(error, match=match):
