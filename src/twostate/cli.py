@@ -66,12 +66,13 @@ _MODEL_OPTIONS = (
 )
 
 # Every option of every subcommand, with its built-in default.  Unset
-# sweep --from/--to span the swept variable's raw domain and an unset
-# series takes its default for the potential, both from the quantity's
-# row in sweep.QUANTITY_ROWS.
+# sweep --from/--to span the swept variable's raw domain, from the
+# quantity's row in sweep.QUANTITY_ROWS; an unset sweep --potential and
+# series are left out of the spec's ``fixed``, so sweep.SweepSpec gives
+# them their defaults.
 _OPTIONS: dict[str, tuple[_Option, ...]] = {
     "sweep": (
-        _Option("potential", float, sweep.DEFAULT_POTENTIAL),
+        _Option("potential", float),
         _Option("epsilon", _float_list),
         _Option("coupling", _float_list),
         _Option("coupling_sq", _float_list),
@@ -180,33 +181,22 @@ def _model_params(opts: dict) -> ModelParams:
 def _cmd_sweep(opts: dict) -> int:
     if opts["out"] is None:
         raise ValueError("sweep needs an output path (--out)")
-    quantity = opts["quantity"]
-    row = sweep.QUANTITY_ROWS[quantity]
-    if row.series == "epsilon":
-        if opts["coupling"] is not None or opts["coupling_sq"] is not None:
-            raise ValueError(f"{quantity} sweeps the coupling; fix epsilon instead")
-    else:
-        if opts["epsilon"] is not None:
-            raise ValueError(f"{quantity} sweeps epsilon; fix the coupling instead")
-        if opts["coupling"] is not None:
-            if opts["coupling_sq"] is not None:
-                raise ValueError("give either --coupling or --coupling-sq, not both")
-            squares = (ReducedParams(0.5, 1.0, v)._power("coupling", 2) for v in opts["coupling"])
-            opts["coupling_sq"] = tuple(squares)  # validated and squared as the closed forms do
-    potential = opts["potential"]
-    series = opts[row.series]
+    if opts["coupling"] is not None:
+        if opts["coupling_sq"] is not None:
+            raise ValueError("give either --coupling or --coupling-sq, not both")
+        squares = (ReducedParams(0.5, 1.0, v)._power("coupling", 2) for v in opts["coupling"])
+        opts["coupling_sq"] = tuple(squares)  # validated and squared as the closed forms do
+    row = sweep.QUANTITY_ROWS[opts["quantity"]]
     spec = sweep.SweepSpec(
-        quantity=quantity,
+        quantity=opts["quantity"],
         variable=sweep.SweepVariable(
             name=row.variable,
             start=row.domain[0] if opts["from"] is None else opts["from"],
             stop=row.domain[1] if opts["to"] is None else opts["to"],
             count=opts["count"],
         ),
-        fixed={
-            "potential": potential,
-            row.series: row.default_series(potential) if series is None else series,
-        },
+        fixed={key: opts[key] for key in ("potential", "epsilon", "coupling_sq")
+               if opts[key] is not None},
         output=Path(opts["out"]),
         format=opts["format"],
         margin=opts["margin"],

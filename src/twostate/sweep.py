@@ -15,14 +15,15 @@ are clipped by a configurable margin (default 1e-4).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import scatter, times
-from .params import ReducedParams, _as_count, _as_float, expand_reduced
+from .params import DomainError, ReducedParams, _as_count, _as_float, expand_reduced
 
 __all__ = ["SweepSpec", "SweepVariable", "run_sweep"]
 
@@ -94,14 +95,47 @@ class SweepVariable:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Complete description of one sweep artifact."""
+    """Complete description of one sweep artifact, checked once.
+
+    ``fixed`` takes ``potential`` (default ``DEFAULT_POTENTIAL``) and the
+    quantity's series key, one real number or an iterable of them (default
+    the row's series for the potential), each through ``params._as_float``;
+    any other key and a negative ``coupling_sq`` raise.  It is stored as
+    ``{"potential": float, series: tuple[float, ...]}``, so it round-trips.
+    """
 
     quantity: str
     variable: SweepVariable
-    fixed: Mapping[str, float | Sequence[float]]
+    fixed: Mapping[str, float | Iterable[float]]
     output: Path
     format: str = "csv"
     margin: float = 1e-4
+
+    def __post_init__(self) -> None:
+        row = _row(self.quantity)
+        if self.variable.name != row.variable:
+            raise ValueError(f"quantity {self.quantity!r} sweeps {row.variable!r}, "
+                             f"got variable {self.variable.name!r}")
+        if self.format not in ("csv", "svg", "both"):
+            raise ValueError(f"format must be csv, svg or both, got {self.format!r}")
+        margin = _as_float("margin", self.margin)
+        if not 0.0 < margin < 0.5:
+            raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
+        for key in self.fixed:
+            if key not in ("potential", row.series):
+                raise ValueError(f"sweep {self.quantity!r} takes fixed 'potential' "
+                                 f"and {row.series!r}, not {key!r}")
+        potential = _as_float("potential", self.fixed.get("potential", DEFAULT_POTENTIAL))
+        given = row.series in self.fixed
+        raw = self.fixed[row.series] if given else row.default_series(potential)
+        name = row.series if given else f"default {row.series} at potential={potential}"
+        series = tuple(_as_float(name, v) for v in (raw if isinstance(raw, Iterable) else (raw,)))
+        if not series:
+            raise ValueError(f"{name} needs at least one value")
+        if row.series == "coupling_sq" and min(series) < 0.0:
+            raise DomainError(f"{name} must be >= 0, got {min(series)}")
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "fixed", {"potential": potential, row.series: series})
 
 
 def _row(quantity: str) -> QuantityRow:
@@ -116,26 +150,9 @@ def default_spec(quantity: str, output: Path) -> SweepSpec:
     return SweepSpec(
         quantity=quantity,
         variable=SweepVariable(row.variable, *row.domain, DEFAULT_COUNT),
-        fixed={
-            "potential": DEFAULT_POTENTIAL,
-            row.series: row.default_series(DEFAULT_POTENTIAL),
-        },
+        fixed={},
         output=Path(output),
     )
-
-
-def _series_values(spec: SweepSpec, row: QuantityRow) -> tuple[float, ...]:
-    raw = spec.fixed.get(row.series)
-    if raw is None:
-        raise ValueError(
-            f"sweep over {spec.quantity!r} needs fixed {row.series!r} value(s)"
-        )
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
-    vals = tuple(float(v) for v in raw)
-    if not vals:
-        raise ValueError("series parameter list is empty")
-    return vals
 
 
 def _clip_grid(spec: SweepSpec) -> np.ndarray:
@@ -160,7 +177,7 @@ def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
     the closed forms' own checks, raise the scalar path's error at its
     first bad point, so no cell is inf or NaN.
     """
-    potential = float(spec.fixed.get("potential", DEFAULT_POTENTIAL))
+    potential = spec.fixed["potential"]
     columns: list[np.ndarray] = []
     for s in series:
         if row.variable == "epsilon":
@@ -253,38 +270,18 @@ def _svg_text(grid, columns, labels, varname, colname) -> str:
 
 def run_sweep(spec: SweepSpec) -> list[Path]:
     """Evaluate the sweep and write the requested artifact files."""
-    row = _row(spec.quantity)
-    if spec.variable.name != row.variable:
-        raise ValueError(
-            f"quantity {spec.quantity!r} sweeps {row.variable!r}, "
-            f"got variable {spec.variable.name!r}"
-        )
-    if spec.format not in ("csv", "svg", "both"):
-        raise ValueError(f"format must be csv, svg or both, got {spec.format!r}")
-    if not 0.0 < spec.margin < 0.5:
-        raise ValueError(f"margin must lie in (0, 0.5), got {spec.margin}")
-
-    series = _series_values(spec, row)
+    row = QUANTITY_ROWS[spec.quantity]
+    series = spec.fixed[row.series]
     grid = _clip_grid(spec)
     columns = _evaluate(spec, row, grid, series)
     labels = _labels(row, series)
 
     out = Path(spec.output)
     written: list[Path] = []
-    if spec.format in ("csv", "both"):
-        path = out.with_suffix(".csv") if spec.format == "both" else out
-        path.write_text(
-            _csv_text(grid, columns, labels, spec.variable.name),
-            encoding="utf-8",
-            newline="\n",
-        )
-        written.append(path)
-    if spec.format in ("svg", "both"):
-        path = out.with_suffix(".svg") if spec.format == "both" else out
-        path.write_text(
-            _svg_text(grid, columns, labels, spec.variable.name, row.column),
-            encoding="utf-8",
-            newline="\n",
-        )
+    for kind in ("csv", "svg") if spec.format == "both" else (spec.format,):
+        path = out.with_suffix("." + kind) if spec.format == "both" else out
+        text = (_csv_text(grid, columns, labels, spec.variable.name) if kind == "csv"
+                else _svg_text(grid, columns, labels, spec.variable.name, row.column))
+        path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
     return written

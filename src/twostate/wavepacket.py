@@ -104,7 +104,9 @@ class PacketSpec:
     def for_energy(
         cls, energy: float, p: ModelParams, sigma: float, center: float
     ) -> "PacketSpec":
-        """Packet whose carrier wavenumber matches a target central energy."""
+        """Packet whose carrier wavenumber matches a target central energy,
+        converted like the fields (``params._as_float``)."""
+        energy = _as_float("energy", energy)
         if energy <= 0.0:
             raise DomainError("packet energy must be positive")
         kbar = math.sqrt(2.0 * p.mass * energy) / p.hbar

@@ -199,8 +199,10 @@ def test_run_sweep_validation(tmp_path):
         run_sweep(
             SweepSpec("transmission", good, {"coupling_sq": 1.0}, out, margin=0.7)
         )
-    with pytest.raises(ValueError):
-        run_sweep(SweepSpec("transmission", good, {"potential": 1.0}, out))
+    # an unset series takes the quantity's default for the potential
+    assert SweepSpec("transmission", good, {"potential": 1.0}, out).fixed == {
+        "potential": 1.0, "coupling_sq": tuple(math.sqrt(q) for q in (0.4, 4.0, 40.0)),
+    }
     with pytest.raises(ValueError):
         SweepVariable("epsilon", 0.1, 0.9, 1)
     with pytest.raises(DomainError, match="^start must be finite, got nan$"):
@@ -235,3 +237,85 @@ def test_sweep_bounds_are_stored_as_python_floats():
     assert (variable.start, variable.stop) == (0.0, 0.5)
     with pytest.raises(TypeError, match=r"^start must be a real number, got bool$"):
         SweepVariable("epsilon", True, 1, 10)
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_a_spec_rebuilt_from_its_fields_is_the_same_spec(quantity, tmp_path):
+    # bench/setup_probe.py passes a default spec's fixed back in
+    spec = default_spec(quantity, tmp_path / "x.csv")
+    again = SweepSpec(spec.quantity, spec.variable, spec.fixed, spec.output,
+                      spec.format, spec.margin)
+    assert again == spec
+    run_sweep(spec)
+    first = spec.output.read_bytes()
+    run_sweep(again)
+    assert spec.output.read_bytes() == first
+
+
+def test_fixed_is_stored_as_a_float_and_a_tuple_of_floats(tmp_path):
+    spec = SweepSpec("transmission", SweepVariable("epsilon", 0.1, 0.9, 3),
+                     {"coupling_sq": np.array([1, 4]), "potential": 2}, tmp_path / "t.csv")
+    assert spec.fixed == {"potential": 2.0, "coupling_sq": (1.0, 4.0)}
+    assert type(spec.fixed["potential"]) is float
+    assert type(spec.fixed["coupling_sq"]) is tuple
+    assert all(type(v) is float for v in spec.fixed["coupling_sq"])
+    one = SweepSpec("tau_vs_coupling", SweepVariable("coupling_sq", 0.1, 1, 3),
+                    {"epsilon": np.float32(0.5)}, tmp_path / "t.csv")
+    assert one.fixed == {"potential": 1.0, "epsilon": (0.5,)}
+    with pytest.raises(ValueError, match="^epsilon needs at least one value$"):
+        SweepSpec("tau_vs_coupling", one.variable, {"epsilon": []}, tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize(("fixed", "margin", "match"), [
+    ({"potential": True, "coupling_sq": 1.0}, 1e-4, r"^potential must be a real number, got bool$"),
+    ({"coupling_sq": (1.0, True)}, 1e-4, r"^coupling_sq must be a real number, got bool$"),
+    ({"coupling_sq": True}, 1e-4, r"^coupling_sq must be a real number, got bool$"),
+    ({}, True, r"^margin must be a real number, got bool$"),
+], ids=["potential", "series-value", "series", "margin"])
+def test_bools_in_a_spec_are_refused(fixed, margin, match, tmp_path):
+    # a bool is not a number of the model, though float(True) is 1.0
+    out = tmp_path / "x.csv"
+    with pytest.raises(TypeError, match=match):
+        SweepSpec("transmission", SweepVariable("epsilon", 0.1, 0.9, 3), fixed, out,
+                  margin=margin)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("quantity", "variable", "key"), [
+    ("transmission", "epsilon", "coupling"),  # a typo would take the default series
+    ("transmission", "epsilon", "epsilon"),
+    ("tau_vs_coupling", "coupling_sq", "coupling_sq"),
+])
+def test_a_key_the_quantity_does_not_take_is_refused(quantity, variable, key, tmp_path):
+    series = "epsilon" if quantity == "tau_vs_coupling" else "coupling_sq"
+    want = f"sweep '{quantity}' takes fixed 'potential' and '{series}', not '{key}'"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        SweepSpec(quantity, SweepVariable(variable, 0.1, 0.9, 3), {key: 0.5}, tmp_path / "x.csv")
+
+
+def test_a_negative_coupling_sq_is_a_domain_error(tmp_path, capsys):
+    variable = SweepVariable("epsilon", 0.1, 0.9, 3)
+    with pytest.raises(DomainError, match=r"^coupling_sq must be >= 0, got -1.0$"):
+        SweepSpec("transmission", variable, {"coupling_sq": (1.0, -1.0)}, tmp_path / "x.csv")
+    zero = SweepSpec("tau_vs_energy", variable, {"coupling_sq": -0.0}, tmp_path / "x.csv")
+    assert math.copysign(1.0, zero.fixed["coupling_sq"][0]) == -1.0  # -0.0 is kept
+    out = tmp_path / "cli.csv"
+    assert cli.main(["sweep", "transmission", "--coupling-sq=-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: coupling_sq must be >= 0, got -1.0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("quantity", "potential", "error", "match"), [
+    ("transmission", 1e308, DomainError,
+     r"^default coupling_sq at potential=1e\+308 must be finite, got inf$"),
+    ("phase", -1.0, DomainError, r"^default coupling_sq at potential=-1.0 must be >= 0, got -4.0$"),
+], ids=["huge-potential", "negative-potential"])
+def test_a_default_series_out_of_range_names_the_potential(
+    quantity, potential, error, match, tmp_path
+):
+    # the caller set V, not the series, so the error says the series is V's default
+    with pytest.raises(error, match=match):
+        SweepSpec(quantity, SweepVariable("epsilon", 0.1, 0.9, 3), {"potential": potential},
+                  tmp_path / "x.csv")

@@ -3,8 +3,9 @@
 Each column must equal the scalar closed form called point by point: bit
 for bit for transmission and the transition time, within 2 ulp for the
 phase, whose numpy arctan may take a SIMD code path.  A spec the scalar
-loop rejects must raise the same exception type and message, and a sweep
-makes one closed-form call per series, not one per point.
+loop rejects must raise the same exception type and message, unless
+SweepSpec refuses it when it is built, and a sweep makes one closed-form
+call per series, not one per point.
 """
 
 import math
@@ -45,9 +46,9 @@ def _scalar_columns(spec):
     """The columns as the per-point loop computed them."""
     row = QUANTITY_ROWS[spec.quantity]
     grid = sweep._clip_grid(spec)
-    potential = float(spec.fixed.get("potential", sweep.DEFAULT_POTENTIAL))
+    potential = spec.fixed["potential"]
     columns = []
-    for s in sweep._series_values(spec, row):
+    for s in spec.fixed[row.series]:
         out = np.empty(grid.size)
         for i, x in enumerate(grid.tolist()):
             eps, ksq = (x, s) if row.variable == "epsilon" else (s, x)
@@ -59,7 +60,7 @@ def _scalar_columns(spec):
 def _array_columns(spec):
     row = QUANTITY_ROWS[spec.quantity]
     grid = sweep._clip_grid(spec)
-    return sweep._evaluate(spec, row, grid, sweep._series_values(spec, row))
+    return sweep._evaluate(spec, row, grid, spec.fixed[row.series])
 
 
 def _spec(quantity, series, potential=1.0, start=0.0, stop=None, count=7, margin=1e-4):
@@ -84,6 +85,17 @@ def test_default_columns_equal_the_scalar_loop(quantity, tmp_path):
             np.testing.assert_array_equal(got, want)
 
 
+# (quantity, repr(series), repr(potential)) of the cases SweepSpec refuses
+# as it converts ``fixed``, before any closed form runs, and its error
+REFUSED_AT_CONSTRUCTION = {
+    ("tau_vs_coupling", "(nan,)", "1.0"): (DomainError, "epsilon must be finite, got nan"),
+    ("transmission", "(-1.0,)", "1.0"): (DomainError, "coupling_sq must be >= 0, got -1.0"),
+    ("transmission", "(inf,)", "1.0"): (DomainError, "coupling_sq must be finite, got inf"),
+    ("transmission", "(1.0,)", "nan"): (DomainError, "potential must be finite, got nan"),
+    ("tau_vs_coupling", "(0.7,)", "inf"): (DomainError, "potential must be finite, got inf"),
+}
+
+
 @pytest.mark.parametrize(
     ("quantity", "series", "potential"),
     [
@@ -105,6 +117,12 @@ def test_default_columns_equal_the_scalar_loop(quantity, tmp_path):
     ],
 )
 def test_rejected_specs_raise_the_scalar_error(quantity, series, potential):
+    key = (quantity, repr(series), repr(potential))
+    if key in REFUSED_AT_CONSTRUCTION:
+        error, message = REFUSED_AT_CONSTRUCTION[key]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _spec(quantity, series, potential)
+        return
     spec = _spec(quantity, series, potential)
     with pytest.raises(Exception) as scalar:
         _scalar_columns(spec)

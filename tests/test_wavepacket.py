@@ -445,6 +445,16 @@ def test_packet_for_energy():
         PacketSpec.for_energy(0.0, P_COUPLED, sigma=20.0, center=-100.0)
 
 
+@pytest.mark.parametrize(("energy", "error", "match"), [
+    (True, TypeError, r"^energy must be a real number, got bool$"),
+    (math.nan, DomainError, r"^energy must be finite, got nan$"),
+], ids=["bool", "nan"])
+def test_packet_energy_is_converted_like_the_fields(energy, error, match):
+    # energy is refused under its own name, before the wavenumber is derived
+    with pytest.raises(error, match=match):
+        PacketSpec.for_energy(energy, P_COUPLED, sigma=20.0, center=-100.0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
