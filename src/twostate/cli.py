@@ -22,13 +22,14 @@ Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from . import greens, sweep, times
-from .params import ModelParams, ReducedParams, RunGuardError, make_reduced
+from .params import ModelParams, ReducedParams, RunGuardError, _as_float, make_reduced
 
 __all__ = ["main"]
 
@@ -65,11 +66,9 @@ _MODEL_OPTIONS = (
     _Option("hbar", float, ModelParams.hbar),
 )
 
-# Every option of every subcommand, with its built-in default.  Unset
-# sweep --from/--to span the swept variable's raw domain, from the
-# quantity's row in sweep.QUANTITY_ROWS; an unset sweep --potential and
-# series are left out of the spec's ``fixed``, so sweep.SweepSpec gives
-# them their defaults.
+# Every option of every subcommand, with its built-in default.  The sweep
+# options have none: the quantity's sweep.default_spec gives every field
+# that is left unset, the series at the given --potential included.
 _OPTIONS: dict[str, tuple[_Option, ...]] = {
     "sweep": (
         _Option("potential", float),
@@ -78,10 +77,10 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("coupling_sq", _float_list),
         _Option("from", float),
         _Option("to", float),
-        _Option("count", int, sweep.DEFAULT_COUNT),
-        _Option("margin", float, sweep.SweepSpec.margin),
+        _Option("count", int),
+        _Option("margin", float),
         _Option("out", str),
-        _Option("format", str, sweep.SweepSpec.format, ("csv", "svg", "both")),
+        _Option("format", str, None, ("csv", "svg", "both")),
     ),
     "verify": (),
     "wavepacket": (
@@ -181,26 +180,23 @@ def _model_params(opts: dict) -> ModelParams:
 def _cmd_sweep(opts: dict) -> int:
     if opts["out"] is None:
         raise ValueError("sweep needs an output path (--out)")
+    spec = sweep.default_spec(opts["quantity"], opts["out"])
     if opts["coupling"] is not None:
+        if "coupling_sq" not in spec.fixed:
+            raise ValueError("--coupling gives the coupling_sq series, which sweep "
+                             f"{spec.quantity!r} does not take")
         if opts["coupling_sq"] is not None:
             raise ValueError("give either --coupling or --coupling-sq, not both")
         squares = (ReducedParams(0.5, 1.0, v)._power("coupling", 2) for v in opts["coupling"])
         opts["coupling_sq"] = tuple(squares)  # validated and squared as the closed forms do
-    row = sweep.QUANTITY_ROWS[opts["quantity"]]
-    spec = sweep.SweepSpec(
-        quantity=opts["quantity"],
-        variable=sweep.SweepVariable(
-            name=row.variable,
-            start=row.domain[0] if opts["from"] is None else opts["from"],
-            stop=row.domain[1] if opts["to"] is None else opts["to"],
-            count=opts["count"],
-        ),
-        fixed={key: opts[key] for key in ("potential", "epsilon", "coupling_sq")
-               if opts[key] is not None},
-        output=Path(opts["out"]),
-        format=opts["format"],
-        margin=opts["margin"],
-    )
+
+    def given(*names, **renamed):  # the options set, by field name
+        pairs = [*zip(names, names), *renamed.items()]
+        return {field: opts[name] for field, name in pairs if opts[name] is not None}
+
+    variable = dataclasses.replace(spec.variable, **given("count", start="from", stop="to"))
+    spec = dataclasses.replace(spec, variable=variable, **given("format", "margin"),
+                               fixed=given("potential", "epsilon", "coupling_sq"))
     for path in sweep.run_sweep(spec):
         print(path)
     return 0
@@ -260,7 +256,8 @@ def _cmd_greens(opts: dict) -> int:
     from . import oracle
 
     p = _model_params(opts)
-    value = greens.greens_constant(opts["x1"], opts["x2"], p)
+    x1, x2 = (_as_float(name, opts[name]) for name in ("x1", "x2"))
+    value = greens.greens_constant(x1, x2, p)
     alpha = greens.effective_strength(p)
     print(f"greens_value = {value:.15g}")
     print(f"effective_strength = {alpha:.15g}")

@@ -39,10 +39,9 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     # inf where hbar**2 underflows to 0 or is small enough to overflow it;
     # 0 where 2 hbar**2 overflows
     scale = ops.muldiv(p.mass, 1.0, ops.muldiv(2.0, hbar_sq, 1.0))
-    if ops.any(scale == math.inf):
-        p._raise_at(scale == math.inf, "mass / (2 hbar**2) overflows at hbar={hbar}, "
-                    "mass={mass}; the Green's function needs hbar above about "
-                    "3.73e-155 at mass 1/2")
+    p._raise_at(scale == math.inf, "mass / (2 hbar**2) overflows at hbar={hbar}, "
+                "mass={mass}; the Green's function needs hbar above about "
+                "3.73e-155 at mass 1/2")
     gap = p.potential - p.energy
     # 2 m (V - E), inf where 2 m or the product overflows, unwarned on arrays
     product = ops.muldiv(ops.muldiv(2.0, p.mass, 1.0), gap, 1.0)
@@ -57,11 +56,9 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     lost = ((ops.least(hbar_sq, scale, product, kappa, decay, -scaled, -value) < _TINY)
             | (kappa == math.inf) | (distance == math.inf) | (value == -math.inf))
     if ops.any(lost):
-        value = p._mend(lost, value, _exact, x1, x2)
-    if ops.any(value == -math.inf):
-        p._raise_at(value == -math.inf, "the Green's function overflows at energy="
-                    "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
-                    "sqrt(m / (2 hbar**2 (V - E))) must stay below about 1.8e308")
+        value = p._mend(lost, value, _exact, "the Green's function overflows at energy="
+                        "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
+                        "sqrt(m / (2 hbar**2 (V - E))) must stay below about 1.8e308", x1, x2)
     return value
 
 
@@ -80,9 +77,8 @@ def effective_strength(p: ModelParams) -> float:
     where alpha overflows.
     """
     alpha = p.ops.muldiv(-p._power("coupling", 2), greens_constant(p.center, p.center, p), 1.0)
-    if p.ops.any(alpha == math.inf):
-        p._raise_at(alpha == math.inf, "effective strength k0**2 |G| overflows at "
-                    "coupling={coupling}, hbar={hbar}, mass={mass}, energy={energy}, "
-                    "potential={potential}; k0**2 sqrt(m / (2 hbar**2 (V - E))) must "
-                    "stay below about 1.8e308")
+    p._raise_at(alpha == math.inf, "effective strength k0**2 |G| overflows at "
+                "coupling={coupling}, hbar={hbar}, mass={mass}, energy={energy}, "
+                "potential={potential}; k0**2 sqrt(m / (2 hbar**2 (V - E))) must "
+                "stay below about 1.8e308")
     return alpha

@@ -22,6 +22,9 @@ Its ``_power`` calls libm ``pow`` on both paths, so the closed forms give
 the same bits, and the same DomainError where a power overflows, on both.
 Its ``_mend``, the one exact fallback, evaluates a closed form again in
 ``decimal`` where a float intermediate of it is not normal, and rounds once.
+Its ``_raise_at(mask, message)``, the one refusal, raises DomainError at the
+first point where ``mask`` holds, if any; ``_mend`` ends with it where the
+exact value is beyond the floats, so a closed form states each mask once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import ClassVar, NoReturn
+from typing import ClassVar
 
 import numpy as np
 
@@ -271,17 +274,19 @@ class _Validated:
         first = int(np.argmax(np.broadcast_to(mask, shape)))
         return tuple(float(field.flat[first]) for field in fields)
 
-    def _raise_at(self, mask, message: str) -> NoReturn:
-        """DomainError(message), each ``{field}`` the first point's where ``mask`` holds."""
-        point = zip(self.__match_args__, self._first_point(mask))
-        raise DomainError(message.format(**dict(point)))
+    def _raise_at(self, mask, message: str) -> None:
+        """DomainError(message), ``{field}`` the first point's where ``mask`` holds, if any."""
+        if self.ops.any(mask):
+            point = zip(self.__match_args__, self._first_point(mask))
+            raise DomainError(message.format(**dict(point)))
 
-    def _mend(self, mask, value, exact, *extra):
+    def _mend(self, mask, value, exact, overflow: str, *extra):
         """``value`` with each point where ``mask`` holds replaced by
         ``exact(fields, *extra)``: the fields there, by name, and the
         ``extra`` arrays that broadcast with them, as exact Decimals, in one
         60-digit context with no exponent limit, the result rounded once to
-        a float; a float for float parameters."""
+        a float; a float for float parameters.  Where that is inf, it raises
+        ``_raise_at``'s DomainError(overflow) instead."""
         from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
         names = self.__match_args__
@@ -292,6 +297,7 @@ class _Validated:
             for at in np.flatnonzero(np.broadcast_to(mask, shape)):
                 f = SimpleNamespace(**{n: Decimal(a.flat[at]) for n, a in zip(names, fields)})
                 value.flat[at] = float(exact(f, *(Decimal(x.flat[at]) for x in extra)))
+        self._raise_at(np.isinf(value), overflow)
         return value if self.is_array else float(value)
 
     def _power(self, name: str, n: int):
@@ -452,11 +458,9 @@ def _wave_number(p: ModelParams, closed: bool):
     value = ops.muldiv(ops.sqrt(square), 1.0, p.hbar)
     lost = (square < _TINY) | (value == 0.0) | (value == math.inf)  # x > 0: neither is exact
     if ops.any(lost):
+        formula = "kappa = sqrt(2 m (V - E))" if closed else "k = sqrt(2 m E)"
         value = p._mend(lost, value, lambda f: (
-            2 * f.mass * (f.potential - f.energy if closed else f.energy)).sqrt() / f.hbar)
-        if ops.any(value == math.inf):
-            formula = "kappa = sqrt(2 m (V - E))" if closed else "k = sqrt(2 m E)"
-            p._raise_at(value == math.inf, f"{formula} / hbar overflows at energy={{energy}}, "
-                        "potential={potential}, mass={mass}, hbar={hbar}; it must stay "
-                        "below about 1.8e308")
+            2 * f.mass * (f.potential - f.energy if closed else f.energy)).sqrt() / f.hbar,
+            f"{formula} / hbar overflows at energy={{energy}}, potential={{potential}}, "
+            "mass={mass}, hbar={hbar}; it must stay below about 1.8e308")
     return value

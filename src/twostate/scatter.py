@@ -71,22 +71,19 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     k = _wave_number(p, closed=False)
     # every field enters through G(xc, xc), so ratio has the full shape;
     # k0**2, lam and hbar**2 k overflow to inf with no warning on arrays, as
-    # on floats
+    # on floats, and ratio is NaN where k0**2 G and hbar**2 k underflow to 0
     ksq = ops.muldiv(p.coupling, p.coupling, 1.0)
     lam = ops.muldiv(ksq, greens_constant(p.center, p.center, p), 1.0)
     ratio = ops.muldiv(p.mass, lam, ops.muldiv(p._power("hbar", 2), k, 1.0))  # negative in-regime
-    if ops.any(ratio != ratio):  # NaN: k0**2 G and hbar**2 k both underflow to 0
-        p._raise_at(ratio != ratio, "m k0**2 G / (hbar**2 k) is 0 / 0 in floats at "
-                    "hbar={hbar}, mass={mass}, energy={energy}, coupling={coupling}")
-    if ops.any(ratio == -math.inf):
-        p._raise_at(ratio == -math.inf, "m k0**2 G / (hbar**2 k) overflows at "
-                    "hbar={hbar}, mass={mass}, coupling={coupling}; the amplitudes "
-                    "need m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308")
+    p._raise_at(ratio != ratio, "m k0**2 G / (hbar**2 k) is 0 / 0 in floats at "
+                "hbar={hbar}, mass={mass}, energy={energy}, coupling={coupling}")
+    p._raise_at(ratio == -math.inf, "m k0**2 G / (hbar**2 k) overflows at "
+                "hbar={hbar}, mass={mass}, coupling={coupling}; the amplitudes "
+                "need m k0**2 / (2 hbar**2 sqrt(E (V - E))) below about 1.8e308")
     phase = ops.muldiv(ops.muldiv(2.0, k, 1.0), p.center, 1.0)  # 2 k xc, inf on overflow
-    if ops.any(abs(phase) == math.inf):
-        p._raise_at(abs(phase) == math.inf, "2 k xc overflows at center={center}, energy="
-                    "{energy}, mass={mass}, hbar={hbar}, so the reflection phase "
-                    "exp(2 i k xc) is undefined in floats")
+    p._raise_at(abs(phase) == math.inf, "2 k xc overflows at center={center}, energy="
+                "{energy}, mass={mass}, hbar={hbar}, so the reflection phase "
+                "exp(2 i k xc) is undefined in floats")
     transmission = 1.0 / (1.0 + 1j * ratio)
     reflection0 = transmission - 1.0
     reflection = reflection0 * ops.cexp(1j * phase)
@@ -111,10 +108,9 @@ def transmission_probability(r: ReducedParams) -> float:
     """
     ops, eps = r.ops, r.epsilon
     spread = ops.muldiv(16.0, r._power("potential", 2), 1.0) * eps * (1.0 - eps)
-    if ops.any(spread == 0.0):
-        r._raise_at(spread == 0.0, "potential={potential} is too small: 16 V**2 "
-                    "eps (1 - eps) underflows to 0, so |T|^2 is undefined; V must "
-                    "be above about 1.6e-162, more with eps near 0 or 1")
+    r._raise_at(spread == 0.0, "potential={potential} is too small: 16 V**2 "
+                "eps (1 - eps) underflows to 0, so |T|^2 is undefined; V must "
+                "be above about 1.6e-162, more with eps near 0 or 1")
     return 1.0 / (1.0 + ops.muldiv(r._power("coupling", 4), 1.0, spread))
 
 

@@ -87,11 +87,9 @@ def group_delays(p: ModelParams) -> tuple[float, float, float]:
         tau_gt = _plain_delay(p)
     lost = (abs(tau_gt) == math.inf) | (tau_gt != tau_gt)  # inf or NaN
     if p.ops.any(lost):
-        tau_gt = p._mend(lost, tau_gt, _exact_delay)
-        if p.ops.any(abs(tau_gt) == math.inf):
-            p._raise_at(abs(tau_gt) == math.inf, "the group delay overflows at energy="
-                        "{energy}, potential={potential}, coupling={coupling}, mass={mass}, "
-                        "hbar={hbar}; |tau_gt| must stay below about 1.8e308")
+        tau_gt = p._mend(lost, tau_gt, _exact_delay, "the group delay overflows at energy="
+                         "{energy}, potential={potential}, coupling={coupling}, mass={mass}, "
+                         "hbar={hbar}; |tau_gt| must stay below about 1.8e308")
     tau_gr = tau_gt
     tau_g = amps.transmission_prob * tau_gt + amps.reflection_prob * tau_gr
     return tau_gt, tau_gr, tau_g
@@ -166,11 +164,9 @@ def transition_time(r: ReducedParams) -> float:
     if ops.any(lost):
         tau = r._mend(lost, tau, lambda f: 2 * (2 * f.epsilon - 1) / (
             (f.epsilon * (1 - f.epsilon)).sqrt()
-            * (f.coupling**2 + 16 * f.epsilon * (1 - f.epsilon) * f.potential**2 / f.coupling**2)))
-        if ops.any(abs(tau) == math.inf):
-            r._raise_at(abs(tau) == math.inf, "transition time overflows at "
-                        "epsilon={epsilon}, potential={potential}, coupling={coupling}; "
-                        "|tau| must stay below about 1.8e308")
+            * (f.coupling**2 + 16 * f.epsilon * (1 - f.epsilon) * f.potential**2 / f.coupling**2)),
+            "transition time overflows at epsilon={epsilon}, potential={potential}, "
+            "coupling={coupling}; |tau| must stay below about 1.8e308")
     return tau
 
 

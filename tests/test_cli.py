@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -76,6 +77,21 @@ def test_sweep_usage_errors(argv, tmp_path, capsys):
     rc = cli.main(argv)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_coupling_for_a_sweep_without_a_coupling_series_exits_2(how, tmp_path, capsys):
+    # tau_vs_coupling sweeps coupling_sq and takes epsilon as its series; a
+    # config file shared with greens sets coupling too
+    out, cfg = tmp_path / "t.csv", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling": 2, "potential": 1.5, "energy": 0.5}), encoding="utf-8")
+    given = ["--coupling", "1"] if how == "flag" else ["--config", str(cfg)]
+    assert cli.main(["sweep", "tau_vs_coupling", *given, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --coupling gives the coupling_sq series, which sweep "
+                            "'tau_vs_coupling' does not take\n")
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -301,6 +317,9 @@ def test_sweep_phase_overflow_exits_2_quietly(tmp_path):
          f"points must be at most {MAX_FLOATS}, got {2**63}"),
         (["wavepacket", f"--steps={2**63}"],
          f"steps must be at most {MAX_FLOATS}, got {2**63}"),
+        # the coupling cells' height k0 / width, refused before the grid
+        (["wavepacket", "--coupling", "1e308"],
+         "coupling / width overflows at coupling=1e+308, width=0.001"),
     ],
 )
 def test_range_errors_exit_2_with_one_typed_line(argv, message, tmp_path):
@@ -412,6 +431,20 @@ def test_greens_domain_error(capsys):
     rc = cli.main(["greens", "--energy", "2", "--potential", "1"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x1", "x2"])
+def test_greens_nonfinite_position_exits_2(name, value, how, tmp_path, capsys):
+    # the positions reach greens_constant as given, so they are checked first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}), encoding="utf-8")  # NaN, Infinity: JSON as json reads it
+    given = [f"--{name}={value}"] if how == "flag" else ["--config", str(cfg)]
+    assert cli.main(["greens", *given]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be finite, got {value}\n"
 
 
 def test_missing_subcommand_exits_2():

@@ -111,6 +111,14 @@ def test_grid_spacing_floor():
         greens_grid(p, math.nextafter(floor, 0.0))
 
 
+def test_grid_resolvent_rejects_a_hopping_term_that_squares_to_inf():
+    # kappa = 1e150 sets h near 1e-150, so t = hbar**2 / (2 m h**2) is
+    # finite and t**2 is not
+    with pytest.raises(ValueError, match=r"^the grid oracle's t = hbar\*\*2 / \(2 m h\*\*2\) = "
+                       r"3\.9999999999999993e\+304 squares to inf$"):
+        greens_grid(ModelParams(0.0, 1e300, 1.0))
+
+
 def _banded_grid(p, spacing):
     """Reference for greens_grid: solve_banded on the assembled system."""
     half, h = oracle._grid_scales(p, spacing)

@@ -126,6 +126,20 @@ def test_overflowing_coupling_square_is_one_domain_error(coupling, named):
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center", [1.7e308, np.array([0.7, 1.7e308])])
+def test_overflowing_reflection_phase_is_one_domain_error(center):
+    # 2 k xc overflows while k and xc are finite: floats and arrays raise
+    # the same typed error at the first such point, with no numpy warning
+    p = ModelParams(energy=0.9, potential=1.0, coupling=1.0, center=center)
+    with pytest.raises(DomainError) as info:
+        solve_amplitudes(p)
+    assert str(info.value) == (
+        "2 k xc overflows at center=1.7e+308, energy=0.9, mass=0.5, hbar=1.0, "
+        "so the reflection phase exp(2 i k xc) is undefined in floats"
+    )
+
+
 def test_phases_reject_zero_coupling():
     p = ModelParams(energy=0.5, potential=1.0, coupling=0.0)
     with pytest.raises(DegenerateCouplingError):

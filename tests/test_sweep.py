@@ -169,6 +169,20 @@ def test_svg_structure(tmp_path):
     assert "\r" not in text
 
 
+def test_svg_of_a_flat_column_spans_one_unit_around_it(tmp_path):
+    # |T|^2 = 1 at every point without coupling: the y axis runs from 0.5
+    # to 1.5 and the line sits at half height instead of dividing by zero
+    path = tmp_path / "flat.svg"
+    spec = dataclasses.replace(default_spec("transmission", path), format="svg",
+                               fixed={"coupling_sq": 0.0})
+    run_sweep(dataclasses.replace(spec, variable=dataclasses.replace(spec.variable, count=5)))
+    text = path.read_text(encoding="utf-8")
+    for label in ("0.5", "0.75", "1", "1.25", "1.5"):
+        assert f'text-anchor="end">{label}</text>' in text
+    points = text.partition('points="')[2].partition('"')[0].split()
+    assert len(points) == 5 and {pt.partition(",")[2] for pt in points} == {"285.00"}
+
+
 def test_both_formats(tmp_path):
     out = tmp_path / "t.csv"
     written = run_sweep(dataclasses.replace(default_spec("tau_vs_energy", out), format="both"))

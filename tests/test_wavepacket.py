@@ -414,6 +414,16 @@ def test_boundary_contamination_detected():
         propagate(PACKET, P_COUPLED, width=1e-3, grid=grid)
 
 
+def test_norm_drift_beyond_tolerance_stops_the_run(monkeypatch, fresh_reference):
+    # no drift, not even 0, is within a negative tolerance: the first
+    # observation, before any step, raises
+    monkeypatch.setattr(wavepacket, "_DRIFT_TOL", -1.0)
+    grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=30)
+    with pytest.raises(NormDriftError, match=r"^norm drifted by \d\.\d{3}e[+-]\d+ at t=0\.0 "
+                       r"\(tolerance -1\.0\)$"):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=grid)
+
+
 def test_error_types():
     assert issubclass(BoundaryContaminationError, RuntimeError)
     assert issubclass(NormDriftError, RuntimeError)
