@@ -7,19 +7,20 @@ uniform grid the Hamiltonian is the model's 2x2 block matrix
 average of the coupling (which represents strips far narrower than the
 grid spacing).  The Cayley step (1 + lam H)^-1 (1 - lam H),
 lam = i dt / 2 hbar, is unitary, so the norm is conserved to rounding
-(well below 1e-8 per step in the free case).  It is applied as
-2 (1 + lam H)^-1 psi - psi, an exact identity.
+(well below 1e-8 per step in the free case).  It is applied in place,
+as 2 (1 + lam H)^-1 psi - psi, an exact identity, in one fused update.
 
 The closed channel's block T + V is diagonal in the orthonormal sine
 (DST-I) basis S, so the state is stored as psi = [phi1; S phi2]: channel 1
 on the grid, channel 2 by its sine coefficients.  S is orthogonal, so the
 norm is that of the stacked vector; channel 2's edge values are two dot
 products with rows of S, and its density on the grid is computed, by one
-FFT, only for snapshot frames.  Each step solves channel 1 by two
-bidiagonal BLAS sweeps over the LU factors of one pivot-free LAPACK
+batched real FFT, only for snapshot frames.  Each step solves channel 1 by
+two bidiagonal BLAS sweeps over the LU factors of one pivot-free LAPACK
 factorization, plus an exact rank-r Woodbury correction for the r coupled
-cells; channel 2 costs O(r n).  Channel 2 is carried only when some cell
-is coupled, so the free run solves the open channel alone.  The per-step
+cells; channel 2 costs one pass and a dot and an axpy per coupled cell.
+Channel 2 is carried only when some cell is coupled, so the free run, the
+r = 0 case of the same step, solves the open channel alone.  The per-step
 norm, edge and centroid sums also run in scipy's BLAS, never numpy's.
 
 The arrival time is the instant the centroid of the transmitted density
@@ -180,36 +181,46 @@ def _sine_rows(n: int, rows) -> np.ndarray:
 
 
 def _dst(c: np.ndarray) -> np.ndarray:
-    """S @ c for a complex vector c: one FFT of its odd extension."""
+    """S @ c for a complex vector c: one batched real FFT of the odd
+    extensions of its real and imaginary parts."""
     n = c.size
-    ext = np.zeros(2 * (n + 1), dtype=complex)
-    ext[1 : n + 1] = c
-    ext[n + 2 :] = -c[::-1]
-    return np.fft.fft(ext)[1 : n + 1] * (0.5j * math.sqrt(2.0 / (n + 1)))
+    ext = np.zeros((2, 2 * (n + 1)))
+    ext[:, 1 : n + 1] = c.real, c.imag
+    ext[:, n + 2 :] = -ext[:, n:0:-1]
+    sines = np.fft.rfft(ext)[:, 1 : n + 1].imag * -math.sqrt(0.5 / (n + 1))
+    return sines[0] + 1j * sines[1]
 
 
 def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
-    """Factor 1 + lam H for the state [phi1; S phi2]; bench/tracing.py hooks it.
+    """Factor the Crank-Nicolson step for the state [phi1; c], c = S phi2;
+    bench/tracing.py hooks it.
 
     Channel 1's block A1 = 1 + lam T is tridiagonal and strictly diagonally
     dominant (|1 + 2 lam t| > 2 |lam t| for imaginary lam), so zgttrf
     factors it once with no row swaps: A1 = L D U, L unit lower and U unit
-    upper bidiagonal.  Both are kept in one 2 x n band array next to 1/D,
-    so each A1^-1 is two in-place ztbsv sweeps around one multiply, with
-    no division.  Channel 2's block 1 + lam (T + V) is diagonal in the
-    sine basis, Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2
-    is carried as S phi2 and eliminated exactly.  With P = S[cells, :] and
-    K = lam g on the r coupled cells, channel 1 then solves
-    (A1 - E M E^T) phi1 = b1 - E K P Lam2^-1 b2, M = K P Lam2^-1 P^T K,
-    by Woodbury with Z = A1^-1 E precomputed, and
-    S phi2 = Lam2^-1 (b2 - P^T K phi1[cells]).  ``solve(b)`` overwrites
-    the complex vector b with (1 + lam H)^-1 b and returns it: one A1
-    solve plus O(r n) work.  Without coupled cells the state is phi1 alone
-    and the solve is the A1 solve.  scipy is imported here, when called,
-    and by ``_run`` once this has returned, so every other name imports on
-    numpy alone.
+    upper bidiagonal.  U and the unit lower D^-1 L D are kept in one 2 x n
+    band array next to 1/D, so A1^-1 = U^-1 (D^-1 L D)^-1 D^-1 is one
+    multiply, which the step fuses into forming its right-hand side, and
+    two in-place ztbsv sweeps, with no division.  Channel 2's block
+    1 + lam (T + V) is diagonal in the sine basis,
+    Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2 is
+    eliminated exactly.  With P = S[cells, :] and K = lam g on the r
+    coupled cells, (1 + lam H)^-1 [b1; b2] is [y + W1 s; Lam2^-1 b2 + W2 s]:
+    y = A1^-1 (b1 - E K P Lam2^-1 b2), s = y[cells], and W = [W1; W2] is
+    the exact Woodbury correction built from Z = A1^-1 E and
+    M = K P Lam2^-1 P^T K.
+
+    ``solve(psi)`` overwrites psi with one whole step,
+    (1 + lam H)^-1 (1 - lam H) psi = 2 (1 + lam H)^-1 psi - psi, and
+    returns it: with b = 2 psi, phi1 <- y + W1 s - phi1 and
+    c <- u c + W2 s, u = 2 Lam2^-1 - 1 being each sine mode's Cayley
+    factor.  That is one A1 solve, one multiply of c by u, and a zdotu and
+    a zaxpy per coupled cell.  With no coupled cell channel 2 is not
+    carried, and the step is 2 A1^-1 phi1 - phi1.  scipy is imported here,
+    when called, and by ``_run`` once this has returned, so every other
+    name imports on numpy alone.
     """
-    from scipy.linalg.blas import zgemv, ztbsv
+    from scipy.linalg.blas import zaxpy, zdotu, ztbsv
     from scipy.linalg.lapack import zgttrf
 
     n = gvec.size
@@ -221,46 +232,54 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
             f"lam t = {lam * t}; use a smaller dt or fewer grid points"
         )
     band = np.zeros((2, n), dtype=complex, order="F")
-    band[1, :-1] = dl  # L below its unit diagonal
+    band[1, :-1] = dl * d[:-1] / d[1:]  # D^-1 L D below its unit diagonal
     band[0, 1:] = du / d[:-1]  # U above its unit diagonal
     inv_d = 1.0 / d
 
-    def solve1(b: np.ndarray) -> np.ndarray:
+    def sweeps(b: np.ndarray) -> np.ndarray:
+        """A1^-1 D b, in place."""
         ztbsv(1, band, b, lower=1, diag=1, overwrite_x=1)
-        b *= inv_d
         ztbsv(1, band, b, diag=1, overwrite_x=1)
         return b
 
-    if not gvec.any():
-        return SimpleNamespace(solve=solve1)
     cells = np.flatnonzero(gvec)
     r = cells.size
+    n2 = n if r else 0  # channel 2's order: carried only when a cell is coupled
     kg = lam * gvec[cells]
-    modes = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    modes = np.cos(np.pi * np.arange(1, n2 + 1) / (n2 + 1))
     inv2 = 1.0 / (1.0 + lam * (2.0 * t + potential - 2.0 * t * modes))
-    p = _sine_rows(n, cells)
-    q = (inv2 * p).T  # Lam2^-1 P^T
+    u = 2.0 * inv2 - 1.0
+    p = _sine_rows(n2, cells)
+    pl = p * inv2  # P Lam2^-1, one contiguous row per cell
     z = np.zeros((n, r), dtype=complex, order="F")
-    z[cells, np.arange(r)] = 1.0
+    z[cells, np.arange(r)] = inv_d[cells]
     for column in z.T:
-        solve1(column)
+        sweeps(column)
     zc = z[cells]
-    couple = kg[:, None] * (p @ q) * kg
+    couple = kg[:, None] * (pl @ p.T) * kg
     gain = np.linalg.solve(np.eye(r) - couple @ zc, couple)
-    # both channels' corrections are linear in y[cells], y = A1^-1 (b1 - ...)
-    w = np.empty((2 * n, r), dtype=complex, order="F")
+    w = np.empty((n + n2, r), dtype=complex, order="F")
     w[:n] = z @ gain
-    w[n:] = -q @ (kg[:, None] * (np.eye(r) + zc @ gain))
+    w[n:] = -pl.T @ (kg[:, None] * (np.eye(r) + zc @ gain))
     # W's subnormal tails carry no significant bits but slow products 100x
     w[np.abs(w) < np.finfo(float).tiny] = 0.0
-    pt = np.asfortranarray(p.T, dtype=complex)
+    sites, gains = cells.tolist(), (-2.0 * kg * inv_d[cells]).tolist()
+    rows, columns = list(pl), list(w.T)
+    twice_inv_d = 2.0 * inv_d
+    h = np.empty(n, dtype=complex)
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        b1, b2 = b[:n], b[n:]
-        b2 *= inv2
-        b1[cells] -= kg * zgemv(1.0, pt, b2, trans=1)
-        solve1(b1)
-        return zgemv(1.0, w, b1[cells], beta=1.0, y=b, overwrite_y=1)
+    def solve(psi: np.ndarray) -> np.ndarray:
+        phi1, c = psi[:n], psi[n:]
+        np.multiply(phi1, twice_inv_d, out=h)  # D^-1 (2 phi1 - ...)
+        for site, gain, row in zip(sites, gains, rows):
+            h[site] += gain * zdotu(row, c)
+        sweeps(h)
+        s = [h[site] for site in sites]
+        np.subtract(h, phi1, out=phi1)
+        c *= u
+        for column, y in zip(columns, s):
+            zaxpy(column, psi, a=y)
+        return psi
 
     return SimpleNamespace(solve=solve)
 
@@ -291,7 +310,8 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     """Propagate one configuration, recording the centroid over x[start:].
 
     The snapshot file is opened only once the step operator is factored,
-    so a run that cannot start leaves no file behind.
+    and removed if the run then raises (unless it is not a regular file),
+    so a run that does not finish leaves no file behind.
     """
     n = x.size
     chans = 2 if gvec.any() else 1
@@ -306,7 +326,6 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     # second library whose thread pool, once woken, competes with scipy's
     # for the cores during the next solve.
     psi = np.pad(psi0, (0, (chans - 1) * n))
-    half = np.empty_like(psi)
     flat = psi.view(float)
     tail = flat[2 * start : 2 * n]
     tail_dens = np.empty_like(tail)
@@ -353,13 +372,20 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
 
     with (nullcontext() if snapshot_path is None else
           open(snapshot_path, "w", encoding="utf-8", newline="\n")) as handle:
-        write = None if handle is None else _frame_writer(handle, x)
-        observe(0)
-        for step in range(1, grid.steps + 1):
-            np.multiply(psi, 2.0, out=half)
-            backward.solve(half)
-            np.subtract(half, psi, out=psi)
-            observe(step)
+        try:
+            write = None if handle is None else _frame_writer(handle, x)
+            observe(0)
+            for step in range(1, grid.steps + 1):
+                backward.solve(psi)
+                observe(step)
+        except BaseException:
+            if handle is not None:
+                try:
+                    handle.close()
+                finally:  # a device or pipe such as /dev/null is kept
+                    if Path(snapshot_path).is_file():
+                        Path(snapshot_path).unlink(missing_ok=True)
+            raise
 
     return times_out, cents, float(drift), float(mass)
 

@@ -3,8 +3,10 @@ import dataclasses
 import inspect
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -106,10 +108,12 @@ def test_delay_result_fields_are_float(coupled_result, free_result):
 
 
 def _superlu_factor(t, potential, gvec, lam):
-    """Reference for wavepacket.splu: SuperLU on the assembled 1 + lam H.
+    """Reference for wavepacket.splu: a Cayley stepper by SuperLU on the
+    assembled 1 + lam H.
 
-    It solves in real space, [phi1; phi2], and maps channel 2 in and out
-    of the sine basis that the package carries it in.
+    ``solve(psi)`` overwrites psi with (1 + lam H)^-1 (1 - lam H) psi.  It
+    steps in real space, [phi1; phi2], and maps channel 2 in and out of
+    the sine basis that the package carries it in.
     """
     n = gvec.size
     kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
@@ -120,16 +124,18 @@ def _superlu_factor(t, potential, gvec, lam):
         ham = sparse.bmat(
             [[kinetic, g], [g, kinetic + potential * sparse.identity(n)]]
         )
-    lu = superlu((sparse.identity(ham.shape[0]) + lam * ham).tocsc())
+    one = sparse.identity(ham.shape[0])
+    forward = (one - lam * ham).tocsr()
+    lu = superlu((one + lam * ham).tocsc())
 
-    def solve(b):
-        real = b.copy()
+    def solve(psi):
+        real = psi.copy()
         if coupled:
             real[n:] = dst(real[n:], type=1, norm="ortho")
-        b[:] = lu.solve(real)
+        psi[:] = lu.solve(forward @ real)
         if coupled:
-            b[n:] = dst(b[n:], type=1, norm="ortho")
-        return b
+            psi[n:] = dst(psi[n:], type=1, norm="ortho")
+        return psi
 
     return SimpleNamespace(solve=solve)
 
@@ -168,7 +174,7 @@ def test_structured_solve_matches_superlu(chans, cells):
     want = _superlu_factor(t, potential, gvec, lam).solve(b.copy())
     work = b.copy()
     got = wavepacket.splu(t, potential, gvec, lam).solve(work)
-    assert got is work  # solved in place
+    assert got is work  # stepped in place
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -181,7 +187,8 @@ def test_structured_solve_matches_superlu(chans, cells):
 )
 def test_channel1_solve_matches_zgttrs(n, t, dt, seed):
     # A1 = 1 + lam T is strictly diagonally dominant, so zgttrf swaps no
-    # rows; the free run's solve is then the unit-bidiagonal L D U solve
+    # rows; the free run's step 2 A1^-1 b - b then solves by the
+    # unit-bidiagonal L D U factors
     lam = 0.5j * dt
     off = np.full(n - 1, -lam * t)
     dl, d, du, du2, ipiv, info = scipy.linalg.lapack.zgttrf(
@@ -192,10 +199,10 @@ def test_channel1_solve_matches_zgttrs(n, t, dt, seed):
     assert not du2.any()
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv, b.copy())[0]
+    want = 2.0 * scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv, b.copy())[0] - b
     work = b.copy()
     got = wavepacket.splu(t, 1.0, np.zeros(n), lam).solve(work)
-    assert got is work  # solved in place
+    assert got is work  # stepped in place
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -212,10 +219,15 @@ def test_row_swaps_in_the_channel1_factor_are_rejected(monkeypatch):
         wavepacket.splu(1.0, 1.0, np.zeros(8), 0.25j)
 
 
-def _closures(func, names):
-    tree = ast.parse(inspect.getsource(func))
-    return {node.name: node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name in names}
+def _closures(*funcs):
+    """(owner.name, node) of every function and lambda nested in ``funcs``."""
+    found = []
+    for func in funcs:
+        outer = ast.parse(inspect.getsource(func)).body[0]
+        found += [(f"{func.__name__}.{getattr(node, 'name', '<lambda>')}", node)
+                  for node in ast.walk(outer)
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not outer]
+    return found
 
 
 def test_per_step_closures_use_no_numpy_blas():
@@ -223,11 +235,11 @@ def test_per_step_closures_use_no_numpy_blas():
     # competes with scipy's during the next solve (propagate took 11.8 s
     # instead of 1.1 s on a 2-vCPU host at default threads); the benchmark
     # pins one thread, so this guard stands in for it on every step's code
-    closures = {**_closures(wavepacket.splu, {"solve", "solve1"}),
-                **_closures(wavepacket._run, {"observe"})}
-    assert sorted(closures) == ["observe", "solve", "solve1"]
+    closures = _closures(wavepacket.splu, wavepacket._run)
+    assert {"splu.solve", "splu.sweeps", "_run.observe", "_run.densities"} <= {
+        name for name, _ in closures}
     banned = {"dot", "vdot", "matmul", "inner"}
-    for name, node in closures.items():
+    for name, node in closures:
         for sub in ast.walk(node):
             op = getattr(sub, "op", None)
             assert not isinstance(op, ast.MatMult), f"{name} uses @"
@@ -297,6 +309,61 @@ def test_snapshots_match_superlu(tmp_path):
     assert got.shape == want.shape
     for frame, ref in zip(got, want):
         assert np.max(np.abs(frame - ref)) <= 1e-12 * ref.max()
+
+
+def test_two_coupled_cells_match_superlu(tmp_path, monkeypatch, fresh_reference):
+    # a strip centred on a cell boundary couples two cells: the rank-2
+    # Woodbury step, which the CLI defaults (one cell) never take
+    grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=370)
+    dx = 600.0 / 1024.0
+    p = dataclasses.replace(P_COUPLED, center=dx / 2.0)
+    x = np.linspace(-300.0, 300.0, 1025)
+    assert np.count_nonzero(wavepacket._coupling_cells(x, dx, p, 1e-3)) == 2
+    path = tmp_path / "frames.csv"
+    got = propagate(PACKET, p, width=1e-3, grid=grid, snapshot_path=path,
+                    snapshot_stride=50)
+    frames = np.loadtxt(path, delimiter=",", skiprows=1).reshape(8, 1025, 4)[:, :, 2:]
+    for frame, ref in zip(frames, _reference_frames(PACKET, p, 1e-3, grid, 50)):
+        assert np.max(np.abs(frame - ref)) <= 1e-12 * ref.max()
+    wavepacket._free_arrival.cache_clear()
+    monkeypatch.setattr(wavepacket, "splu", _superlu_factor)
+    want = propagate(PACKET, p, width=1e-3, grid=grid)
+    for name in ("t_arrival", "t_free", "transmitted_fraction"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10)
+    assert abs(got.delay - want.delay) <= 1e-10 * want.t_free
+
+
+@pytest.mark.parametrize(
+    ("half_length", "steps"),
+    [(180.0, 10), (300.0, 3000)],
+    ids=["at-start", "mid-run"],
+)
+def test_a_stopped_run_leaves_no_snapshot_file(half_length, steps, tmp_path):
+    # the edge guard trips before any step, or after frames were written
+    grid = GridSpec(half_length=half_length, points=1025, dt=0.4, steps=steps)
+    path = tmp_path / "frames.csv"
+    with pytest.raises(BoundaryContaminationError, match="^edge density"):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=grid, snapshot_path=path,
+                  snapshot_stride=10)
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_a_stopped_run_keeps_a_snapshot_target_that_is_no_regular_file(tmp_path):
+    # frames written to a pipe (or to /dev/null) are not a file to clean up
+    pipe = tmp_path / "frames.pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    grid = GridSpec(half_length=180.0, points=1025, dt=0.4, steps=10)
+    with pytest.raises(BoundaryContaminationError, match="^edge density"):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=grid, snapshot_path=pipe)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert received[0].startswith(b"t,x,density1,density2\n")
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 @pytest.mark.parametrize("chans", [1, 2])
