@@ -84,6 +84,17 @@ SMALL_WAVEPACKET = [
 ]
 
 
+@pytest.mark.parametrize(
+    "code, loaded",
+    [("import twostate.wavepacket", "False"), (_cli(SMALL_WAVEPACKET), "False"),
+     (_cli(SMALL_WAVEPACKET + ["--snapshots", "frames.csv", "--stride", "100"]), "True")],
+    ids=["import", "run", "snapshots"],
+)
+def test_the_snapshot_formatter_loads_with_a_snapshot_run_only(code, loaded, tmp_path):
+    probe = "\nimport sys\nprint('twostate.g15' in sys.modules)\n"
+    assert _fresh(code + probe, tmp_path) == loaded
+
+
 @pytest.mark.parametrize("code", [_cli(SMALL_WAVEPACKET)], ids=["run"])
 def test_wavepacket_loads_lapack_and_no_sparse(code, tmp_path):
     loaded = _scipy_loaded_by(code, tmp_path)
