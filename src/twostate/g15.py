@@ -1,81 +1,86 @@
 """Exact ``'%.15g' % v`` text for whole float arrays, byte for byte.
 
-For a finite v > 0, ``'%.15g'`` prints the decimal that is correctly
-rounded to 15 significant digits (Gay, "Correctly rounded binary-decimal
-conversions", 1990): the exponent X and the mantissa
-M = round(v 10**(14 - X)) in [1e14, 1e15).  ``Fields`` computes both for a
-whole array:
+For a finite v != 0, ``'%.15g'`` prints the sign of v and the decimal
+that is correctly rounded to 15 significant digits of |v| (Gay, "Correctly
+rounded binary-decimal conversions", 1990): the exponent X and the mantissa
+M = round(|v| 10**(14 - X)) in [1e14, 1e15).  ``Fields`` computes both for
+a whole array:
 
-- X starts as floor(log10 v), and 10**(14 - X) comes from a table of pairs
+- X starts as floor(log10 |v|), and 10**(14 - X) comes from a table of pairs
   h + l, h the double nearest 10**j and l the double nearest the rest,
   built once by Python integer arithmetic;
-- y = v 10**(14 - X) is v h taken exactly by Dekker's (1971) product of
-  split halves, plus v l.  Its error is below 1e-15, so M is floor(y), plus
-  1 where y's fractional part exceeds 1/2, and M = 1e15 carries into X;
+- y = |v| 10**(14 - X) is |v| h taken exactly by Dekker's (1971) product
+  of split halves, plus |v| l.  Its error is below 1e-15, so M is
+  floor(y), plus 1 where y's fractional part exceeds 1/2, and M = 1e15
+  carries into X;
 - M's 15 digits are 4-byte groups read from a table of "0000" to "9999",
-  and each value's field is gathered from its digit, exponent and
-  punctuation bytes by one layout per notation (fixed with X in -4..14,
-  scientific with a 2- or 3-digit exponent, or zero) and count of
-  significant digits.  Unused bytes of a field are NUL.
+  and each value's field is gathered from its sign, digit, exponent and
+  punctuation bytes by one layout per sign, notation (fixed with X in
+  -4..14, scientific with a 2- or 3-digit exponent, or zero) and count of
+  significant digits; a negative value's layout starts with "-".  Unused
+  bytes of a field are NUL.
 
 A value whose fast text could be wrong is formatted by ``'%.15g' %``
 itself.  ``Fields`` returns each value's kind, which names the reason:
 ``TIE`` (y's fractional part within 1e-6 of 1/2), ``ESTIMATE`` (the log10
 estimate of X off by one), ``OUTSIDE`` (14 - X outside the table) or
-``NOT_POSITIVE`` (negative, -0.0 or not finite).
+``SPECIAL`` (-0.0, an infinity or NaN).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["ESTIMATE", "NOT_POSITIVE", "OUTSIDE", "TIE", "WIDTH", "Fields"]
+__all__ = ["ESTIMATE", "OUTSIDE", "SPECIAL", "TIE", "WIDTH", "Fields"]
 
 WIDTH = 23  # the widest field, "-1.23456789012345e-308", and its separator
 
 # a value's source bytes: "0" and M's 15 digits, X's sign and 3 digits, and
 # the punctuation; _NUL is never written
-_EXPONENT, _POINT, _ZERO, _E, _SEPARATOR, _NUL, _ROW = 16, 20, 21, 22, 23, 24, 28
+_EXPONENT, _POINT, _ZERO, _E, _SEPARATOR, _NUL, _MINUS, _ROW = 16, 20, 21, 22, 23, 24, 25, 28
 
 # kinds: fixed notation with X = -4..14 is X + 4, then these
-_SCI2, _SCI3, _ZERO_KIND, TIE, ESTIMATE, OUTSIDE, NOT_POSITIVE = range(19, 26)
+_SCI2, _SCI3, _ZERO_KIND, TIE, ESTIMATE, OUTSIDE, SPECIAL = range(19, 26)
+_NEGATIVE = (SPECIAL + 1) * 16  # a negative value's layouts follow the positive ones
 
-_LOW, _HIGH = -280, 280  # the table's powers 10**j; v 10**j stays finite for every split
+_HIGH = 280  # the table's powers 10**j, |j| <= _HIGH; v 10**j stays finite for every split
+_LOW = -_HIGH
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _X = 400  # exponent tables cover X in [-_X, _X)
-
-
-def _words(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """4-byte words: the character ``first``, then ``rest``'s last three
-    decimal digits."""
-    chars = [first] + [rest // scale % 10 + ord("0") for scale in (100, 10, 1)]
-    return np.stack(chars, axis=1).astype(np.uint8).view(np.uint32).ravel()
 
 
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The power table, the digit groups and their trailing zeros, the
     exponent bytes and notation of each X, and the layouts; built on first
-    use (3-4 ms), never at import."""
-    h, l = [], []
-    for j in range(_LOW, _HIGH + 1):
-        num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
-        nearest = num / den  # int / int is correctly rounded
-        a, b = nearest.as_integer_ratio()
-        h.append(nearest)
-        l.append((num * b - a * den) / (den * b))
-    h = np.array(h)
-    c = h * _SPLIT
-    high = c - (c - h)
-    d, xs = np.arange(10000), np.arange(-_X, _X)
-    groups = _words(d // 1000 + ord("0"), d)  # "0000" to "9999"
-    exponents = _words(np.where(xs < 0, ord("-"), ord("+")), np.abs(xs))  # "-400" to "+399"
-    kinds = np.where((xs >= -4) & (xs <= 14), xs + 4, np.where(np.abs(xs) < 100, _SCI2, _SCI3))
+    use (about 1.5 ms), never at import.  Only Python ints, floats and
+    bytes build them: a numpy loop run here alone would keep its code pages
+    resident for the rest of the process."""
+    positive, negative = [], []  # (h, l) of 10**k and of 10**-k
+    p = 1  # 10**k
+    for k in range(_HIGH + 1):
+        nearest = float(p)  # int to float is correctly rounded
+        positive.append((nearest, float(p - int(nearest))))
+        nearest = 1 / p  # and so is int / int
+        a, b = nearest.as_integer_ratio()  # b = 2**e, so ldexp is exact
+        negative.append((nearest, math.ldexp((b - a * p) / p, 1 - b.bit_length())))
+        p *= 10
+    h, l = zip(*negative[:0:-1], *positive)  # j = _LOW.._HIGH
+    high = [(c := v * _SPLIT) - (c - v) for v in h]  # Veltkamp's split
+    groups = bytearray(4 * 10000)  # "0000" to "9999"
+    for i, scale in enumerate((1000, 100, 10, 1)):
+        groups[i::4] = b"".join(bytes([c]) * scale for c in b"0123456789") * (1000 // scale)
+    trailing = bytearray(10000)  # the groups' trailing zeros
+    for k in range(1, 5):
+        trailing[:: 10**k] = bytes([k]) * 10 ** (4 - k)
+    xs = range(-_X, _X)
+    kinds = [x + 4 if -4 <= x <= 14 else _SCI2 if abs(x) < 100 else _SCI3 for x in xs]
 
-    def layout(kind: int, s: int) -> list[int]:
+    def layout(kind: int, s: int) -> bytes:  # the text's source bytes, then its separator
         digits = list(range(1, s + 1))
         if 4 <= kind <= 18:  # fixed, X >= 0
             whole = kind - 3
@@ -88,16 +93,50 @@ def _tables() -> SimpleNamespace:
         elif kind == _ZERO_KIND:
             text = [_ZERO]
         else:
-            return [_NUL] * WIDTH
-        return text + [_SEPARATOR] + [_NUL] * (WIDTH - len(text) - 1)
+            return b""  # a fallback's text is written by %
+        return bytes(text + [_SEPARATOR])
 
-    layouts = [layout(kind, max(s, 1)) for kind in range(NOT_POSITIVE + 1) for s in range(16)]
+    rows = [layout(kind, max(s, 1)) for kind in range(SPECIAL + 1) for s in range(16)]
+    minus, nul = bytes([_MINUS]), bytes([_NUL])
+    rows += [row and minus + row for row in rows]  # from _NEGATIVE on
+    layouts = b"".join([row.ljust(WIDTH, nul) for row in rows])
     return SimpleNamespace(
-        h=h, l=np.array(l), high=high, low=h - high,
-        groups=groups, trailing=sum(d % 10**k == 0 for k in range(1, 5)),
-        exponents=exponents, kinds=kinds,
-        layouts=np.array(layouts, dtype=np.uint8),
+        h=np.array(h), l=np.array(l), high=np.array(high),
+        low=np.array([v - c for v, c in zip(h, high)]),
+        groups=np.frombuffer(groups, dtype=np.uint32), trailing=np.frombuffer(trailing, np.uint8),
+        exponents=np.frombuffer("".join(["%+04d" % x for x in xs]).encode(), dtype=np.uint32),
+        kinds=np.array(kinds, dtype=np.int16),
+        layouts=np.frombuffer(layouts, dtype=np.uint8).reshape(-1, WIDTH),
     )
+
+
+def _decimal(w: np.ndarray, t: SimpleNamespace):
+    """X and M of each w > 0, and the masks of the values whose M could be
+    wrong: ``tie``, ``estimate`` and ``outside``.  Its intermediates go when
+    it returns, so a call of ``Fields`` holds fewer arrays at once."""
+    with np.errstate(all="ignore"):  # a w far outside the table overflows, and falls back
+        x = np.floor(np.log10(w))
+        y = 14.0 - x
+        outside = (y < _LOW) | (y > _HIGH)
+        j = np.minimum(np.maximum(y, _LOW), _HIGH).astype(np.intp) - _LOW
+        p = w * t.h[j]
+        c = w * _SPLIT
+        w_high = c - (c - w)
+        w_low = w - w_high
+        high, low = t.high[j], t.low[j]
+        rest = ((w_high * high - p) + w_high * low + w_low * high) + w_low * low + w * t.l[j]
+        whole = np.floor(p)
+        part = (p - whole) + rest
+        carried = np.floor(part)
+        part -= carried
+        m = whole + carried  # floor(y)
+        estimate = (m < 1e14) | (m >= 1e15)
+        tie = np.abs(part - 0.5) < 1e-6
+        m += np.floor(part + 0.5)  # M; a half rounds up, but ties fall back
+        carry = m == 1e15
+        x[carry] += 1.0
+        m[carry | estimate | outside] = 1e14  # the carry's M, the others' placeholder
+    return x, m, tie, estimate, outside
 
 
 class Fields:
@@ -114,41 +153,24 @@ class Fields:
     def __init__(self, size: int, separators: bytes):
         self._t = _tables()
         self._src = np.zeros((size, _ROW), dtype=np.uint8)
-        for at, char in ((_POINT, "."), (_ZERO, "0"), (_E, "e")):
+        for at, char in ((_POINT, "."), (_ZERO, "0"), (_E, "e"), (_MINUS, "-")):
             self._src[:, at] = ord(char)
         self._src[:, _SEPARATOR] = np.resize(np.frombuffer(separators, dtype=np.uint8), size)
         self._quads = np.empty((4, size))
         self._layout = np.empty((size, WIDTH), dtype=np.uint8)
         self._index = np.empty((size, WIDTH), dtype=np.intp)
-        self._base = np.repeat(np.arange(0, size * _ROW, _ROW), WIDTH).reshape(size, WIDTH)
+        self._base = np.arange(0, size * _ROW, _ROW)[:, None]  # each value's source row
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the arithmetic stays in float64, with bool masks only to select: a
+        # loop on another dtype, or on floats mixed with bools, would page in
+        # numpy code (64 KB of RSS each) that nothing else in a sweep runs
         t, v, size = self._t, values.ravel(), values.size
         src, q = self._src[:size], self._quads[:, :size]
-        with np.errstate(all="ignore"):  # the values that fall back compute garbage
-            positive = (v > 0.0) & (v < np.inf)
-            w = np.where(positive, v, 1.0)
-            x = np.floor(np.log10(w))
-            j = (14.0 - x).astype(np.intp) - _LOW
-            outside = (j < 0) | (j > _HIGH - _LOW)
-            np.minimum(np.maximum(j, 0, out=j), _HIGH - _LOW, out=j)
-            p = w * t.h[j]
-            c = w * _SPLIT
-            w_high = c - (c - w)
-            w_low = w - w_high
-            high, low = t.high[j], t.low[j]
-            rest = ((w_high * high - p) + w_high * low + w_low * high) + w_low * low + w * t.l[j]
-            whole = np.floor(p)
-            part = (p - whole) + rest
-            carried = np.floor(part)
-            part -= carried
-            m = whole + carried  # floor(y)
-            estimate = (m < 1e14) | (m >= 1e15)
-            tie = np.abs(part - 0.5) < 1e-6
-            m += part > 0.5
-            carry = m == 1e15
-            x += carry
-            m[carry | estimate | outside] = 1e14  # the carry's M, the others' placeholder
+        w = np.abs(v)
+        nonzero = (w > 0.0) & (w < np.inf)
+        w[~nonzero] = 1.0  # zero, inf and NaN: their text is not computed
+        x, m, tie, estimate, outside = _decimal(w, t)
         # M's four digit groups; each quotient is exact enough to floor
         upper = np.floor(m / 1e8)
         lower = m - upper * 1e8
@@ -162,17 +184,23 @@ class Fields:
         xi = x.astype(np.intp) + _X
         words[:, 4] = t.exponents.take(xi)
         z = t.trailing.take(quads)
-        zeros = z[3] + (quads[3] == 0) * (z[2] + (quads[2] == 0) * (z[1] + (quads[1] == 0) * z[0]))
+        zeros = z[0]  # M's trailing zeros, counted up from group 0
+        for k in (1, 2, 3):
+            zeros = z[k] + np.where(q[k] == 0.0, zeros, 0.0)
         kind = t.kinds.take(xi)
+        negative = np.signbit(v)
+        special = ~nonzero & (negative | (v != 0.0))  # -0.0, the infinities and NaN
+        # -0.0 takes _ZERO_KIND, then SPECIAL
         for mask, reason in ((tie, TIE), (estimate, ESTIMATE), (outside, OUTSIDE),
-                             (~positive, NOT_POSITIVE), ((v == 0.0) & ~np.signbit(v), _ZERO_KIND)):
+                             (v == 0.0, _ZERO_KIND), (special, SPECIAL)):
             kind[mask] = reason
         layout, index = self._layout[:size], self._index[:size]
-        t.layouts.take(kind * 16 + 15 - zeros, axis=0, out=layout)
+        row = kind * 16.0 + np.where(negative, _NEGATIVE + 15.0, 15.0) - zeros
+        t.layouts.take(row.astype(np.intp), axis=0, out=layout)
         np.add(layout, self._base[:size], out=index)
         # every index is in range; "clip" writes straight into a strided out
         np.take(self._src.ravel(), index.reshape(out.shape), out=out, mode="clip")
-        for i in np.flatnonzero(kind >= TIE).tolist():
+        for i in np.flatnonzero(tie | estimate | outside | special).tolist():
             text = ("%.15g" % v[i]).encode() + src[i, _SEPARATOR].tobytes()
             out[np.unravel_index(i, values.shape)][: len(text)] = np.frombuffer(text, np.uint8)
         return kind.reshape(values.shape)

@@ -7,9 +7,13 @@ Four quantities are supported, mirroring the observables of the model:
 * ``tau_vs_energy`` transition time against epsilon
 * ``tau_vs_coupling`` transition time against k0^2
 
-Numbers are printed with 15 significant digits and LF line endings, so a
-given spec always produces byte-identical files.  Open domain endpoints
-are clipped by a configurable margin (default 1e-4).
+CSV cells are the bytes of ``'%.15g' % v``, with LF line endings, so a
+given spec always produces byte-identical files.  ``twostate.g15`` formats
+the whole table array-wide, a block at a time; a value it cannot settle
+exactly (near a rounding tie, with an off-by-one exponent estimate, with
+|v| outside about 1e-266..1e295, -0.0, an infinity or NaN) is formatted
+by ``'%.15g' %`` itself.  Open domain endpoints are clipped by a
+configurable margin (default 1e-4).
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ QUANTITY_ROWS = {
 QUANTITIES = tuple(QUANTITY_ROWS)
 DEFAULT_POTENTIAL = 1.0
 DEFAULT_COUNT = 999
+_CSV_BLOCK = 512  # values per g15 call, which holds about 0.35 MB of buffers and temporaries
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -195,14 +200,22 @@ def _labels(row: QuantityRow, series: tuple[float, ...]) -> list[str]:
     return [f"{row.column}[{row.series}={v:.6g}]" for v in series]
 
 
-def _csv_text(grid, columns, labels, varname) -> str:
-    # one % per row, each row listed on its own: listing the whole table
-    # first, or one % over all of it, raises the peak allocation
-    row = ",".join(["%.15g"] * (1 + len(columns)))
-    lines = [",".join([varname, *labels])]
-    table = np.column_stack([grid, *columns])
-    lines.extend(row % tuple(cells.tolist()) for cells in table)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, table: np.ndarray, labels, varname) -> None:
+    """The header, then ``table``'s rows as ``'%.15g'`` fields by
+    ``g15.Fields``, whole rows of at most _CSV_BLOCK values at a time into
+    one reused buffer, so that no more than a block is ever held as text."""
+    from .g15 import WIDTH, Fields  # its tables are built on the first CSV
+
+    rows, cols = table.shape
+    block = max(1, _CSV_BLOCK // cols)
+    fields = Fields(block * cols, b"," * (cols - 1) + b"\n")
+    text = np.empty((block, cols, WIDTH), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        handle.write((",".join([varname, *labels]) + "\n").encode())
+        for start in range(0, rows, block):
+            chunk = text[: min(block, rows - start)]
+            fields(table[start : start + block], chunk)
+            handle.write(chunk.tobytes().translate(None, b"\0"))
 
 
 def _svg_text(grid, columns, labels, varname, colname) -> str:
@@ -280,8 +293,10 @@ def run_sweep(spec: SweepSpec) -> list[Path]:
     written: list[Path] = []
     for kind in ("csv", "svg") if spec.format == "both" else (spec.format,):
         path = out.with_suffix("." + kind) if spec.format == "both" else out
-        text = (_csv_text(grid, columns, labels, spec.variable.name) if kind == "csv"
-                else _svg_text(grid, columns, labels, spec.variable.name, row.column))
-        path.write_text(text, encoding="utf-8", newline="\n")
+        if kind == "csv":
+            _write_csv(path, np.column_stack([grid, *columns]), labels, spec.variable.name)
+        else:
+            text = _svg_text(grid, columns, labels, spec.variable.name, row.column)
+            path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
     return written

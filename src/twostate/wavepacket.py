@@ -286,29 +286,32 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
 
 
 def _frame_writer(handle, x: np.ndarray):
-    """Write the CSV header; ``write(t, dens)`` then writes one frame.
+    """Write the CSV header to the binary ``handle``; ``write(t, dens)``
+    then writes one frame.
 
     A frame has rows (t, x, dens[0], dens[1] or 0), byte for byte the
-    output of np.savetxt(fmt="%.15g", delimiter=",").  x is formatted once
-    per run and t once per frame, by ``%``.  The densities go through
+    output of np.savetxt(fmt="%.15g", delimiter=",").  t is formatted once
+    per frame, by ``%``.  x, once per run, and the densities go through
     ``g15.Fields``, an exact array-wide ``%.15g`` that hands each value it
     cannot settle exactly (about one in 460,000 in the CLI's default run) to
-    ``%`` itself.  A frame is formatted in blocks of at most _FRAME_BLOCK
+    ``%`` itself.  Both are formatted in blocks of at most _FRAME_BLOCK
     rows, so that the writer's buffers stay under a megabyte.
     """
     from .g15 import WIDTH, Fields  # its tables are built on the first frame writer
 
-    handle.write("t,x,density1,density2\n")
+    handle.write(b"t,x,density1,density2\n")
     n = x.size
     block = min(n, _FRAME_BLOCK)
-    xs = np.array(["%.15g," % v for v in x.tolist()], dtype=bytes)  # NUL-padded
-    xs = xs.view(np.uint8).reshape(n, -1)
+    xs = np.empty((n, WIDTH), dtype=np.uint8)  # NUL-padded "x," fields
+    fields = Fields(block, b",")
+    for start in range(0, n, block):
+        fields(x[start : start + block], xs[start : start + block])
     fields = Fields(2 * block, b",\n")
     values = np.zeros((block, 2))
 
     def write(t: float, dens: np.ndarray) -> None:
-        head = np.frombuffer(("%.15g," % t).encode(), dtype=np.uint8)
-        lead = head.size + xs.shape[1]
+        head = np.frombuffer(b"%.15g," % t, dtype=np.uint8)
+        lead = head.size + WIDTH
         rows = np.empty((block, lead + 2 * WIDTH), dtype=np.uint8)
         rows[:, : head.size] = head
         for start in range(0, n, block):
@@ -316,8 +319,7 @@ def _frame_writer(handle, x: np.ndarray):
             values[:m, : len(dens)] = dens[:, start : start + m].T
             rows[:m, head.size : lead] = xs[start : start + m]
             fields(values[:m], rows[:m, lead:].reshape(m, 2, WIDTH))
-            text = rows[:m]
-            handle.write(text[text != 0].tobytes().decode("ascii"))
+            handle.write(rows[:m].tobytes().translate(None, b"\0"))
 
     return write
 
@@ -389,7 +391,7 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
             write(t, densities())
 
     with (nullcontext() if snapshot_path is None else
-          open(snapshot_path, "w", encoding="utf-8", newline="\n")) as handle:
+          open(snapshot_path, "wb")) as handle:
         try:
             write = None if handle is None else _frame_writer(handle, x)
             observe(0)

@@ -1,4 +1,5 @@
-"""The array-wide ``%.15g`` of the snapshot writer against ``'%.15g' %``.
+"""The array-wide ``%.15g`` of the sweep and snapshot writers against
+``'%.15g' %``.
 
 Numpy alone: the draws come from seeded numpy generators, and the frame
 writer is checked against ``np.savetxt`` without running a wave packet, so
@@ -35,6 +36,7 @@ def _expected(values: np.ndarray, separators: bytes = b"\n") -> bytes:
 
 
 def _draws() -> np.ndarray:
+    """Seeded positive draws, then the same values negated."""
     rng = np.random.default_rng(20201031)
     bits = rng.integers(0, 2**64, size=210_000, dtype=np.uint64, endpoint=False)
     patterns = np.abs(bits.view(np.float64))
@@ -50,11 +52,13 @@ def _draws() -> np.ndarray:
         1.7976931348623157e308, -1.0, -0.0, -5e-324, np.inf, -np.inf, np.nan,
     ])
     assert patterns.size == 200_000
-    return np.concatenate([patterns, log_uniform, edges, special])
+    draws = np.concatenate([patterns, log_uniform, edges, special])
+    return np.concatenate([draws, -draws])
 
 
 DRAWS = _draws()
-RANDOM = 400_000  # the bit patterns and the log-uniform draws come first
+RANDOM = 400_000  # the bit patterns and the log-uniform draws open each half
+HALF = DRAWS.size // 2
 
 
 def test_fields_are_the_bytes_of_percent_format():
@@ -64,14 +68,17 @@ def test_fields_are_the_bytes_of_percent_format():
         lines = zip(DRAWS.tolist(), got.split(b"\n"), want.split(b"\n"))
         value, mine, theirs = next(row for row in lines if row[1] != row[2])
         pytest.fail(f"{value!r}: {mine!r} against '%.15g' % v = {theirs!r}")
-    reasons = [g15.TIE, g15.ESTIMATE, g15.OUTSIDE, g15.NOT_POSITIVE]
-    assert set(reasons) <= set(np.unique(kinds).tolist())
-    # the fast path settles the random draws inside the power table, except
-    # in 1e11..1e18, where v 10**(14 - X) can be an exact half-integer (a
-    # tie % rounds to even) and some draws are
-    random = DRAWS[:RANDOM]
-    inside = (random > 1e-260) & (random < 1e290) & ~((random > 1e11) & (random < 1e18))
-    assert np.count_nonzero(np.isin(kinds[:RANDOM], reasons) & inside) <= 5
+    reasons = [g15.TIE, g15.ESTIMATE, g15.OUTSIDE, g15.SPECIAL]
+    for half in (kinds[:HALF], kinds[HALF:]):  # the positive and the negative draws
+        assert set(reasons) <= set(np.unique(half).tolist())
+    # the fast path settles the random draws of either sign inside the
+    # power table, except in 1e11..1e18, where |v| 10**(14 - X) can be an
+    # exact half-integer (a tie % rounds to even) and some draws are
+    for start in (0, HALF):
+        random = np.abs(DRAWS[start : start + RANDOM])
+        inside = (random > 1e-260) & (random < 1e290) & ~((random > 1e11) & (random < 1e18))
+        fallback = np.isin(kinds[start : start + RANDOM], reasons)
+        assert np.count_nonzero(fallback & inside) <= 5
 
 
 @pytest.mark.parametrize(
@@ -79,13 +86,17 @@ def test_fields_are_the_bytes_of_percent_format():
     [
         (123456789012345.5, g15.TIE),  # an exact tie, rounded to even by %
         (1234567890123455.0, g15.TIE),
+        (-123456789012345.5, g15.TIE),
         (5e-324, g15.OUTSIDE),
         (1e-300, g15.OUTSIDE),
+        (2e-267, g15.OUTSIDE),  # X = -267, 14 - X one past the table
+        (2e295, g15.OUTSIDE),
         (1e299, g15.OUTSIDE),
-        (-2.5, g15.NOT_POSITIVE),
-        (-0.0, g15.NOT_POSITIVE),
-        (np.nan, g15.NOT_POSITIVE),
-        (np.inf, g15.NOT_POSITIVE),
+        (-1e299, g15.OUTSIDE),
+        (-0.0, g15.SPECIAL),
+        (np.nan, g15.SPECIAL),
+        (np.inf, g15.SPECIAL),
+        (-np.inf, g15.SPECIAL),
     ],
 )
 def test_each_fallback_reason_gives_the_percent_bytes(value, reason):
@@ -97,12 +108,36 @@ def test_each_fallback_reason_gives_the_percent_bytes(value, reason):
     assert kinds[0] == reason and kinds[1] < g15.TIE  # 0.25 takes the fast path
 
 
+@pytest.mark.parametrize("value", [2e-266, -2e-266, 2e294, -2e294])
+def test_the_ends_of_the_power_table_take_the_fast_path(value):
+    values = np.array([value])
+    got, kinds = _fields(values)
+    assert got == _expected(values) and kinds[0] < g15.TIE
+
+
 def test_two_columns_take_their_own_separators():
     values = np.array([[1e-5, 0.0], [9.9999999999999995e-5, 1e15], [-1.5, 7.0]])
     out = np.zeros(values.shape + (g15.WIDTH,), dtype=np.uint8)
     kinds = g15.Fields(8, b",\n")(values, out)
     assert out[out != 0].tobytes() == b"1e-05,0\n0.0001,1e+15\n-1.5,7\n"
-    assert kinds.shape == values.shape and kinds[2, 0] == g15.NOT_POSITIVE
+    assert kinds.shape == values.shape and kinds[2, 0] < g15.TIE
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(-1.2345678901234567e-200, b"-1.23456789012346e-200"), (-1e-5, b"-1e-05"),
+     (-1e-4, b"-0.0001"), (-0.000123456789012345, b"-0.000123456789012345"),
+     (-12345678901234.5, b"-12345678901234.5"), (-123456789012345.0, b"-123456789012345"),
+     (-9.999999999999998, b"-10"), (-0.09999999999999996, b"-0.1"), (-1e100, b"-1e+100"),
+     (-2.5, b"-2.5")],
+)
+def test_a_negative_value_is_its_magnitude_after_a_minus(value, text):
+    # the widest field the table reaches, each notation and a carry into X,
+    # on the fast path
+    values = np.array([value, -value])
+    got, kinds = _fields(values)
+    assert got == b"%s\n%s\n" % (text, text[1:]) == _expected(values)
+    assert (kinds < g15.TIE).all() and kinds[0] == kinds[1]
 
 
 BLOCK = wavepacket._FRAME_BLOCK
@@ -118,7 +153,7 @@ def test_frame_writer_blocks_match_savetxt(rows, chans):
     dens[:, ::97] = 0.0
     dens[:, 5::89] = 10.0 ** rng.uniform(-320.0, -290.0, size=dens[:, 5::89].shape)
     times = (0.0, 12.5, 1e-7, 689.5)
-    got = io.StringIO(newline="\n")
+    got = io.BytesIO()
     write = wavepacket._frame_writer(got, x)
     for t in times:
         write(t, dens)
@@ -128,4 +163,4 @@ def test_frame_writer_blocks_match_savetxt(rows, chans):
         second = dens[1] if chans == 2 else np.zeros_like(x)
         block = np.column_stack((np.full(x.size, t), x, dens[0], second))
         np.savetxt(want, block, fmt="%.15g", delimiter=",")
-    assert got.getvalue().encode() == want.getvalue()
+    assert got.getvalue() == want.getvalue()

@@ -95,6 +95,20 @@ def test_the_snapshot_formatter_loads_with_a_snapshot_run_only(code, loaded, tmp
     assert _fresh(code + probe, tmp_path) == loaded
 
 
+@pytest.mark.parametrize(
+    "code, loaded",
+    [("import twostate", False), (_cli(["greens"]), False), (_cli(["verify"]), False),
+     (_cli(["sweep", "tau_vs_energy", "--out", "tau.csv"]), True)],
+    ids=["import", "greens", "verify", "sweep"],
+)
+def test_the_csv_formatter_loads_with_a_sweep_only(code, loaded, tmp_path):
+    # a sweep formats its CSV by g15; none of these loads scipy
+    probe = "\nimport sys\nprint('twostate.g15' in sys.modules)\n"
+    proc = _run(code + probe + REPORT, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [str(loaded), "[]"]
+
+
 @pytest.mark.parametrize("code", [_cli(SMALL_WAVEPACKET)], ids=["run"])
 def test_wavepacket_loads_lapack_and_no_sparse(code, tmp_path):
     loaded = _scipy_loaded_by(code, tmp_path)

@@ -377,7 +377,7 @@ def test_frame_writer_matches_savetxt(chans, tmp_path):
         [1e-300, 0.0, 4.9e-322, 1e-310, 2.0 / 3.0, 0.0, 123456789.123456789, 1e-17],
     ])[:chans]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    with open(got, "w", encoding="utf-8", newline="\n") as handle:
+    with open(got, "wb") as handle:
         write = wavepacket._frame_writer(handle, x)
         for t in times:
             write(t, dens)
