@@ -238,11 +238,8 @@ def _cmd_wavepacket(opts: dict) -> int:
         snapshot_path=opts["snapshots"],
         snapshot_stride=opts["stride"],
     )
-    print(f"t_arrival = {result.t_arrival:.15g}")
-    print(f"t_free = {result.t_free:.15g}")
-    print(f"delay = {result.delay:.15g}")
-    print(f"norm_drift = {result.norm_drift:.15g}")
-    print(f"transmitted_fraction = {result.transmitted_fraction:.15g}")
+    for field in dataclasses.fields(result):
+        print(f"{field.name} = {getattr(result, field.name):.15g}")
     if p.coupling > 0.0 and p.hbar == 1.0 and p.mass == 0.5:
         tau = times.transition_time(make_reduced(p))
         print(f"analytic_transition_time = {tau:.15g}")

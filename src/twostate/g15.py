@@ -171,13 +171,11 @@ class Fields:
         nonzero = (w > 0.0) & (w < np.inf)
         w[~nonzero] = 1.0  # zero, inf and NaN: their text is not computed
         x, m, tie, estimate, outside = _decimal(w, t)
-        # M's four digit groups; each quotient is exact enough to floor
-        upper = np.floor(m / 1e8)
-        lower = m - upper * 1e8
-        np.floor(upper / 1e4, out=q[0])
-        np.subtract(upper, q[0] * 1e4, out=q[1])
-        np.floor(lower / 1e4, out=q[2])
-        np.subtract(lower, q[2] * 1e4, out=q[3])
+        # M's four digit groups, floor(M / 10**j) mod 1e4 for j = 12, 8, 4, 0:
+        # as M < 1e15, each quotient M / 10**j and q / 1e4 that is not an
+        # integer lies at least 5 ulps from the next one, so each floor is exact
+        np.floor(m / [[1e12], [1e8], [1e4], [1.0]], out=q)
+        q -= 1e4 * np.floor(q / 1e4)
         quads = q.astype(np.intp)
         words = src.view(np.uint32)
         words[:, :4] = t.groups.take(quads).T

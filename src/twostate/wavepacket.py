@@ -287,15 +287,16 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
 
 def _frame_writer(handle, x: np.ndarray):
     """Write the CSV header to the binary ``handle``; ``write(t, dens)``
-    then writes one frame.
+    then writes one frame of the (n, 2) density table ``dens``.
 
-    A frame has rows (t, x, dens[0], dens[1] or 0), byte for byte the
-    output of np.savetxt(fmt="%.15g", delimiter=",").  t is formatted once
-    per frame, by ``%``.  x, once per run, and the densities go through
-    ``g15.Fields``, an exact array-wide ``%.15g`` that hands each value it
-    cannot settle exactly (about one in 460,000 in the CLI's default run) to
-    ``%`` itself.  Both are formatted in blocks of at most _FRAME_BLOCK
-    rows, so that the writer's buffers stay under a megabyte.
+    A frame has rows (t, x, dens[:, 0], dens[:, 1]), byte for byte the
+    output of np.savetxt(fmt="%.15g", delimiter=",").  Blocks of at most
+    _FRAME_BLOCK rows, so that the buffers stay under a megabyte, are
+    formatted into one (block, 4, WIDTH) row buffer made once per run: t's
+    field by ``%``, once per frame; x's fields, once per run, and the
+    densities by ``g15.Fields``, an exact array-wide ``%.15g`` that hands
+    each value it cannot settle exactly (about one in 460,000 in the CLI's
+    default run) to ``%`` itself.
     """
     from .g15 import WIDTH, Fields  # its tables are built on the first frame writer
 
@@ -307,18 +308,14 @@ def _frame_writer(handle, x: np.ndarray):
     for start in range(0, n, block):
         fields(x[start : start + block], xs[start : start + block])
     fields = Fields(2 * block, b",\n")
-    values = np.zeros((block, 2))
+    rows = np.empty((block, 4, WIDTH), dtype=np.uint8)
 
     def write(t: float, dens: np.ndarray) -> None:
-        head = np.frombuffer(b"%.15g," % t, dtype=np.uint8)
-        lead = head.size + WIDTH
-        rows = np.empty((block, lead + 2 * WIDTH), dtype=np.uint8)
-        rows[:, : head.size] = head
+        rows[:, 0] = np.frombuffer((b"%.15g," % t).ljust(WIDTH, b"\0"), dtype=np.uint8)
         for start in range(0, n, block):
             m = min(block, n - start)
-            values[:m, : len(dens)] = dens[:, start : start + m].T
-            rows[:m, head.size : lead] = xs[start : start + m]
-            fields(values[:m], rows[:m, lead:].reshape(m, 2, WIDTH))
+            rows[:m, 1] = xs[start : start + m]
+            fields(dens[start : start + m], rows[:m, 2:])
             handle.write(rows[:m].tobytes().translate(None, b"\0"))
 
     return write
@@ -331,7 +328,9 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
 
     The snapshot file is opened only once the step operator is factored,
     and removed if the run then raises (unless it is not a regular file),
-    so a run that does not finish leaves no file behind.
+    so a run that does not finish leaves no file behind.  A snapshot
+    writes |phi1|^2 and |S phi2|^2 in place into one (n, 2) table, which
+    the frame writer formats as it stands.
     """
     n = x.size
     chans = 2 if gvec.any() else 1
@@ -355,13 +354,8 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     first_row, last_row = _sine_rows(n, [0, n - 1]).astype(complex)
     times_out = grid.dt * np.arange(grid.steps + 1)
     cents = np.full(grid.steps + 1, np.nan)
+    dens = np.zeros((n, 2))  # |phi1|^2, |S phi2|^2 (0 if uncoupled) of a snapshot
     drift = mass = 0.0
-
-    def densities() -> np.ndarray:
-        dens = [np.abs(psi[:n]) ** 2]
-        if chans == 2:
-            dens.append(np.abs(_dst(sines)) ** 2)
-        return np.array(dens)
 
     def observe(step: int) -> None:
         nonlocal drift, mass
@@ -388,7 +382,11 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
         if mass > _MASS_FLOOR:
             cents[step] = moment / total
         if write is not None and step % stride == 0:
-            write(t, densities())
+            np.abs(psi[:n], out=dens[:, 0])
+            if chans == 2:
+                np.abs(_dst(sines), out=dens[:, 1])
+            np.square(dens, out=dens)
+            write(t, dens)
 
     with (nullcontext() if snapshot_path is None else
           open(snapshot_path, "wb")) as handle:

@@ -140,19 +140,46 @@ def test_a_negative_value_is_its_magnitude_after_a_minus(value, text):
     assert (kinds < g15.TIE).all() and kinds[0] == kinds[1]
 
 
+# a double just below a power of ten, where log10 may round up to the
+# power and the value take ESTIMATE; 999999999999999e-15 is not one
+_BELOW_A_POWER = {(10**15 - 1, 0), (10**15 - 1, -20), (10**15 - 1, 20), (10**14, -20),
+                  (10**14, 20)}
+
+
+@pytest.mark.parametrize("exponent", [0, -15, -20, 20])
+@pytest.mark.parametrize(
+    "m", [10**14, 10**15 - 1] + [10**14 + 10**k + d for k in (4, 8, 12) for d in (-1, 0)])
+def test_digit_group_edges_give_the_percent_bytes(m, exponent):
+    # M at both ends of its range and on either side of each digit group's
+    # carry, in fixed and scientific notation and of both signs
+    value = float(f"{m}e{exponent}")
+    values = np.array([value, -value])
+    got, kinds = _fields(values)
+    assert got == _expected(values) and kinds[0] == kinds[1]
+    assert kinds[0] < g15.TIE or (m, exponent) in _BELOW_A_POWER
+
+
 BLOCK = wavepacket._FRAME_BLOCK
 
 
 @pytest.mark.parametrize("chans", [1, 2])
 @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_frame_writer_blocks_match_savetxt(rows, chans):
-    # every block and the short last one, as savetxt writes the frame whole
+    # every block and the short last one, as savetxt writes the frame whole;
+    # exact zeros, subnormals, 1e-300, negative and signed-zero x, and t,
+    # formatted once per frame, in exponent forms too
     rng = np.random.default_rng(rows * chans)
     x = np.linspace(-720.0, 720.0, rows)
-    dens = rng.random((chans, rows)) ** 12
-    dens[:, ::97] = 0.0
-    dens[:, 5::89] = 10.0 ** rng.uniform(-320.0, -290.0, size=dens[:, 5::89].shape)
-    times = (0.0, 12.5, 1e-7, 689.5)
+    x[:8] = -720.0, -0.17578125, -0.0, 0.0, 1e-300, 5e-324, 3.5, 720.0
+    dens = np.zeros((rows, 2))  # a run's table; column 1 is 0 when uncoupled
+    dens[:, :chans] = rng.random((rows, chans)) ** 12
+    dens[::97] = 0.0
+    dens[5::89, :chans] = 10.0 ** rng.uniform(-320.0, -290.0, size=dens[5::89, :chans].shape)
+    dens[:8, :chans] = np.array([
+        [0.0, 1e-300], [5e-324, 0.0], [1e-300, 4.9e-322], [2.2250738585072014e-308, 1e-310],
+        [0.1, 2.0 / 3.0], [1.0 / 3.0, 0.0], [1.0, 123456789.123456789], [0.0, 1e-17],
+    ])[:, :chans]
+    times = (0.0, 0.5, 12.5, 1e-7, 689.5, 1e16, 5e-324, 1380.5)
     got = io.BytesIO()
     write = wavepacket._frame_writer(got, x)
     for t in times:
@@ -160,7 +187,6 @@ def test_frame_writer_blocks_match_savetxt(rows, chans):
     want = io.BytesIO()
     want.write(b"t,x,density1,density2\n")
     for t in times:
-        second = dens[1] if chans == 2 else np.zeros_like(x)
-        block = np.column_stack((np.full(x.size, t), x, dens[0], second))
+        block = np.column_stack((np.full(x.size, t), x, dens))
         np.savetxt(want, block, fmt="%.15g", delimiter=",")
     assert got.getvalue() == want.getvalue()

@@ -236,7 +236,7 @@ def test_per_step_closures_use_no_numpy_blas():
     # instead of 1.1 s on a 2-vCPU host at default threads); the benchmark
     # pins one thread, so this guard stands in for it on every step's code
     closures = _closures(wavepacket.splu, wavepacket._run)
-    assert {"splu.solve", "splu.sweeps", "_run.observe", "_run.densities"} <= {
+    assert {"splu.solve", "splu.sweeps", "_run.observe"} <= {
         name for name, _ in closures}
     banned = {"dot", "vdot", "matmul", "inner"}
     for name, node in closures:
@@ -364,30 +364,6 @@ def test_a_stopped_run_keeps_a_snapshot_target_that_is_no_regular_file(tmp_path)
     assert not reader.is_alive()
     assert received[0].startswith(b"t,x,density1,density2\n")
     assert stat.S_ISFIFO(pipe.stat().st_mode)
-
-
-@pytest.mark.parametrize("chans", [1, 2])
-def test_frame_writer_matches_savetxt(chans, tmp_path):
-    # exact zeros, subnormals, 1e-300 and negative x all print as savetxt
-    # does, and so does t, formatted once per frame, in exponent forms too
-    times = (0.0, 0.5, 689.5, 1e-7, 1e16, 5e-324, 1380.5)
-    x = np.array([-720.0, -0.17578125, -0.0, 0.0, 1e-300, 5e-324, 3.5, 720.0])
-    dens = np.array([
-        [0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1.0, 0.0],
-        [1e-300, 0.0, 4.9e-322, 1e-310, 2.0 / 3.0, 0.0, 123456789.123456789, 1e-17],
-    ])[:chans]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    with open(got, "wb") as handle:
-        write = wavepacket._frame_writer(handle, x)
-        for t in times:
-            write(t, dens)
-    with open(want, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("t,x,density1,density2\n")
-        for t in times:
-            second = dens[1] if chans == 2 else np.zeros_like(x)
-            block = np.column_stack((np.full(x.size, t), x, dens[0], second))
-            np.savetxt(handle, block, fmt="%.15g", delimiter=",")
-    assert got.read_bytes() == want.read_bytes()
 
 
 def test_snapshots_written(tmp_path):
