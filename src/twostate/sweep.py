@@ -107,6 +107,8 @@ class SweepSpec:
     the row's series for the potential), each through ``params._as_float``;
     any other key and a negative ``coupling_sq`` raise.  It is stored as
     ``{"potential": float, series: tuple[float, ...]}``, so it round-trips.
+    ``output`` is stored as a ``Path``.  The range clipped by the margin
+    (``_clip_grid``) must not be empty.
     """
 
     quantity: str
@@ -139,8 +141,19 @@ class SweepSpec:
             raise ValueError(f"{name} needs at least one value")
         if row.series == "coupling_sq" and min(series) < 0.0:
             raise DomainError(f"{name} must be >= 0, got {min(series)}")
+        try:
+            output = Path(self.output)
+        except TypeError:
+            raise TypeError(f"output must be a path, got {type(self.output).__name__}") from None
+        lo, hi = max(self.variable.start, margin), self.variable.stop
+        if row.variable == "epsilon":
+            hi = min(hi, 1.0 - margin)
+        if not lo < hi:
+            raise ValueError(f"empty sweep range after clipping: [{lo}, {hi}] for {row.variable}")
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "fixed", {"potential": potential, row.series: series})
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "_bounds", (lo, hi))
 
 
 def _row(quantity: str) -> QuantityRow:
@@ -156,21 +169,12 @@ def default_spec(quantity: str, output: Path) -> SweepSpec:
         quantity=quantity,
         variable=SweepVariable(row.variable, *row.domain, DEFAULT_COUNT),
         fixed={},
-        output=Path(output),
+        output=output,
     )
 
 
-def _clip_grid(spec: SweepSpec) -> np.ndarray:
-    lo = max(spec.variable.start, spec.margin)
-    hi = spec.variable.stop
-    if spec.variable.name == "epsilon":
-        hi = min(hi, 1.0 - spec.margin)
-    if not lo < hi:
-        raise ValueError(
-            f"empty sweep range after clipping: [{lo}, {hi}] for "
-            f"{spec.variable.name}"
-        )
-    return np.linspace(lo, hi, spec.variable.count)
+def _clip_grid(spec: SweepSpec) -> np.ndarray:  # over the bounds SweepSpec clipped
+    return np.linspace(*spec._bounds, spec.variable.count)
 
 
 def _evaluate(spec: SweepSpec, row: QuantityRow, grid: np.ndarray, series):
@@ -227,12 +231,16 @@ def _svg_text(grid, columns, labels, varname, colname) -> str:
     if ymax == ymin:
         ymin -= 0.5
         ymax += 0.5
+    # a y span past the float range is mapped through halves, which are
+    # exact for normal floats; scale 1 leaves every other plot's bytes
+    scale = 1.0 if ymax - ymin < math.inf else 0.5
+    lo, span = scale * ymin, scale * ymax - scale * ymin
 
     def px(v: float) -> float:
         return left + (v - xmin) / (xmax - xmin) * (right - left)
 
     def py(v: float) -> float:
-        return bottom - (v - ymin) / (ymax - ymin) * (bottom - top)
+        return bottom - (scale * v - lo) / span * (bottom - top)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -245,7 +253,7 @@ def _svg_text(grid, columns, labels, varname, colname) -> str:
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = xmin + frac * (xmax - xmin)
-        yv = ymin + frac * (ymax - ymin)
+        yv = (lo + frac * span) / scale
         parts.append(
             f'<text x="{px(xv):.1f}" y="{bottom + 20.0:.1f}" font-size="12" '
             f'text-anchor="middle">{xv:.6g}</text>'
@@ -289,10 +297,9 @@ def run_sweep(spec: SweepSpec) -> list[Path]:
     columns = _evaluate(spec, row, grid, series)
     labels = _labels(row, series)
 
-    out = Path(spec.output)
     written: list[Path] = []
     for kind in ("csv", "svg") if spec.format == "both" else (spec.format,):
-        path = out.with_suffix("." + kind) if spec.format == "both" else out
+        path = spec.output.with_suffix("." + kind) if spec.format == "both" else spec.output
         if kind == "csv":
             _write_csv(path, np.column_stack([grid, *columns]), labels, spec.variable.name)
         else:

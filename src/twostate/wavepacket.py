@@ -324,13 +324,15 @@ def _frame_writer(handle, x: np.ndarray):
 def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
          p: ModelParams, grid: GridSpec, start: int,
          snapshot_path: str | Path | None = None, stride: int = 1):
-    """Propagate one configuration, recording the centroid over x[start:].
+    """Propagate one configuration; return (t_arrival, norm_drift,
+    transmitted_mass), t_arrival when the centroid over x[start:] arrives.
 
     The snapshot file is opened only once the step operator is factored,
-    and removed if the run then raises (unless it is not a regular file),
-    so a run that does not finish leaves no file behind.  A snapshot
-    writes |phi1|^2 and |S phi2|^2 in place into one (n, 2) table, which
-    the frame writer formats as it stands.
+    and removed if the run then raises, a NoCrossingError included (unless
+    it is not a regular file or could not be opened), so a run that does
+    not arrive leaves no file behind.  A snapshot writes |phi1|^2 and
+    |S phi2|^2 in place into one (n, 2) table, which the frame writer
+    formats as it stands.
     """
     n = x.size
     chans = 2 if gvec.any() else 1
@@ -388,24 +390,19 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
             np.square(dens, out=dens)
             write(t, dens)
 
-    with (nullcontext() if snapshot_path is None else
-          open(snapshot_path, "wb")) as handle:
-        try:
-            write = None if handle is None else _frame_writer(handle, x)
+    handle = nullcontext() if snapshot_path is None else open(snapshot_path, "wb")
+    try:
+        with handle:
+            write = None if snapshot_path is None else _frame_writer(handle, x)
             observe(0)
             for step in range(1, grid.steps + 1):
                 backward.solve(psi)
                 observe(step)
-        except BaseException:
-            if handle is not None:
-                try:
-                    handle.close()
-                finally:  # a device or pipe such as /dev/null is kept
-                    if Path(snapshot_path).is_file():
-                        Path(snapshot_path).unlink(missing_ok=True)
-            raise
-
-    return times_out, cents, float(drift), float(mass)
+        return _crossing_time(times_out, cents, grid.half_length / 2.0), float(drift), float(mass)
+    except BaseException:  # a device or pipe such as /dev/null is kept
+        if snapshot_path is not None and Path(snapshot_path).is_file():
+            Path(snapshot_path).unlink(missing_ok=True)
+        raise
 
 
 def _crossing_time(ts: np.ndarray, cs: np.ndarray, plane: float) -> float:
@@ -432,10 +429,11 @@ def propagate(
 ) -> DelayResult:
     """Measure the coupling-induced arrival delay at the detector plane.
 
-    Runs the coupled configuration and a free reference on the same grid
-    and returns the centroid-crossing delay, the worst norm drift of the
-    coupled run and the transmitted fraction at the end of the run.  The
-    free reference runs once per packet, grid, hbar, mass and strip edge
+    Runs the coupled configuration, then a free reference on the same grid
+    (none if the coupled run raises, as when it never arrives), and returns
+    the centroid-crossing delay, the worst norm drift of the coupled run
+    and the transmitted fraction at the end of the run.  The free
+    reference runs once per packet, grid, hbar, mass and strip edge
     and is reused by later calls that share them (``_free_arrival``).  When
     ``snapshot_path`` is given, rows (t, x, |phi1|^2, |phi2|^2) of the
     coupled run are dumped every ``snapshot_stride`` steps, a count from 1
@@ -466,12 +464,11 @@ def propagate(
     start = int(np.searchsorted(x, p.center + width / 2.0, side="right"))
 
     gvec = _coupling_cells(x, dx, p, width)
-    ts, cs, drift, transmitted = _run(
+    t_arrival, drift, transmitted = _run(
         psi0, x, dx, gvec, p, grid, start, snapshot_path, stride
     )
     # float(): a 0-d array field is unhashable, and the key must be exact
     t_free = _free_arrival(packet, grid, float(p.hbar), float(p.mass), start)
-    t_arrival = _crossing_time(ts, cs, grid.half_length / 2.0)
     return DelayResult(
         t_arrival=t_arrival,
         t_free=t_free,
@@ -515,5 +512,4 @@ def _free_arrival(packet: PacketSpec, grid: GridSpec, hbar: float, mass: float,
     """
     x, dx, psi0 = _initial_state(packet, grid)
     free = ModelParams(0.0, 1.0, 0.0, mass=mass, hbar=hbar)  # E, V, k0 unread at k0 = 0
-    ts, cs, _, _ = _run(psi0, x, dx, np.zeros_like(x), free, grid, start)
-    return _crossing_time(ts, cs, grid.half_length / 2.0)
+    return _run(psi0, x, dx, np.zeros_like(x), free, grid, start)[0]

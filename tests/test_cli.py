@@ -413,15 +413,18 @@ def test_wavepacket_run_guard_exits_2(argv, message, capsys):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
-@pytest.mark.parametrize("argv", [["--half-domain", "180"], ["--steps", "3000"]],
-                         ids=["at-start", "mid-run"])
-def test_wavepacket_stopped_by_a_guard_writes_no_snapshots(argv, tmp_path, capsys):
+@pytest.mark.parametrize(("argv", "message"),
+                         [(["--half-domain", "180"], "edge density"),
+                          (["--steps", "3000"], "edge density"),
+                          (["--steps", "30"], "transmitted centroid never crossed")],
+                         ids=["at-start", "mid-run", "no-crossing"])
+def test_wavepacket_stopped_by_a_guard_writes_no_snapshots(argv, message, tmp_path, capsys):
     # exit 2 writes nothing, as for sweep: not even the frames before the guard
     frames = tmp_path / "frames.csv"
     rc = cli.main(["wavepacket", *WP_FAST, *argv, "--snapshots", str(frames),
                    "--stride", "10"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: edge density")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not frames.exists()
 
 

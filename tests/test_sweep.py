@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,14 +126,13 @@ def test_values_match_closed_form(tmp_path):
 
 def test_fifteen_digit_roundtrip(tmp_path):
     path = tmp_path / "tau.csv"
-    spec = SweepSpec(
-        quantity="tau_vs_energy",
-        variable=SweepVariable("epsilon", 0.25, 0.25, 2),
-        fixed={"potential": 1.0, "coupling_sq": 1.0},
-        output=path,
-    )
-    with pytest.raises(ValueError):
-        run_sweep(spec)  # degenerate range
+    with pytest.raises(ValueError, match=r"^empty sweep range after clipping: \[0.25, 0.25\]"):
+        SweepSpec(  # degenerate range
+            quantity="tau_vs_energy",
+            variable=SweepVariable("epsilon", 0.25, 0.25, 2),
+            fixed={"potential": 1.0, "coupling_sq": 1.0},
+            output=path,
+        )
     spec = SweepSpec(
         quantity="tau_vs_energy",
         variable=SweepVariable("epsilon", 0.25, 0.75, 3),
@@ -183,6 +183,24 @@ def test_svg_of_a_flat_column_spans_one_unit_around_it(tmp_path):
     assert len(points) == 5 and {pt.partition(",")[2] for pt in points} == {"285.00"}
 
 
+def test_svg_of_a_column_spanning_past_the_float_range_stays_in_the_plot(tmp_path):
+    # tau runs from about -9.09e307 to 9.09e307, so ymax - ymin overflows
+    path = tmp_path / "wide.svg"
+    assert cli.main(["sweep", "tau_vs_energy", "--potential", "1e-310", "--coupling-sq",
+                     "2.2e-306", "--format", "svg", "--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert "nan" not in text and "inf" not in text
+    labels = [float(t.rpartition('">')[2]) for t in text.split("</text>")
+              if 'text-anchor="end">' in t and "fill=" not in t]
+    assert len(labels) == 5 and labels == sorted(labels) and labels[0] < -9e307 < 9e307 < labels[-1]
+    points = text.partition('points="')[2].partition('"')[0].split()
+    assert len(points) == 999
+    for point in points:
+        x, y = map(float, point.split(","))
+        assert 90.0 <= x <= 770.0 and 30.0 <= y <= 540.0
+    assert len({point.partition(",")[2] for point in points}) > 100  # not all on the axis
+
+
 def test_both_formats(tmp_path):
     out = tmp_path / "t.csv"
     written = run_sweep(dataclasses.replace(default_spec("tau_vs_energy", out), format="both"))
@@ -226,6 +244,34 @@ def test_run_sweep_validation(tmp_path):
     most = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
     with pytest.raises(ValueError, match=f"^count must be at most {most}, got {2**63}$"):
         SweepVariable("epsilon", 0.1, 0.9, 2**63)
+
+
+@pytest.mark.parametrize(("start", "stop", "margin", "bounds"), [
+    (0.9, 0.1, 1e-4, "[0.9, 0.1]"),
+    (-1.0, 1e-4, 1e-4, "[0.0001, 0.0001]"),  # clipped up to the margin
+    (0.95, 2.0, 0.1, "[0.95, 0.9]"),  # clipped down to 1 - margin
+], ids=["reversed", "clipped-up", "clipped-down"])
+def test_an_empty_clipped_range_is_refused_when_the_spec_is_built(start, stop, margin, bounds,
+                                                                   tmp_path):
+    # the CLI's dataclasses.replace of the default spec refuses it the same way
+    variable = SweepVariable("epsilon", start, stop, 3)
+    message = f"^empty sweep range after clipping: {re.escape(bounds)} for epsilon$"
+    with pytest.raises(ValueError, match=message):
+        SweepSpec("transmission", variable, {}, tmp_path / "t.csv", margin=margin)
+    spec = default_spec("transmission", tmp_path / "t.csv")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec, variable=variable, margin=margin)
+
+
+def test_the_output_is_stored_as_a_path(tmp_path):
+    variable = SweepVariable("epsilon", 0.1, 0.9, 3)
+    as_str = SweepSpec("transmission", variable, {}, str(tmp_path / "t.csv"))
+    assert as_str == SweepSpec("transmission", variable, {}, tmp_path / "t.csv")
+    assert type(as_str.output) is type(tmp_path)
+    assert run_sweep(as_str) == [tmp_path / "t.csv"]
+    for output in (123, None, b"t.csv"):
+        with pytest.raises(TypeError, match=f"^output must be a path, got {type(output).__name__}$"):
+            SweepSpec("transmission", variable, {}, output)
 
 
 @pytest.mark.parametrize("count, error, match", [

@@ -334,18 +334,35 @@ def test_two_coupled_cells_match_superlu(tmp_path, monkeypatch, fresh_reference)
 
 
 @pytest.mark.parametrize(
-    ("half_length", "steps"),
-    [(180.0, 10), (300.0, 3000)],
-    ids=["at-start", "mid-run"],
+    ("half_length", "steps", "error", "match"),
+    [(180.0, 10, BoundaryContaminationError, "^edge density"),
+     (300.0, 3000, BoundaryContaminationError, "^edge density"),
+     (300.0, 30, NoCrossingError, "^transmitted centroid never crossed")],
+    ids=["at-start", "mid-run", "no-crossing"],
 )
-def test_a_stopped_run_leaves_no_snapshot_file(half_length, steps, tmp_path):
-    # the edge guard trips before any step, or after frames were written
+def test_a_stopped_run_leaves_no_snapshot_file(half_length, steps, error, match, tmp_path):
+    # the edge guard trips before any step or after frames were written, or
+    # every step ran and wrote its frames but the packet never arrived
     grid = GridSpec(half_length=half_length, points=1025, dt=0.4, steps=steps)
     path = tmp_path / "frames.csv"
-    with pytest.raises(BoundaryContaminationError, match="^edge density"):
+    with pytest.raises(error, match=match):
         propagate(PACKET, P_COUPLED, width=1e-3, grid=grid, snapshot_path=path,
                   snapshot_stride=10)
     assert not path.exists()
+
+
+def test_a_snapshot_file_that_cannot_be_opened_is_kept(monkeypatch, tmp_path):
+    # say a read-only file: the run did not create it, so it must not remove it
+    path = tmp_path / "frames.csv"
+    path.write_bytes(b"kept")
+
+    def refused(*args):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(wavepacket, "open", refused, raising=False)
+    with pytest.raises(PermissionError):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID, snapshot_path=path)
+    assert path.read_bytes() == b"kept"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
@@ -588,15 +605,15 @@ def test_reused_reference_is_bit_identical_to_a_fresh_process(fresh_reference):
 
 def _counting_run(free_runs):
     """A stand-in for ``_run`` that counts the free runs (no coupled cell)
-    and returns a centroid crossing the detector plane at t = 0.5."""
+    and returns an arrival at t = 0.5, no drift and a transmitted mass 0.5."""
 
     def run(psi0, x, dx, gvec, p, grid, start, *rest):
         if not gvec.any():
             free_runs.append(start)
-        plane = grid.half_length / 2.0
-        return np.array([0.0, 1.0]), np.array([plane - 1.0, plane + 1.0]), 0.0, 0.5
+        return 0.5, 0.0, 0.5
 
     return run
+
 
 
 def test_free_reference_reruns_only_when_what_it_reads_changes(monkeypatch, fresh_reference):
@@ -654,8 +671,10 @@ def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
     run = _counting_run(free_runs)
 
     def stalled(psi0, x, dx, gvec, p, grid, start, *rest):
-        ts, cs, drift, mass = run(psi0, x, dx, gvec, p, grid, start, *rest)
-        return ts, cs if gvec.any() else np.full(2, np.nan), drift, mass
+        arrival = run(psi0, x, dx, gvec, p, grid, start, *rest)
+        if not gvec.any():
+            raise NoCrossingError("transmitted centroid never crossed the detector plane")
+        return arrival
 
     monkeypatch.setattr(wavepacket, "_run", stalled)
     with pytest.raises(NoCrossingError):
@@ -663,6 +682,23 @@ def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
     monkeypatch.setattr(wavepacket, "_run", run)
     assert propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID).delay == 0.0
     assert len(free_runs) == 2
+
+
+def test_a_coupled_run_that_never_arrives_makes_no_free_run(monkeypatch, fresh_reference):
+    # 30 steps end long before the packet reaches the detector plane, and
+    # the coupled run raises that itself, so no free reference is started
+    coupled = []
+    real = wavepacket._run
+
+    def recording(psi0, x, dx, gvec, p, grid, start, *rest):
+        coupled.append(bool(gvec.any()))
+        return real(psi0, x, dx, gvec, p, grid, start, *rest)
+
+    monkeypatch.setattr(wavepacket, "_run", recording)
+    grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=30)
+    with pytest.raises(NoCrossingError, match="^transmitted centroid never crossed"):
+        propagate(PACKET, P_COUPLED, width=1e-3, grid=grid)
+    assert coupled == [True]
 
 
 @pytest.mark.parametrize(
