@@ -8,7 +8,9 @@ everything here runs on numpy alone:
 * ``greens_grid`` solves (E - H2) G = delta on a finite-difference grid
   with Dirichlet ends, eliminating the tridiagonal system from both ends
   to the centre row; ``greens_grid_extrapolated`` Richardson-combines the
-  default spacing h and h/2.
+  default spacing h and h/2.  The pivot recurrence stops once it reaches
+  an exact floating-point fixed point, which every later step would
+  return unchanged, so G has the bits of the full recurrence.
 * ``solve_regularized`` replaces the point coupling by a square coupling
   of width w and height k0/w and solves the genuine two-channel matching
   problem (8 unknowns); its w -> 0 limit recovers the point-coupling
@@ -18,7 +20,7 @@ everything here runs on numpy alone:
   exhibiting the dwell-time collapse tau_d -> 0.
 * ``extremum_search`` locates the coupling that maximizes |tau| by a
   golden-section search over k0^2 in [1e-6, 50], without using the
-  closed-form extremum.
+  closed-form extremum, and refuses a maximum at or beyond either end.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scatter, times
-from .params import ModelParams, ReducedParams, wave_numbers
+from .params import DomainError, ModelParams, ReducedParams, wave_numbers
 
 __all__ = [
     "ConvergenceReport",
@@ -113,6 +115,14 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     only the pivot recurrence d <- a - t^2 / d is needed for that row.
     ``spacing`` must be finite and at least eps**(1/4) / kappa, where the
     rounding error of the grid overtakes its truncation error.
+
+    The recurrence runs in unrolled 64-step chunks and stops after the
+    first chunk whose d it maps to d itself.  The map is deterministic, so
+    every later step would return the same d, and G keeps the bits of the
+    full n - 2 steps (a zero d maps to an infinity or NaN, so == never
+    meets two zeros of opposite sign and compares bits).  The default
+    grids reach such a fixed point after about 70% of their steps; a run
+    that never does, a 2-cycle or a NaN, still takes every step.
     """
     half, h = _grid_scales(p, spacing)
     n = max(4, int(math.ceil(half / h)))
@@ -126,7 +136,21 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
         raise ValueError(f"the grid oracle's t = hbar**2 / (2 m h**2) = {t!r} squares to inf")
     a = (p.energy - p.potential) - 2.0 * t
     d = a
-    for _ in range(n - 2):
+    chunks, rest = divmod(n - 2, 64)
+    for _ in range(chunks):
+        for _ in range(8):
+            d = a - tsq / d
+            d = a - tsq / d
+            d = a - tsq / d
+            d = a - tsq / d
+            d = a - tsq / d
+            d = a - tsq / d
+            d = a - tsq / d
+            d = a - tsq / d
+        if a - tsq / d == d:  # a fixed point: every later step returns d
+            rest = 0
+            break
+    for _ in range(rest):
         d = a - tsq / d
     return (1.0 / h) / (a - 2.0 * tsq / d)
 
@@ -172,36 +196,45 @@ class RegularizedSolution:
     center: float
 
     def wavefunction(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Both channel amplitudes at lab position(s) x."""
+        """Both channel amplitudes at lab position(s) x.
+
+        Each region's formula is elementwise, so it runs on that region's
+        points alone (on all of y when every point is in it) and not at
+        all when the region holds none, with the values of a call that
+        evaluates every region.
+        """
         y = np.atleast_1d(np.asarray(x, dtype=float)) - self.center
         phi1 = np.empty(y.shape, dtype=complex)
         phi2 = np.empty(y.shape, dtype=complex)
         half = self.width / 2.0
-        refl0 = self.reflection * cmath.exp(-2j * self.k * self.center)
-
         left = y < -half
         right = y > half
-        mid = ~(left | right)
-
-        phi1[left] = np.exp(1j * self.k * y[left]) + refl0 * np.exp(
-            -1j * self.k * y[left]
-        )
-        phi2[left] = self.evanescent_left * np.exp(self.kappa * y[left])
-        phi1[right] = self.transmission * np.exp(1j * self.k * y[right])
-        phi2[right] = self.evanescent_right * np.exp(-self.kappa * y[right])
-
-        a1, b1, a2, b2 = self.interior
-        phi1[mid] = 0.0
-        phi2[mid] = 0.0
-        for j, (a, b) in enumerate(((a1, b1), (a2, b2))):
-            comp = a * np.exp(1j * self.modes[j] * y[mid]) + b * np.exp(
-                -1j * self.modes[j] * y[mid]
-            )
-            phi1[mid] += self.eigenvectors[0, j] * comp
-            phi2[mid] += self.eigenvectors[1, j] * comp
-
+        for mask, region in ((left, self._left), (right, self._right),
+                             (~(left | right), self._strip)):
+            count = np.count_nonzero(mask)
+            if count == y.size:
+                phi1, phi2 = region(y)
+            elif count:
+                phi1[mask], phi2[mask] = region(y[mask])
         phase = cmath.exp(1j * self.k * self.center)
         return phi1 * phase, phi2 * phase
+
+    def _left(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        refl0 = self.reflection * cmath.exp(-2j * self.k * self.center)
+        return (np.exp(1j * self.k * y) + refl0 * np.exp(-1j * self.k * y),
+                self.evanescent_left * np.exp(self.kappa * y))
+
+    def _right(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (self.transmission * np.exp(1j * self.k * y),
+                self.evanescent_right * np.exp(-self.kappa * y))
+
+    def _strip(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q1, q2 = self.modes.tolist()
+        waves = np.exp(np.multiply.outer([1j * q1, -1j * q1, 1j * q2, -1j * q2], y.ravel()))
+        amp = self.interior[:, None] * waves  # a_j exp(i q_j y) and b_j exp(-i q_j y)
+        terms = self.eigenvectors[:, :, None] * (amp[0::2] + amp[1::2])
+        # each sum starts from +0.0, which turns a -0.0 first term into +0.0
+        return tuple((0.0 + terms[c, 0] + terms[c, 1]).reshape(y.shape) for c in (0, 1))
 
 
 def _check_width(width: float) -> None:
@@ -234,28 +267,33 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     dec = math.exp(-kappa * width / 2.0)
 
     # unknowns: [B, C, D_left, D_right, a1, b1, a2, b2].  At each strip edge
-    # y, rows r, r + 1 match channel 1's value and slope and rows r + 2, r + 3
-    # channel 2's.  The outside waves sit on the left-hand side: the open one
-    # in column c1 (value f1, slope s1), the evanescent one in column c2
-    # (slope s2); mode q with eigenvector (v1, v2) fills columns ca, ca + 1.
-    mat = np.zeros((8, 8), dtype=complex)
-    for r, y, c1, f1, s1, c2, s2 in (
-        (0, xm, 0, -fref, 1j * k * fref, 2, -kappa * dec),
-        (4, xp, 1, -fout, -1j * k * fout, 3, kappa * dec),
+    # y, two rows match channel 1's value and slope and two channel 2's.  The
+    # channel's outside wave sits on the left-hand side in column c (value f,
+    # slope s): the open one in column 0 or 1, the evanescent one in 2 or 3.
+    # Mode q_j, whose eigenvector component in the channel is v, fills
+    # columns 4 + 2j and 5 + 2j with v exp(+-i q_j y) and the slopes
+    # +-v i q_j exp(+-i q_j y).  The entries are Python complex and float
+    # values, which round as numpy scalars do; one np.exp takes every
+    # exp(+-i q y), so an overflow gives inf, not an OverflowError.
+    qs = modes.tolist()
+    # per channel and mode: v, v i q and -v i q
+    coefs = [[(v, v * 1j * q, -v * 1j * q) for v, q in zip(row, qs)] for row in w_eig.tolist()]
+    waves = np.exp([s * q * y for y in (xm, xp) for q in qs for s in (1j, -1j)]).tolist()
+    rows = []
+    for (up1, down1, up2, down2), outside in (
+        (waves[:4], ((0, -fref, 1j * k * fref), (2, -dec, -kappa * dec))),
+        (waves[4:], ((1, -fout, -1j * k * fout), (3, -dec, kappa * dec))),
     ):
-        mat[r, c1], mat[r + 1, c1] = f1, s1
-        mat[r + 2, c2], mat[r + 3, c2] = -dec, s2
-        for ca, q, v1, v2 in zip((4, 6), modes, *w_eig):
-            up, down = np.exp(1j * q * y), np.exp(-1j * q * y)
-            cb = ca + 1
-            for row, v in ((r, v1), (r + 2, v2)):
-                mat[row, ca], mat[row, cb] = v * up, v * down
-                mat[row + 1, ca], mat[row + 1, cb] = v * 1j * q * up, -v * 1j * q * down
-    rhs = np.zeros(8, dtype=complex)
-    rhs[0], rhs[1] = fin, 1j * k * fin
+        for (c, f, s), ((v1, p1, m1), (v2, p2, m2)) in zip(outside, coefs):
+            value, slope = [0j] * 4, [0j] * 4
+            value[c], slope[c] = f, s
+            rows += [value + [v1 * up1, v1 * down1, v2 * up2, v2 * down2],
+                     slope + [p1 * up1, m1 * down1, p2 * up2, m2 * down2]]
+    mat = np.array(rows, dtype=complex)
+    rhs = np.array([fin, 1j * k * fin, 0j, 0j, 0j, 0j, 0j, 0j])
 
     sol = np.linalg.solve(mat, rhs)
-    residual = float(np.max(np.abs(mat @ sol - rhs)))
+    residual = float(np.abs(mat @ sol - rhs).max())
     if not math.isfinite(residual) or residual > 1e-8:
         cond = float(np.linalg.cond(mat))
         raise RuntimeError(
@@ -352,7 +390,7 @@ def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
         rad = 0.5 * (b - a) / panels
         for first in range(0, panels, _PANELS_PER_CALL):
             count = min(_PANELS_PER_CALL, panels - first)
-            mids = a + rad * (2.0 * np.arange(first, first + count) + 1.0)
+            mids = a + rad * np.arange(2.0 * first + 1.0, 2.0 * (first + count), 2.0)
             y = (mids[:, None] + rad * nodes).ravel()
             phi1, phi2 = sol.wavefunction(y + p.center)
             density = (np.abs(phi1) ** 2 + np.abs(phi2) ** 2).reshape(count, -1)
@@ -403,9 +441,13 @@ def extremum_search(epsilon: float, potential: float) -> tuple[float, float]:
 
     Golden-section search over k0^2 in [1e-6, 50] until the bracket is
     1e-10 wide.  Returns (k0_sq_at_max, tau_at_max).  Independent of the
-    closed-form extremum, which it is used to verify.
+    closed-form extremum, which it is used to verify.  Raises DomainError
+    when an end of the bracket never moved: the maximum then lies at or
+    beyond that end (or |tau| is flat, as at epsilon = 1/2), and the end
+    is no maximizer.
     """
-    lo, hi = 1e-6, 50.0
+    bracket = (1e-6, 50.0)
+    lo, hi = bracket
 
     def tau(ksq: float) -> float:
         r = ReducedParams(epsilon=epsilon, potential=potential, coupling=math.sqrt(ksq))
@@ -425,5 +467,12 @@ def extremum_search(epsilon: float, potential: float) -> tuple[float, float]:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = abs(tau(d))
+    for name, end, now in (("lower", bracket[0], lo), ("upper", bracket[1], hi)):
+        if now == end:
+            raise DomainError(
+                f"|tau| has no maximum inside the search bracket k0^2 in "
+                f"[{bracket[0]!r}, {bracket[1]!r}] at epsilon={epsilon!r}, "
+                f"V={potential!r}: its {name} end never moved"
+            )
     ksq = 0.5 * (lo + hi)
     return ksq, tau(ksq)

@@ -1,12 +1,12 @@
 import cmath
 import math
-import random
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.linalg import solve_banded
+from test_oracle_kernels import _battery
 
 from twostate import (
     DegenerateCouplingError,
@@ -133,17 +133,6 @@ def _banded_grid(p, spacing):
     rhs = np.zeros(size)
     rhs[n - 1] = 1.0 / h
     return float(solve_banded((1, 1), ab, rhs)[n - 1])
-
-
-def _battery(count=16, seed=8):
-    """Seeded (E, V, k0) points on both sides of eps = 1/2."""
-    rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        v = rng.uniform(0.5, 2.0)
-        eps = rng.choice((rng.uniform(0.1, 0.45), rng.uniform(0.55, 0.9)))
-        points.append(ModelParams(energy=eps * v, potential=v, coupling=rng.uniform(0.5, 2.0)))
-    return points
 
 
 @pytest.mark.parametrize("p", _battery())
@@ -403,6 +392,22 @@ def test_extremum_search_accuracy(eps, pot):
     ksq_ref, tau_ref = extremal_coupling(eps, pot)
     assert abs(ksq_num - ksq_ref) <= 1e-7 * ksq_ref
     assert abs(abs(tau_num) - abs(tau_ref)) <= 1e-15 * abs(tau_ref)
+
+
+@pytest.mark.parametrize(
+    ("eps", "pot", "end"),
+    [
+        (0.3, 100.0, "upper"),  # k0*^2 = 183.3, past the bracket
+        (0.3, 1e-7, "lower"),  # k0*^2 = 1.833e-7, short of it
+        (0.5, 1.0, "lower"),  # tau vanishes identically: no maximum at all
+    ],
+)
+def test_extremum_search_refuses_an_end_of_its_bracket(eps, pot, end):
+    with pytest.raises(DomainError, match=(
+        rf"^\|tau\| has no maximum inside the search bracket k0\^2 in \[1e-06, 50\.0\] "
+        rf"at epsilon={eps!r}, V={pot!r}: its {end} end never moved$"
+    )):
+        extremum_search(eps, pot)
 
 
 P_HALF = expand_reduced(ReducedParams(0.5, 1.0, 1.0))
