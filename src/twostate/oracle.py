@@ -237,6 +237,10 @@ class RegularizedSolution:
         return tuple((0.0 + terms[c, 0] + terms[c, 1]).reshape(y.shape) for c in (0, 1))
 
 
+# ln(1 / the smallest normal float), 708.4: beyond it exp(-x) is subnormal
+_LOG_HUGE = -math.log(np.finfo(float).tiny)
+
+
 def _check_width(width: float) -> None:
     if not 0.0 < width < math.inf:
         raise ValueError(f"width must lie in (0, inf), got {width!r}")
@@ -249,13 +253,32 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     into one propagating and one evanescent eigenchannel; plane-wave and
     exponential pieces on either side are matched by value and slope at
     both strip edges (8 linear conditions).
+
+    The evanescent strip mode q (|q| >= kappa) puts |q| exp(|q| w/2) into
+    the system and amplitudes of about its reciprocal into the solution.
+    Where that reciprocal is not a normal float, that is where |q| w/2
+    reaches ln(1 / (|q| tiny)) (|q| taken as at least 1, tiny the smallest
+    normal float), DomainError is raised before the system is built; so it
+    is where k0 / w overflows.
     """
     _check_width(width)
     kn = wave_numbers(p)
     k, kappa = kn.k, kn.kappa
     g = p.coupling / width
+    if g == math.inf:
+        raise DomainError(f"coupling / width overflows at coupling={p.coupling}, width={width}")
     umat = np.array([[0.0, g], [g, p.potential]])
     mu, w_eig = np.linalg.eigh(umat)
+    # mu[-1] >= V > E: the evanescent mode; float arithmetic, inf on overflow
+    q = math.sqrt(2.0 * p.mass * (float(mu[-1]) - p.energy)) / p.hbar
+    exponent, bound = q * width / 2.0, _LOG_HUGE - math.log(max(q, 1.0))
+    if not exponent < bound:
+        raise DomainError(
+            f"the evanescent strip mode's |q| exp(|q| w/2) leaves the floats at "
+            f"coupling={p.coupling}, width={width} (energy={p.energy}, potential="
+            f"{p.potential}): |q| w/2 = {exponent:.6g} must stay below "
+            f"ln(1 / (|q| tiny)) = {bound:.6g}, tiny the smallest normal float"
+        )
     modes = np.sqrt(
         (2.0 * p.mass * (p.energy - mu)).astype(complex)
     ) / p.hbar
@@ -295,11 +318,7 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     sol = np.linalg.solve(mat, rhs)
     residual = float(np.abs(mat @ sol - rhs).max())
     if not math.isfinite(residual) or residual > 1e-8:
-        cond = float(np.linalg.cond(mat))
-        raise RuntimeError(
-            f"matching system ill-conditioned: residual={residual:.3e}, "
-            f"cond={cond:.3e}"
-        )
+        raise RuntimeError(f"matching system ill-conditioned: residual={residual:.3e}")
 
     refl = complex(sol[0]) * cmath.exp(2j * k * p.center)
     return RegularizedSolution(

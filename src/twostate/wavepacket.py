@@ -217,9 +217,9 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
     c <- u c + W2 s, u = 2 Lam2^-1 - 1 being each sine mode's Cayley
     factor.  That is one A1 solve, one multiply of c by u, and a zdotu and
     a zaxpy per coupled cell.  With no coupled cell channel 2 is not
-    carried, and the step is 2 A1^-1 phi1 - phi1.  scipy is imported here,
-    when called, and by ``_run`` once this has returned, so every other
-    name imports on numpy alone.
+    carried, and the step is 2 A1^-1 phi1 - phi1; ``size`` is the state's
+    length, 2n or n.  scipy is imported here, when called, and by ``_run``
+    when handed the step, so every other name imports on numpy alone.
     """
     from scipy.linalg.blas import zaxpy, zdotu, ztbsv
     from scipy.linalg.lapack import zgttrf
@@ -282,7 +282,7 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
             zaxpy(column, psi, a=y)
         return psi
 
-    return SimpleNamespace(solve=solve)
+    return SimpleNamespace(solve=solve, size=n + n2)
 
 
 def _frame_writer(handle, x: np.ndarray):
@@ -321,24 +321,22 @@ def _frame_writer(handle, x: np.ndarray):
     return write
 
 
-def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
-         p: ModelParams, grid: GridSpec, start: int,
-         snapshot_path: str | Path | None = None, stride: int = 1):
-    """Propagate one configuration; return (t_arrival, norm_drift,
-    transmitted_mass), t_arrival when the centroid over x[start:] arrives.
+def _run(psi0: np.ndarray, x: np.ndarray, dx: float, step, grid: GridSpec,
+         start: int, snapshot_path: str | Path | None = None, stride: int = 1):
+    """Propagate psi0 by ``splu``'s ``step``, whose ``solve`` advances a
+    state of ``size`` in place, channel 2 carried when that exceeds n;
+    return (t_arrival, norm_drift, transmitted_mass), t_arrival when the
+    centroid over x[start:] arrives.
 
-    The snapshot file is opened only once the step operator is factored,
-    and removed if the run then raises, a NoCrossingError included (unless
-    it is not a regular file or could not be opened), so a run that does
-    not arrive leaves no file behind.  A snapshot writes |phi1|^2 and
-    |S phi2|^2 in place into one (n, 2) table, which the frame writer
-    formats as it stands.
+    The step comes factored, so the snapshot file opens only after the
+    factorization; it is removed if the run raises, a NoCrossingError
+    included (unless it is not a regular file or could not be opened), so
+    a run that does not arrive leaves no file behind.  A snapshot writes
+    |phi1|^2 and |S phi2|^2 in place into one (n, 2) table, which the
+    frame writer formats as it stands.
     """
     n = x.size
-    chans = 2 if gvec.any() else 1
-    t = p._power("hbar", 2) / (2.0 * p.mass * dx**2)
-    lam = 1j * grid.dt / (2.0 * p.hbar)
-    backward = splu(t, p.potential, gvec, lam)
+    carried = step.size > n  # channel 2, only when a cell is coupled
     from scipy.linalg.blas import ddot, dgemv, zdotu  # loaded by splu
 
     # [phi1; S phi2]: the norm is the stacked vector's (S is orthogonal).
@@ -346,7 +344,7 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     # runs in scipy's BLAS, the OpenBLAS of the solves: numpy's BLAS is a
     # second library whose thread pool, once woken, competes with scipy's
     # for the cores during the next solve.
-    psi = np.pad(psi0, (0, (chans - 1) * n))
+    psi = np.pad(psi0, (0, step.size - n))
     flat = psi.view(float)
     tail = flat[2 * start : 2 * n]
     tail_dens = np.empty_like(tail)
@@ -359,9 +357,9 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
     dens = np.zeros((n, 2))  # |phi1|^2, |S phi2|^2 (0 if uncoupled) of a snapshot
     drift = mass = 0.0
 
-    def observe(step: int) -> None:
+    def observe(k: int) -> None:
         nonlocal drift, mass
-        t = times_out[step]
+        t = times_out[k]
         err = abs(ddot(flat, flat) * dx - 1.0)
         if not err <= _DRIFT_TOL:
             raise NormDriftError(
@@ -369,7 +367,7 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
             )
         drift = max(drift, err)
         left, right = abs(psi[0]) ** 2, abs(psi[n - 1]) ** 2
-        if chans == 2:
+        if carried:
             left += abs(zdotu(first_row, sines)) ** 2
             right += abs(zdotu(last_row, sines)) ** 2
         edge = max(left, right)
@@ -382,10 +380,10 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
         total, moment = dgemv(1.0, moments, tail_dens, trans=1)
         mass = total * dx
         if mass > _MASS_FLOOR:
-            cents[step] = moment / total
-        if write is not None and step % stride == 0:
+            cents[k] = moment / total
+        if write is not None and k % stride == 0:
             np.abs(psi[:n], out=dens[:, 0])
-            if chans == 2:
+            if carried:
                 np.abs(_dst(sines), out=dens[:, 1])
             np.square(dens, out=dens)
             write(t, dens)
@@ -395,9 +393,9 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, gvec: np.ndarray,
         with handle:
             write = None if snapshot_path is None else _frame_writer(handle, x)
             observe(0)
-            for step in range(1, grid.steps + 1):
-                backward.solve(psi)
-                observe(step)
+            for k in range(1, grid.steps + 1):
+                step.solve(psi)
+                observe(k)
         return _crossing_time(times_out, cents, grid.half_length / 2.0), float(drift), float(mass)
     except BaseException:  # a device or pipe such as /dev/null is kept
         if snapshot_path is not None and Path(snapshot_path).is_file():
@@ -432,13 +430,19 @@ def propagate(
     Runs the coupled configuration, then a free reference on the same grid
     (none if the coupled run raises, as when it never arrives), and returns
     the centroid-crossing delay, the worst norm drift of the coupled run
-    and the transmitted fraction at the end of the run.  The free
-    reference runs once per packet, grid, hbar, mass and strip edge
-    and is reused by later calls that share them (``_free_arrival``).  When
-    ``snapshot_path`` is given, rows (t, x, |phi1|^2, |phi2|^2) of the
-    coupled run are dumped every ``snapshot_stride`` steps, a count from 1
-    (``params._as_count``: a float or a bool raises TypeError).
+    and the transmitted fraction at the end of the run.  The hopping
+    t = hbar**2 / (2 m dx**2) and the Cayley factor lam = i dt / (2 hbar)
+    are computed once, here; the free reference (``_free_arrival``) runs
+    once per packet, grid, t, lam and strip edge and is reused by later
+    calls that share them.  When ``snapshot_path`` is given, rows (t, x,
+    |phi1|^2, |phi2|^2) of the coupled run are dumped every
+    ``snapshot_stride`` steps, a count from 1 (``params._as_count``: a
+    float or a bool raises TypeError).  Parameter arrays of any shape but
+    () are refused with DomainError before any run.
     """
+    if p.shape != ():
+        raise DomainError(f"propagate measures one configuration, but the parameters "
+                          f"have shape {p.shape}; pass scalars or 0-d arrays")
     if not 0.0 < width <= 1e-2:
         raise ValueError(
             f"regularization width must lie in (0, 1e-2], got {width!r}"
@@ -459,16 +463,15 @@ def propagate(
     stride = _as_count("snapshot_stride", snapshot_stride, 1)
 
     x, dx, psi0 = _initial_state(packet, grid)
-    if not 2.0 * p.mass * dx**2 > 0.0:  # the hopping hbar**2 / (2 m dx**2)
+    if not 2.0 * p.mass * dx**2 > 0.0:
         raise ValueError(f"2 m dx**2 underflows to 0 at mass={p.mass}, dx={dx}")
+    hop = p._power("hbar", 2) / (2.0 * p.mass * dx**2)
+    lam = 1j * grid.dt / (2.0 * p.hbar)
     start = int(np.searchsorted(x, p.center + width / 2.0, side="right"))
 
-    gvec = _coupling_cells(x, dx, p, width)
-    t_arrival, drift, transmitted = _run(
-        psi0, x, dx, gvec, p, grid, start, snapshot_path, stride
-    )
-    # float(): a 0-d array field is unhashable, and the key must be exact
-    t_free = _free_arrival(packet, grid, float(p.hbar), float(p.mass), start)
+    step = splu(hop, p.potential, _coupling_cells(x, dx, p, width), lam)
+    t_arrival, drift, transmitted = _run(psi0, x, dx, step, grid, start, snapshot_path, stride)
+    t_free = _free_arrival(packet, grid, hop, lam, start)
     return DelayResult(
         t_arrival=t_arrival,
         t_free=t_free,
@@ -500,16 +503,17 @@ def _initial_state(packet: PacketSpec, grid: GridSpec):
 
 
 @functools.lru_cache(maxsize=16)
-def _free_arrival(packet: PacketSpec, grid: GridSpec, hbar: float, mass: float,
+def _free_arrival(packet: PacketSpec, grid: GridSpec, hop: float, lam: complex,
                   start: int) -> float:
     """Crossing time of the free reference run: the coupling off, on the grid.
 
-    The free run reads nothing but these arguments (``start`` is the first
-    grid index past the strip), so calls that share them, such as sweeps of
-    V, k0 or the width at one packet and grid, share one run.  A run that
-    raises caches nothing.  The specs store their fields as Python floats
-    and ints, so equal keys mean bit-identical runs.
+    It factors the r = 0 step, which reads no V, and reads nothing but
+    these arguments (``hop`` the hopping t, ``lam`` the Cayley factor,
+    ``start`` the first grid index past the strip), so they are its cache
+    key: calls that share them, such as sweeps of V, k0 or the width at one
+    packet and grid, share one run.  A run that raises caches nothing.  The
+    specs store their fields as Python floats and ints, so equal keys mean
+    bit-identical runs.
     """
     x, dx, psi0 = _initial_state(packet, grid)
-    free = ModelParams(0.0, 1.0, 0.0, mass=mass, hbar=hbar)  # E, V, k0 unread at k0 = 0
-    return _run(psi0, x, dx, np.zeros_like(x), free, grid, start)[0]
+    return _run(psi0, x, dx, splu(hop, 0.0, np.zeros_like(x), lam), grid, start)[0]

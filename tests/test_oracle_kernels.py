@@ -10,11 +10,12 @@ alone: this module runs where scipy is not installed.
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from twostate import ModelParams, oracle
+from twostate import DomainError, ModelParams, oracle
 
 
 def _battery(count=16, seed=8):
@@ -242,3 +243,44 @@ def test_battery_dwell_is_the_plain_quadrature(p):
     assert _bits(oracle.dwell_time_window(p, 1e-3, 0.5)) == _bits(
         _plain_dwell(p, 1e-3, ((-0.5, -half), (-half, half), (half, 0.5)))
     )
+
+
+# ---------------------------------------------------------------------------
+# refusals where the matching system leaves the floats
+# ---------------------------------------------------------------------------
+
+# Measured at m = 1/2, hbar = 1: exp(|q| w/2) of the evanescent strip mode
+# overflows (2.1e9) or exp(-kappa w/2) underflows to 0 (V = 1e20 and 1e14),
+# and k0 / w itself overflows (1e300) or 2 m |E - mu| does (1e305 at m = 2).
+# Before the refusal, the first wrote a RuntimeWarning to stderr and LAPACK
+# lines to stdout, then raised an untyped RuntimeError; the next three
+# raised LinAlgError.
+BEYOND_THE_FLOATS = [
+    (ModelParams(0.3, 1.0, 2.1e9), 1e-3, r"strip mode's .*coupling=2100000000\.0, width=0\.001"),
+    (ModelParams(3e19, 1e20, 1.0), 1e-3, r"strip mode's .*coupling=1\.0, width=0\.001"),
+    (ModelParams(3e13, 1e14, 1.0), 0.1, r"strip mode's .*coupling=1\.0, width=0\.1 "),
+    (ModelParams(0.3, 1.0, 1e300), 1e-10, r"^coupling / width overflows at coupling=1e\+300, "),
+    (ModelParams(0.3, 1.0, 1e305, mass=2.0), 1e-3, r"strip mode's .*coupling=1e\+305, "),
+]
+
+
+@pytest.mark.parametrize(("p", "width", "match"), BEYOND_THE_FLOATS)
+def test_regularized_oracles_refuse_what_the_floats_cannot_hold(p, width, match, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (oracle.solve_regularized, oracle.dwell_time_regularized,
+                     lambda p, width: oracle.dwell_time_window(p, width, 30.0)):
+            with pytest.raises(DomainError, match=match):
+                call(p, width)
+        with pytest.raises(DomainError):
+            oracle.convergence_study(p)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_regularized_oracle_solves_just_inside_the_floats(capfd):
+    # |q| w/2 = 689 against the bound ln(1 / (|q| tiny)) = 694.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = oracle.solve_regularized(ModelParams(0.3, 1.0, 1.9e9), 1e-3)
+    assert sol.residual <= 1e-15
+    assert capfd.readouterr() == ("", "")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -75,6 +76,23 @@ def test_full_and_reduced_forms_agree(eps, ksq, pot):
     assert full == pytest.approx(reduced, rel=1e-12)
 
 
+# Unit changes by powers of two, each with the factor it puts on every time.
+# Every product, quotient and square root of the closed form then scales
+# exactly, so the delays scale bit for bit: a wrong power of hbar or m in
+# the formula breaks a relation although m = 1/2, hbar = 1 cannot see it.
+UNIT_SCALINGS = {
+    "mass x4": (lambda p: dataclasses.replace(
+        p, energy=p.energy / 4, potential=p.potential / 4, coupling=p.coupling / 4,
+        mass=4 * p.mass), 4.0),
+    "hbar x2": (lambda p: dataclasses.replace(
+        p, energy=4 * p.energy, potential=4 * p.potential, coupling=4 * p.coupling,
+        hbar=2 * p.hbar), 0.5),
+    "length x4": (lambda p: dataclasses.replace(
+        p, energy=p.energy / 16, potential=p.potential / 16, coupling=p.coupling / 4,
+        center=4 * p.center), 16.0),
+}
+
+
 def test_group_delays_with_general_units():
     # same physical point expressed with m = 1, hbar = 2 stays finite and real
     p = ModelParams(energy=1.0, potential=4.0, coupling=2.0, mass=1.0, hbar=2.0)
@@ -82,6 +100,17 @@ def test_group_delays_with_general_units():
     assert math.isfinite(tau_gt)
     assert tau_gr == tau_gt
     assert tau_g == pytest.approx(tau_gt, rel=1e-13)
+    # and every delay obeys each unit scaling bit for bit at seeded points
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        v = 10 ** rng.uniform(-1.0, 1.0)
+        p = ModelParams(energy=rng.uniform(0.02, 0.98) * v, potential=v,
+                        coupling=10 ** rng.uniform(-1.0, 0.7), mass=rng.uniform(0.1, 2.0),
+                        hbar=rng.uniform(0.3, 3.0), center=rng.uniform(-2.0, 2.0))
+        delays = group_delays(p)
+        for name, (scaled, factor) in UNIT_SCALINGS.items():
+            want = [(factor * tau).hex() for tau in delays]
+            assert [tau.hex() for tau in group_delays(scaled(p))] == want, (name, p)
 
 
 def test_taxonomy_structure():

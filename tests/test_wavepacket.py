@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -101,6 +102,47 @@ def test_golden_delay_result(coupled_result):
     assert coupled_result.norm_drift <= 1e-11
 
 
+def _length_scaled(s):
+    """The coupled test configuration with every length times s: E and V
+    scale by 1/s**2, k0 by 1/s and dt by s**2, so times scale by s**2."""
+    p = dataclasses.replace(P_COUPLED, energy=P_COUPLED.energy / s**2,
+                            potential=P_COUPLED.potential / s**2,
+                            coupling=P_COUPLED.coupling / s, center=P_COUPLED.center * s)
+    packet = PacketSpec(PACKET.center * s, PACKET.wavenumber / s, PACKET.sigma * s)
+    grid = dataclasses.replace(GRID, half_length=GRID.half_length * s, dt=GRID.dt * s**2)
+    return packet, p, 1e-3 * s, grid, s**2
+
+
+def _mass_or_hbar_scaled(mass, hbar):
+    """The coupled test configuration with m times ``mass`` and hbar times
+    ``hbar``: E, V and k0 scale by hbar**2 / mass, so the packet's
+    wavenumber keeps its value, and dt, like every time, by mass / hbar."""
+    energy, time = hbar**2 / mass, mass / hbar
+    p = dataclasses.replace(P_COUPLED, energy=P_COUPLED.energy * energy,
+                            potential=P_COUPLED.potential * energy,
+                            coupling=P_COUPLED.coupling * energy,
+                            mass=P_COUPLED.mass * mass, hbar=P_COUPLED.hbar * hbar)
+    return PACKET, p, 1e-3, dataclasses.replace(GRID, dt=GRID.dt * time), time
+
+
+@pytest.mark.parametrize("configuration", [
+    pytest.param(lambda: _length_scaled(4.0), id="length x4"),
+    pytest.param(lambda: _length_scaled(0.25), id="length x1/4"),
+    pytest.param(lambda: _mass_or_hbar_scaled(4.0, 1.0), id="mass x4"),
+    pytest.param(lambda: _mass_or_hbar_scaled(1.0, 2.0), id="hbar x2"),
+])
+def test_delay_result_scales_exactly_with_the_units(configuration, coupled_result):
+    # powers of two make every product and quotient of the run scale
+    # exactly, so each field keeps its bits: times times the factor, the
+    # drift and the transmitted fraction unchanged
+    packet, p, width, grid, factor = configuration()
+    got = propagate(packet, p, width=width, grid=grid)
+    for name, scale in (("t_arrival", factor), ("t_free", factor), ("delay", factor),
+                        ("norm_drift", 1.0), ("transmitted_fraction", 1.0)):
+        want = scale * getattr(coupled_result, name)
+        assert getattr(got, name).hex() == want.hex(), name
+
+
 def test_delay_result_fields_are_float(coupled_result, free_result):
     for result in (coupled_result, free_result):
         for field in dataclasses.fields(DelayResult):
@@ -137,7 +179,7 @@ def _superlu_factor(t, potential, gvec, lam):
             psi[n:] = dst(psi[n:], type=1, norm="ortho")
         return psi
 
-    return SimpleNamespace(solve=solve)
+    return SimpleNamespace(solve=solve, size=ham.shape[0])
 
 
 def test_sine_transform_is_its_own_inverse_and_matches_dense_rows():
@@ -422,7 +464,7 @@ def test_closed_channel_edge_density_is_guarded(edge, monkeypatch, fresh_referen
                 b[n:] += spike.pop()
             return b
 
-        return SimpleNamespace(solve=solve)
+        return SimpleNamespace(solve=solve, size=inner.size)
 
     monkeypatch.setattr(wavepacket, "splu", leaky)
     grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=370)
@@ -482,6 +524,35 @@ def test_norm_drift_beyond_tolerance_stops_the_run(monkeypatch, fresh_reference)
     with pytest.raises(NormDriftError, match=r"^norm drifted by \d\.\d{3}e[+-]\d+ at t=0\.0 "
                        r"\(tolerance -1\.0\)$"):
         propagate(PACKET, P_COUPLED, width=1e-3, grid=grid)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mass", np.array([0.5])),  # a TypeError in the free run's key before
+    ("center", np.array([0.0])),  # a TypeError in the strip's grid index before
+    ("coupling", np.array([1.0, 2.0])),  # numpy's ambiguous truth value before
+    ("energy", np.array([1.0])),  # returned a result before
+])
+def test_parameter_arrays_are_refused_before_any_run(field, value, monkeypatch):
+    def factor(*args):
+        raise AssertionError("a parameter array reached the factorization")
+
+    monkeypatch.setattr(wavepacket, "splu", factor)
+    p = dataclasses.replace(P_COUPLED, **{field: value})
+    shape = re.escape(str(value.shape))
+    with pytest.raises(DomainError, match=rf"^propagate measures one configuration.*{shape}"):
+        propagate(PACKET, p, width=1e-3, grid=GRID)
+
+
+def test_a_0d_array_field_is_the_float_call():
+    floats = propagate(PACKET, P_COUPLED, width=1e-3, grid=GRID)  # its free run is cached
+    before = wavepacket._free_arrival.cache_info()
+    p = dataclasses.replace(P_COUPLED, hbar=np.array(1.0))
+    assert p.shape == () and isinstance(p.mass, np.ndarray)
+    got = propagate(PACKET, p, width=1e-3, grid=GRID)
+    after = wavepacket._free_arrival.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    for field in dataclasses.fields(DelayResult):
+        assert getattr(got, field.name).hex() == getattr(floats, field.name).hex(), field.name
 
 
 def test_error_types():
@@ -604,11 +675,12 @@ def test_reused_reference_is_bit_identical_to_a_fresh_process(fresh_reference):
 
 
 def _counting_run(free_runs):
-    """A stand-in for ``_run`` that counts the free runs (no coupled cell)
-    and returns an arrival at t = 0.5, no drift and a transmitted mass 0.5."""
+    """A stand-in for ``_run`` that counts the free runs (channel 2 not
+    carried) and returns an arrival at t = 0.5, no drift and a transmitted
+    mass 0.5."""
 
-    def run(psi0, x, dx, gvec, p, grid, start, *rest):
-        if not gvec.any():
+    def run(psi0, x, dx, step, grid, start, *rest):
+        if step.size == x.size:
             free_runs.append(start)
         return 0.5, 0.0, 0.5
 
@@ -658,7 +730,7 @@ def test_a_numpy_integer_stride_reaches_the_run_as_an_int(monkeypatch, fresh_ref
     run = _counting_run([])
 
     def recording(*args):
-        tails.append(args[7:])  # (snapshot_path, stride) of the coupled run
+        tails.append(args[6:])  # (snapshot_path, stride) of the coupled run
         return run(*args)
 
     monkeypatch.setattr(wavepacket, "_run", recording)
@@ -670,9 +742,9 @@ def test_a_free_run_that_raises_is_not_cached(monkeypatch, fresh_reference):
     free_runs = []
     run = _counting_run(free_runs)
 
-    def stalled(psi0, x, dx, gvec, p, grid, start, *rest):
-        arrival = run(psi0, x, dx, gvec, p, grid, start, *rest)
-        if not gvec.any():
+    def stalled(psi0, x, dx, step, grid, start, *rest):
+        arrival = run(psi0, x, dx, step, grid, start, *rest)
+        if step.size == x.size:
             raise NoCrossingError("transmitted centroid never crossed the detector plane")
         return arrival
 
@@ -690,9 +762,9 @@ def test_a_coupled_run_that_never_arrives_makes_no_free_run(monkeypatch, fresh_r
     coupled = []
     real = wavepacket._run
 
-    def recording(psi0, x, dx, gvec, p, grid, start, *rest):
-        coupled.append(bool(gvec.any()))
-        return real(psi0, x, dx, gvec, p, grid, start, *rest)
+    def recording(psi0, x, dx, step, grid, start, *rest):
+        coupled.append(step.size > x.size)
+        return real(psi0, x, dx, step, grid, start, *rest)
 
     monkeypatch.setattr(wavepacket, "_run", recording)
     grid = GridSpec(half_length=300.0, points=1025, dt=0.4, steps=30)
