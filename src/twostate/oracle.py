@@ -21,6 +21,10 @@ everything here runs on numpy alone:
 * ``extremum_search`` locates the coupling that maximizes |tau| by a
   golden-section search over k0^2 in [1e-6, 50], without using the
   closed-form extremum, and refuses a maximum at or beyond either end.
+
+Each oracle that takes ``ModelParams`` measures one configuration:
+parameter arrays of any shape but () raise DomainError naming the shape
+before any solve, and 0-d arrays give the float call's values.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     1e-3 <= E / V <= 1 - 1e-3 and shrinks with the distance to the
     nearer end of (0, V) outside that range, so it is always valid.
     """
+    p._one_configuration("fd_group_delay")
     gap = min(p.energy, p.potential - p.energy)
     h = min(1e-6 * p.potential, 1e-3 * gap) if step is None else step
     limit = gap / 10.0
@@ -92,6 +97,7 @@ def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
     range, and a spacing that is not finite or is below the rounding floor
     eps**(1/4) / kappa.
     """
+    p._one_configuration("the grid oracle")
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
     if not 1e-150 <= kappa <= 1e150:
         raise ValueError(f"the grid oracle needs kappa in [1e-150, 1e150], got {kappa!r}")
@@ -259,9 +265,13 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     Where that reciprocal is not a normal float, that is where |q| w/2
     reaches ln(1 / (|q| tiny)) (|q| taken as at least 1, tiny the smallest
     normal float), DomainError is raised before the system is built; so it
-    is where k0 / w overflows.
+    is where k0 / w overflows.  The solve is accepted where the largest
+    absolute defect of the eight conditions (``residual``) is at most
+    1e-8 * max(1, k), 1e-8 times the largest |right-hand side| entry, since
+    the slope rows carry k; beyond that, or where it is NaN, DomainError.
     """
     _check_width(width)
+    p._one_configuration("the regularized oracle")
     kn = wave_numbers(p)
     k, kappa = kn.k, kn.kappa
     g = p.coupling / width
@@ -317,8 +327,12 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
 
     sol = np.linalg.solve(mat, rhs)
     residual = float(np.abs(mat @ sol - rhs).max())
-    if not math.isfinite(residual) or residual > 1e-8:
-        raise RuntimeError(f"matching system ill-conditioned: residual={residual:.3e}")
+    bound = 1e-8 * max(1.0, k)  # the slope rows carry k: max |rhs| is max(1, k)
+    if not residual <= bound:
+        raise DomainError(
+            f"matching system ill-conditioned at coupling={p.coupling}, width={width}: "
+            f"residual={residual:.3e} exceeds its bound 1e-8 * max(1, k) = {bound:.3e}"
+        )
 
     refl = complex(sol[0]) * cmath.exp(2j * k * p.center)
     return RegularizedSolution(
@@ -353,6 +367,7 @@ def convergence_study(p: ModelParams) -> ConvergenceReport:
     When every error sits at rounding level (the uncoupled case) the order
     is reported as +inf rather than a meaningless slope.
     """
+    p._one_configuration("convergence_study")
     widths = (1e-1, 1e-2, 1e-3)
     exact = scatter.solve_amplitudes(p)
     errors = []

@@ -78,16 +78,16 @@ class DegenerateCouplingError(DomainError):
 
 # Functions of one parameter type (floats or float arrays).  any(mask) is
 # True if the test holds at some point, so one test covers every point;
-# inverse(x, undefined) is 1 / x (±inf at ±0), NaN where undefined;
-# muldiv(a, b, c) is a * b / c, ±inf where it overflows or c is 0, NaN where
-# a * b is 0 too, with no warning, for a caller that tests for the inf or
-# NaN and raises its own error;
+# muldiv(a, b, c) is a * b / c as numpy's a * b / c gives it: ±inf where it
+# overflows, and at a ±0 divisor ±inf with the sign of a * b / c, or NaN
+# where a * b is 0 or NaN; with no warning, for a caller that tests for the
+# inf or NaN and raises its own error;
 # pow(x, n) is x**n rounded as float ** rounds it (both call libm pow); where
 # it overflows, float ** raises OverflowError and arrays give inf, unwarned;
 # where(test, a, b) is a where the test holds and b elsewhere; distance(a, b)
 # is |a - b|, inf where a - b overflows, with no warning; least(*xs) is the
 # smallest of xs that is not NaN, the first never NaN, as min() needs.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any inverse muldiv pow where distance least")
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any muldiv pow where distance least")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -95,22 +95,11 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _float_inverse(x: float, undefined: bool) -> float:
-    if undefined:
-        return math.nan
-    return 1.0 / x if x else math.copysign(math.inf, x)
-
-
-def _array_inverse(x: np.ndarray, undefined: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore"):  # ±inf, as float / gives
-        return np.where(undefined, np.nan, 1.0 / x)
-
-
 def _float_muldiv(a: float, b: float, c: float) -> float:
     if c:
         return a * b / c
     product = a * b
-    return math.copysign(math.inf, product) if product else math.nan
+    return product * math.copysign(math.inf, c) if product else math.nan
 
 
 def _array_muldiv(a, b, c) -> np.ndarray:
@@ -142,12 +131,12 @@ def _array_pow(x, n: int) -> np.ndarray:
 
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
-    any=bool, inverse=_float_inverse, muldiv=_float_muldiv, pow=pow, where=_float_where,
+    any=bool, muldiv=_float_muldiv, pow=pow, where=_float_where,
     distance=_float_distance, least=min,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
-    any=np.any, inverse=_array_inverse, muldiv=_array_muldiv, pow=_array_pow,
+    any=np.any, muldiv=_array_muldiv, pow=_array_pow,
     where=np.where, distance=_array_distance, least=_array_least,
 )
 
@@ -260,6 +249,13 @@ class _Validated:
         if not np.all(ok):
             # the scalar constructor raises the error of the first bad point
             type(self)(*self._first_point(~ok))
+
+    def _one_configuration(self, entry: str) -> None:
+        """DomainError naming the shape unless the fields are scalars or 0-d
+        arrays: ``entry`` measures one configuration, not a grid of them."""
+        if self.shape != ():
+            raise DomainError(f"{entry} measures one configuration, but the parameters "
+                              f"have shape {self.shape}; pass scalars or 0-d arrays")
 
     def _broadcast(self, *arrays):
         """The shape of the fields broadcast with ``arrays``, which may add

@@ -93,7 +93,7 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
         transmission_prob=ops.modulus(transmission) ** 2,
         reflection_prob=ops.modulus(reflection0) ** 2,
         transmission_phase=ops.atan(-ratio),
-        reflection_phase=ops.atan(ops.inverse(ratio, p.coupling == 0.0)),
+        reflection_phase=ops.atan(ops.where(p.coupling == 0.0, math.nan, ops.muldiv(1.0, 1.0, ratio))),
     )
 
 

@@ -284,3 +284,25 @@ def test_regularized_oracle_solves_just_inside_the_floats(capfd):
         sol = oracle.solve_regularized(ModelParams(0.3, 1.0, 1.9e9), 1e-3)
     assert sol.residual <= 1e-15
     assert capfd.readouterr() == ("", "")
+
+
+def test_regularized_residual_bound_scales_with_k(capfd):
+    # k = 5.5e7: the residual 1.05e-8 is 2e-16 of the slope rows' k, and was
+    # refused by the absolute bound 1e-8 with an untyped RuntimeError
+    p = ModelParams(3e15, 1e16, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = oracle.solve_regularized(p, 1e-5)
+    assert 1e-8 < sol.residual <= 1e-8 * sol.k
+    assert abs(abs(sol.transmission) ** 2 + abs(sol.reflection) ** 2 - 1.0) <= 1e-10
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_inexact_regularized_solve_is_a_domain_error(monkeypatch, capfd):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda mat, rhs: solve(mat, rhs) * (1.0 + 1e-6))
+    message = (r"^matching system ill-conditioned at coupling=1\.0, width=0\.001: "
+               r"residual=\S+ exceeds its bound 1e-8 \* max\(1, k\) = 1\.000e-08$")
+    with pytest.raises(DomainError, match=message):
+        oracle.solve_regularized(ModelParams(0.25, 1.0, 1.0), 1e-3)
+    assert capfd.readouterr() == ("", "")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from decimal import Decimal
@@ -17,6 +18,7 @@ from twostate import (
     transition_time,
     wave_numbers,
 )
+from twostate.params import _ARRAY_OPS, _FLOAT_OPS
 
 
 def test_model_defaults():
@@ -188,3 +190,24 @@ def test_wave_numbers_beyond_the_float_range_raise():
         for p in _float_and_array(**fields):
             with pytest.raises(DomainError, match=r"^k = sqrt\(2 m E\) / hbar overflows at"):
                 wave_numbers(p)
+
+
+# zeros, subnormals, normals, the largest floats, infinities and NaN, each signed
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+def test_muldiv_is_one_quotient_on_floats_and_arrays():
+    # a * b / c as numpy gives it, on both paths: at a -0.0 divisor the float
+    # path once took the sign of a * b alone, and a NaN a * b over 0 gave ±inf
+    def bits(x):
+        return "nan" if x != x else np.float64(x).tobytes()
+
+    differ = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, c in itertools.product(EDGE_VALUES, repeat=3):
+            got = _FLOAT_OPS.muldiv(a, b, c)
+            want = _ARRAY_OPS.muldiv(np.array(a), np.array(b), np.array(c))
+            if type(got) is not float or bits(got) != bits(float(want)):
+                differ.append((a, b, c, got, want))
+    assert not differ, f"{len(differ)} of {len(EDGE_VALUES) ** 3}: {differ[:5]}"
