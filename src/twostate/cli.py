@@ -47,7 +47,6 @@ class _Option(NamedTuple):
     name: str
     type: Callable[[str], Any]  # parses the flag text
     default: Any = None
-    choices: tuple[str, ...] | None = None
 
 
 # flag type -> the JSON types its config value may have, and their name;
@@ -80,7 +79,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("count", int),
         _Option("margin", float),
         _Option("out", str),
-        _Option("format", str, None, ("csv", "svg", "both")),
+        _Option("format", str),  # SweepSpec checks it, as it does a config value
     ),
     "verify": (),
     "wavepacket": (
@@ -164,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--" + opt.name.replace("_", "-"),
                 dest=opt.name,
                 type=opt.type,
-                choices=opt.choices,
                 metavar="LIST" if opt.type is _float_list else None,
             )
         cmd.add_argument("--config", type=str)

@@ -64,7 +64,8 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     energies remain strictly inside (0, V).  It defaults to
     min(1e-6 * V, 1e-3 * min(E, V - E)), which is 1e-6 * V wherever
     1e-3 <= E / V <= 1 - 1e-3 and shrinks with the distance to the
-    nearer end of (0, V) outside that range, so it is always valid.
+    nearer end of (0, V) outside that range, so it is always valid.  A
+    quotient beyond the float range raises DomainError.
     """
     p._one_configuration("fd_group_delay")
     gap = min(p.energy, p.potential - p.energy)
@@ -77,7 +78,15 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
         )
     up = scatter.scattering_phases(replace(p, energy=p.energy + h))[0]
     down = scatter.scattering_phases(replace(p, energy=p.energy - h))[0]
-    return p.hbar * (up - down) / (2.0 * h)
+    delay = p.hbar * (up - down) / (2.0 * h)
+    if abs(delay) == math.inf:
+        raise DomainError(
+            f"the finite-difference group delay overflows at energy={p.energy}, "
+            f"potential={p.potential}, coupling={p.coupling}, mass={p.mass}, hbar={p.hbar}, "
+            f"step={h!r}; hbar |phi_t(E + h) - phi_t(E - h)| / (2 h) must stay below "
+            f"about 1.8e308"
+        )
+    return delay
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +102,14 @@ _KH_FLOOR = float(np.finfo(float).eps) ** 0.25
 def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
     """Grid half-width 20 / kappa and spacing (0.005 / kappa by default).
 
-    Rejects a kappa outside [1e-150, 1e150], where h**2 leaves the float
-    range, and a spacing that is not finite or is below the rounding floor
-    eps**(1/4) / kappa.
+    Raises DomainError for a kappa outside [1e-150, 1e150], where h**2
+    leaves the float range, and ValueError for a spacing that is not finite
+    or is below the rounding floor eps**(1/4) / kappa.
     """
     p._one_configuration("the grid oracle")
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
     if not 1e-150 <= kappa <= 1e150:
-        raise ValueError(f"the grid oracle needs kappa in [1e-150, 1e150], got {kappa!r}")
+        raise DomainError(f"the grid oracle needs kappa in [1e-150, 1e150], got {kappa!r}")
     h = 0.005 / kappa if spacing is None else spacing
     floor = _KH_FLOOR / kappa
     if not floor <= h < math.inf:
@@ -139,7 +148,7 @@ def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
     t = p._power("hbar", 2) / scale if scale else math.inf
     tsq = t * t
     if tsq == math.inf:
-        raise ValueError(f"the grid oracle's t = hbar**2 / (2 m h**2) = {t!r} squares to inf")
+        raise DomainError(f"the grid oracle's t = hbar**2 / (2 m h**2) = {t!r} squares to inf")
     a = (p.energy - p.potential) - 2.0 * t
     d = a
     chunks, rest = divmod(n - 2, 64)
@@ -268,7 +277,8 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     is where k0 / w overflows.  The solve is accepted where the largest
     absolute defect of the eight conditions (``residual``) is at most
     1e-8 * max(1, k), 1e-8 times the largest |right-hand side| entry, since
-    the slope rows carry k; beyond that, or where it is NaN, DomainError.
+    the slope rows carry k; beyond that, where it is NaN, or where LAPACK
+    finds the system exactly singular, DomainError.
     """
     _check_width(width)
     p._one_configuration("the regularized oracle")
@@ -325,7 +335,12 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     mat = np.array(rows, dtype=complex)
     rhs = np.array([fin, 1j * k * fin, 0j, 0j, 0j, 0j, 0j, 0j])
 
-    sol = np.linalg.solve(mat, rhs)
+    try:
+        sol = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular pivot: no solve to bound
+        raise DomainError(
+            f"matching system singular at coupling={p.coupling}, width={width}"
+        ) from None
     residual = float(np.abs(mat @ sol - rhs).max())
     bound = 1e-8 * max(1.0, k)  # the slope rows carry k: max |rhs| is max(1, k)
     if not residual <= bound:

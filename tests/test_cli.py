@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from needs_scipy import needs_scipy
 
 import twostate
 from twostate import checks, cli
@@ -62,21 +63,32 @@ def test_sweep_custom_series(tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "transmission", "--epsilon", "0.5"],
-        ["sweep", "transmission", "--coupling", "1", "--coupling-sq", "1"],
-        ["sweep", "tau_vs_coupling", "--coupling-sq", "1"],
-        ["sweep", "tau_vs_energy"],  # no output path
-    ],
-)
+# each refused sweep call, --out aside, and its one error line
+SWEEP_REFUSALS = {
+    "transmission --epsilon 0.5":
+        "sweep 'transmission' takes fixed 'potential' and 'coupling_sq', not 'epsilon'",
+    "transmission --coupling 1 --coupling-sq 1":
+        "give either --coupling or --coupling-sq, not both",
+    "tau_vs_coupling --coupling-sq 1":
+        "sweep 'tau_vs_coupling' takes fixed 'potential' and 'epsilon', not 'coupling_sq'",
+    "tau_vs_energy": "sweep needs an output path (--out)",  # given no --out
+    "transmission --from 0.9 --to 0.1": "empty sweep range after clipping: [0.9, 0.1] for epsilon",
+    # SweepSpec checks the format, not argparse, so the flag gets one line too
+    "transmission --format bad": "format must be csv, svg or both, got 'bad'",
+}
+
+
+@pytest.mark.parametrize("argv", [["sweep", *call.split()] for call in SWEEP_REFUSALS])
 def test_sweep_usage_errors(argv, tmp_path, capsys):
-    if "--epsilon" in argv or "--coupling" in argv or "--coupling-sq" in argv:
+    message = SWEEP_REFUSALS[" ".join(argv[1:])]
+    if len(argv) > 2:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     rc = cli.main(argv)
+    captured = capsys.readouterr()
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -366,6 +378,7 @@ def test_verify_reports_failure(monkeypatch, capsys):
     assert "1 of 2 checks failed: beta" in out
 
 
+@needs_scipy
 def test_wavepacket_free_run(capsys):
     rc = cli.main(["wavepacket", "--coupling", "0", *WP_FAST])
     out = capsys.readouterr().out
@@ -376,6 +389,7 @@ def test_wavepacket_free_run(capsys):
     assert "analytic_transition_time" not in vals
 
 
+@needs_scipy
 def test_wavepacket_coupled_run(tmp_path, capsys):
     frames = tmp_path / "frames.csv"
     rc = cli.main(
@@ -394,8 +408,8 @@ def test_wavepacket_coupled_run(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["--steps", "3000", "--points", "1025"], "edge density"),
-        ([*WP_FAST, "--steps", "30"], "never crossed"),
+        pytest.param(["--steps", "3000", "--points", "1025"], "edge density", marks=needs_scipy),
+        pytest.param([*WP_FAST, "--steps", "30"], "never crossed", marks=needs_scipy),
         # rejected before the run
         ([*WP_FAST, "--half-domain", "nan"], "must be finite"),
         ([*WP_FAST, "--dt", "inf"], "must be finite"),
@@ -413,6 +427,7 @@ def test_wavepacket_run_guard_exits_2(argv, message, capsys):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
+@needs_scipy
 @pytest.mark.parametrize(("argv", "message"),
                          [(["--half-domain", "180"], "edge density"),
                           (["--steps", "3000"], "edge density"),

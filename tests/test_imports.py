@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from needs_scipy import needs_scipy
 
 import twostate
 
@@ -86,8 +87,10 @@ SMALL_WAVEPACKET = [
 
 @pytest.mark.parametrize(
     "code, loaded",
-    [("import twostate.wavepacket", "False"), (_cli(SMALL_WAVEPACKET), "False"),
-     (_cli(SMALL_WAVEPACKET + ["--snapshots", "frames.csv", "--stride", "100"]), "True")],
+    [("import twostate.wavepacket", "False"),
+     pytest.param(_cli(SMALL_WAVEPACKET), "False", marks=needs_scipy),
+     pytest.param(_cli(SMALL_WAVEPACKET + ["--snapshots", "frames.csv", "--stride", "100"]),
+                  "True", marks=needs_scipy)],
     ids=["import", "run", "snapshots"],
 )
 def test_the_snapshot_formatter_loads_with_a_snapshot_run_only(code, loaded, tmp_path):
@@ -109,6 +112,7 @@ def test_the_csv_formatter_loads_with_a_sweep_only(code, loaded, tmp_path):
     assert proc.stdout.splitlines()[-2:] == [str(loaded), "[]"]
 
 
+@needs_scipy
 @pytest.mark.parametrize("code", [_cli(SMALL_WAVEPACKET)], ids=["run"])
 def test_wavepacket_loads_lapack_and_no_sparse(code, tmp_path):
     loaded = _scipy_loaded_by(code, tmp_path)

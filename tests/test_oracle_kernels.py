@@ -1,5 +1,6 @@
 """The grid, wavefunction and dwell kernels of ``twostate.oracle`` give the
-same bits as the plain formulas they replaced.
+same bits as the plain formulas they replaced, and every oracle keeps the
+library contract over the float range.
 
 ``greens_grid`` stops its pivot recurrence at a floating-point fixed point,
 and ``RegularizedSolution.wavefunction`` skips the regions that hold no
@@ -8,6 +9,7 @@ alone: this module runs where scipy is not installed.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 import warnings
@@ -261,6 +263,12 @@ BEYOND_THE_FLOATS = [
     (ModelParams(3e13, 1e14, 1.0), 0.1, r"strip mode's .*coupling=1\.0, width=0\.1 "),
     (ModelParams(0.3, 1.0, 1e300), 1e-10, r"^coupling / width overflows at coupling=1e\+300, "),
     (ModelParams(0.3, 1.0, 1e305, mass=2.0), 1e-3, r"strip mode's .*coupling=1e\+305, "),
+    # k and kappa near 1e-140: LAPACK meets an exactly zero pivot, and
+    # raised an untyped LinAlgError
+    (ModelParams(6.871852481047208e-207, 1.2437421223018618e-205, 4.00703786649744e24,
+                 mass=1.8209167431104816e-53, hbar=133530882881.53922,
+                 center=0.035798949381097955),
+     1e-3, r"^matching system singular at coupling=4\.00703786649744e\+24, width=0\.001$"),
 ]
 
 
@@ -305,4 +313,93 @@ def test_an_inexact_regularized_solve_is_a_domain_error(monkeypatch, capfd):
                r"residual=\S+ exceeds its bound 1e-8 \* max\(1, k\) = 1\.000e-08$")
     with pytest.raises(DomainError, match=message):
         oracle.solve_regularized(ModelParams(0.25, 1.0, 1.0), 1e-3)
+    assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# the library contract over the float range
+# ---------------------------------------------------------------------------
+
+# Each gave an untyped result before it was refused: -inf, since
+# hbar (phi(E + h) - phi(E - h)) = -1e74 over 2 h = 2.3e-272 overflows, and
+# a plain ValueError for a kappa near 8.7e-153 (test_oracle.py has the
+# grid's other refusal, t**2 = 1.6e609).
+@pytest.mark.parametrize(("call", "p", "match"), [
+    (oracle.fd_group_delay,
+     ModelParams(1.9938566446344077e-267, 1.1635931281259978e-266, 1.7969363436169433e-57,
+                 mass=1.3400223185866949e22, hbar=2.199492000287222e95,
+                 center=4.397275449138082),
+     r"^the finite-difference group delay overflows at energy=1\.99\d+e-267, .*step="),
+    (oracle.greens_grid, ModelParams(0.25, 1.0, 1.0, hbar=1e152),
+     r"^the grid oracle needs kappa in \[1e-150, 1e150\], got "),
+])
+def test_oracles_refuse_what_the_floats_cannot_hold(call, p, match, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            call(p)
+    assert capfd.readouterr() == ("", "")
+
+
+def _wide_draw(count, seed=22):
+    """Seeded (eps, V, k0, m, hbar, center) points over the float range: V
+    and k0 log-uniform in [1e-300, 1e300], eps uniform in [0, 1), m and hbar
+    log-uniform in [1e-100, 1e100], center uniform in [-5, 5]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v, k0 = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+        eps = rng.uniform()
+        mass, hbar = 10.0 ** rng.uniform(-100.0, 100.0, 2)
+        yield tuple(map(float, (eps, v, k0, mass, hbar, rng.uniform(-5.0, 5.0))))
+
+
+ORACLES = {
+    "fd_group_delay": oracle.fd_group_delay,
+    "greens_grid": oracle.greens_grid,
+    "greens_grid_extrapolated": oracle.greens_grid_extrapolated,
+    "solve_regularized": lambda p: oracle.solve_regularized(p, 1e-3),
+    "convergence_study": oracle.convergence_study,
+    "dwell_time_regularized": lambda p: oracle.dwell_time_regularized(p, 1e-3),
+    "dwell_time_window": lambda p: oracle.dwell_time_window(p, 1e-3, 0.5),
+}
+
+
+def _finite(value) -> bool:
+    """Every number of a result, dataclass fields and tuple items in turn,
+    is finite; convergence_study's order may be its documented +inf where
+    every error sits below 1e-12."""
+    if isinstance(value, oracle.ConvergenceReport) and max(value.errors) < 1e-12:
+        value = value.errors
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return bool(np.isfinite(value).all())
+
+
+def test_every_oracle_gives_a_finite_value_or_a_domain_error(capfd):
+    # of the 300 points, the grid oracle refuses 107, the regularized solve
+    # 200 and extremum_search, whose bracket suits V near 1, all but 2
+    breaches = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in _wide_draw(300):
+            eps, v, k0, mass, hbar, center = point
+            calls = {"extremum_search": lambda: oracle.extremum_search(eps, v)}
+            try:
+                p = ModelParams(eps * v, v, k0, mass=mass, hbar=hbar, center=center)
+            except DomainError:
+                pass
+            else:
+                calls.update({name: lambda call=call: call(p) for name, call in ORACLES.items()})
+            for name, call in calls.items():
+                try:
+                    value = call()
+                except DomainError:
+                    continue
+                except Exception as exc:  # a warning too: warnings are errors here
+                    value = exc
+                if isinstance(value, Exception) or not _finite(value):
+                    breaches.setdefault(name, (point, value))
+    assert breaches == {}
     assert capfd.readouterr() == ("", "")

@@ -14,12 +14,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
-from scipy.fft import dst
-from scipy.sparse.linalg import splu as superlu
+
+try:
+    import scipy.linalg.lapack
+    from scipy import sparse
+    from scipy.fft import dst
+    from scipy.sparse.linalg import splu as superlu
+except ModuleNotFoundError as exc:  # a numpy-only install: every test here skips
+    pytestmark = pytest.mark.skip(reason=f"needs scipy ({exc})")
 
 from twostate import (
     BoundaryContaminationError,
