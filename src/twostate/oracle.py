@@ -5,12 +5,11 @@ everything here runs on numpy alone:
 
 * ``fd_group_delay`` differentiates the transmission phase by central
   differences, converging to the analytic group delay at O(h^2).
-* ``greens_grid`` solves (E - H2) G = delta on a finite-difference grid
-  with Dirichlet ends, eliminating the tridiagonal system from both ends
-  to the centre row; ``greens_grid_extrapolated`` Richardson-combines the
-  default spacing h and h/2.  The pivot recurrence stops once it reaches
-  an exact floating-point fixed point, which every later step would
-  return unchanged, so G has the bits of the full recurrence.
+* ``greens_grid`` gives the centre value of (E - H2) G = delta on a
+  finite-difference grid with Dirichlet ends: the lattice resolvent, whose
+  elimination from both ends has a closed form, evaluated in O(1) from the
+  lattice's own entries h, n, t and V - E; ``greens_grid_extrapolated``
+  Richardson-combines the default spacing h and h/2.
 * ``solve_regularized`` replaces the point coupling by a square coupling
   of width w and height k0/w and solves the genuine two-channel matching
   problem (8 unknowns); its w -> 0 limit recovers the point-coupling
@@ -24,7 +23,8 @@ everything here runs on numpy alone:
 
 Each oracle that takes ``ModelParams`` measures one configuration:
 parameter arrays of any shape but () raise DomainError naming the shape
-before any solve, and 0-d arrays give the float call's values.
+before any solve, and 0-d arrays become Python floats, so they give the
+float call's values.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     nearer end of (0, V) outside that range, so it is always valid.  A
     quotient beyond the float range raises DomainError.
     """
-    p._one_configuration("fd_group_delay")
+    p = p._one_configuration("fd_group_delay")
     gap = min(p.energy, p.potential - p.energy)
     h = min(1e-6 * p.potential, 1e-3 * gap) if step is None else step
     limit = gap / 10.0
@@ -97,16 +97,18 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
 # difference quotient outgrows its truncation error (kappa h)^2, so no finer
 # grid is more accurate.
 _KH_FLOOR = float(np.finfo(float).eps) ** 0.25
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
-def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
-    """Grid half-width 20 / kappa and spacing (0.005 / kappa by default).
+def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[ModelParams, float, float]:
+    """The parameters as floats, grid half-width 20 / kappa and spacing
+    (0.005 / kappa by default).
 
     Raises DomainError for a kappa outside [1e-150, 1e150], where h**2
     leaves the float range, and ValueError for a spacing that is not finite
     or is below the rounding floor eps**(1/4) / kappa.
     """
-    p._one_configuration("the grid oracle")
+    p = p._one_configuration("the grid oracle")
     kappa = math.sqrt(2.0 * p.mass * (p.potential - p.energy)) / p.hbar
     if not 1e-150 <= kappa <= 1e150:
         raise DomainError(f"the grid oracle needs kappa in [1e-150, 1e150], got {kappa!r}")
@@ -117,63 +119,53 @@ def _grid_scales(p: ModelParams, spacing: float | None) -> tuple[float, float]:
             f"grid spacing must be finite and at least {floor!r} "
             f"(kappa*h >= eps**0.25, the rounding floor), got {h!r}"
         )
-    return 20.0 / kappa, h
+    return p, 20.0 / kappa, h
 
 
 def greens_grid(p: ModelParams, spacing: float | None = None) -> float:
-    """Diagonal value G(xc, xc) from a Dirichlet finite-difference solve.
+    """Diagonal value G(xc, xc) of the Dirichlet finite-difference resolvent.
 
     Second-order central differences on [-L, L] around the coupling with
-    L = 20 / kappa, so the truncated tails are ~exp(-40) and invisible at
-    the tolerances of interest.  The symmetric tridiagonal system (diagonal
-    a, off-diagonal t) is eliminated from both ends to the centre row, and
-    only the pivot recurrence d <- a - t^2 / d is needed for that row.
-    ``spacing`` must be finite and at least eps**(1/4) / kappa, where the
-    rounding error of the grid overtakes its truncation error.
+    L = 20 / kappa, so the truncated tails are ~exp(-40); ``spacing`` must
+    be finite and at least eps**(1/4) / kappa, where the grid's rounding
+    error overtakes its truncation error.  With n = max(4, ceil(L / spacing))
+    steps a side and h = L / n, E - H2 is tridiagonal with off-diagonal
+    t = hbar**2 / (2 m h**2) and diagonal a = (E - V) - 2t = -2t cosh(theta).
+    Its elimination from both ends has the pivots
+    d_k = -t sinh((k + 1) theta) / sinh(k theta), so the centre value is
 
-    The recurrence runs in unrolled 64-step chunks and stops after the
-    first chunk whose d it maps to d itself.  The map is deterministic, so
-    every later step would return the same d, and G keeps the bits of the
-    full n - 2 steps (a zero d maps to an infinity or NaN, so == never
-    meets two zeros of opposite sign and compares bits).  The default
-    grids reach such a fixed point after about 70% of their steps; a run
-    that never does, a 2-cycle or a NaN, still takes every step.
+        G = -tanh(n theta) / (h sqrt((V - E) (V - E + 4t))),
+        theta = 2 asinh(sqrt((V - E) / (4t))),
+
+    in which nothing cancels.  t is r r / (2m) with r = hbar / h; DomainError
+    names t where r**2, t or V - E + 4t is not a normal float, and G where
+    G is not one.
     """
-    half, h = _grid_scales(p, spacing)
-    n = max(4, int(math.ceil(half / h)))
+    p, half, h = _grid_scales(p, spacing)
+    n = max(4, math.ceil(half / h))
     h = half / n
-    # interior points -n+1 .. n-1 relative to the coupling; n - 1 rows on
-    # each side of the centre row
-    scale = 2.0 * p.mass * h**2
-    t = p._power("hbar", 2) / scale if scale else math.inf
-    tsq = t * t
-    if tsq == math.inf:
-        raise DomainError(f"the grid oracle's t = hbar**2 / (2 m h**2) = {t!r} squares to inf")
-    a = (p.energy - p.potential) - 2.0 * t
-    d = a
-    chunks, rest = divmod(n - 2, 64)
-    for _ in range(chunks):
-        for _ in range(8):
-            d = a - tsq / d
-            d = a - tsq / d
-            d = a - tsq / d
-            d = a - tsq / d
-            d = a - tsq / d
-            d = a - tsq / d
-            d = a - tsq / d
-            d = a - tsq / d
-        if a - tsq / d == d:  # a fixed point: every later step returns d
-            rest = 0
-            break
-    for _ in range(rest):
-        d = a - tsq / d
-    return (1.0 / h) / (a - 2.0 * tsq / d)
+    r = p.hbar / h
+    rsq = r * r
+    t = rsq / (2.0 * p.mass)
+    gap = p.potential - p.energy
+    if not (_TINY <= rsq < math.inf and _TINY <= t and gap + 4.0 * t < math.inf):
+        raise DomainError(
+            f"the grid oracle's hopping t = (hbar / h)**2 / (2 m) leaves the normal floats at "
+            f"h={h!r}: (hbar / h)**2 = {rsq!r}, t = {t!r}, V - E + 4t = {gap + 4.0 * t!r}"
+        )
+    theta = 2.0 * math.asinh(math.sqrt(gap / (4.0 * t)))
+    # -inf where the denominator underflows to 0
+    g = p.ops.muldiv(-math.tanh(n * theta), 1.0, h * math.sqrt(gap) * math.sqrt(gap + 4.0 * t))
+    if not _TINY <= -g < math.inf:
+        raise DomainError(f"the grid oracle's G = -tanh(n theta) / (h sqrt((V - E) (V - E + 4t))) "
+                          f"= {g!r} is not a normal float at h={h!r}, t={t!r}")
+    return g
 
 
 def greens_grid_extrapolated(p: ModelParams) -> float:
     """Richardson combination (4 G(h/2) - G(h)) / 3 of two grid solves at
     the default spacing h = 0.005 / kappa."""
-    _, h = _grid_scales(p, None)
+    p, _, h = _grid_scales(p, None)
     coarse = greens_grid(p, h)
     fine = greens_grid(p, h / 2.0)
     return (4.0 * fine - coarse) / 3.0
@@ -253,7 +245,7 @@ class RegularizedSolution:
 
 
 # ln(1 / the smallest normal float), 708.4: beyond it exp(-x) is subnormal
-_LOG_HUGE = -math.log(np.finfo(float).tiny)
+_LOG_HUGE = -math.log(_TINY)
 
 
 def _check_width(width: float) -> None:
@@ -281,7 +273,7 @@ def solve_regularized(p: ModelParams, width: float) -> RegularizedSolution:
     finds the system exactly singular, DomainError.
     """
     _check_width(width)
-    p._one_configuration("the regularized oracle")
+    p = p._one_configuration("the regularized oracle")
     kn = wave_numbers(p)
     k, kappa = kn.k, kn.kappa
     g = p.coupling / width
@@ -382,7 +374,7 @@ def convergence_study(p: ModelParams) -> ConvergenceReport:
     When every error sits at rounding level (the uncoupled case) the order
     is reported as +inf rather than a meaningless slope.
     """
-    p._one_configuration("convergence_study")
+    p = p._one_configuration("convergence_study")
     widths = (1e-1, 1e-2, 1e-3)
     exact = scatter.solve_amplitudes(p)
     errors = []
@@ -425,6 +417,7 @@ def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
     exp(+-i k y) and exp(-kappa |y|), so there they may span
     20 / max(k, kappa), however fast the strip modes q_j oscillate.
     """
+    p = p._one_configuration("the regularized oracle")
     sol = solve_regularized(p, width)
     nodes, weights = _gauss_legendre()
     half = width / 2.0

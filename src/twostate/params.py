@@ -250,12 +250,17 @@ class _Validated:
             # the scalar constructor raises the error of the first bad point
             type(self)(*self._first_point(~ok))
 
-    def _one_configuration(self, entry: str) -> None:
-        """DomainError naming the shape unless the fields are scalars or 0-d
-        arrays: ``entry`` measures one configuration, not a grid of them."""
+    def _one_configuration(self, entry: str) -> _Validated:
+        """The parameters with Python-float fields, so ``entry`` computes as
+        the float call does; DomainError naming the shape unless the fields
+        are scalars or 0-d arrays: ``entry`` measures one configuration, not
+        a grid of them."""
+        if not self.is_array:
+            return self
         if self.shape != ():
             raise DomainError(f"{entry} measures one configuration, but the parameters "
                               f"have shape {self.shape}; pass scalars or 0-d arrays")
+        return type(self)(*(float(getattr(self, name)) for name in self.__match_args__))
 
     def _broadcast(self, *arrays):
         """The shape of the fields broadcast with ``arrays``, which may add

@@ -109,7 +109,7 @@ class PacketSpec:
         """Packet whose carrier wavenumber matches a target central energy,
         converted like the fields (``params._as_float``); parameter arrays
         of any shape but () raise DomainError."""
-        p._one_configuration("PacketSpec.for_energy")
+        p = p._one_configuration("PacketSpec.for_energy")
         energy = _as_float("energy", energy)
         if energy <= 0.0:
             raise DomainError("packet energy must be positive")
@@ -119,7 +119,7 @@ class PacketSpec:
     def central_energy(self, p: ModelParams) -> float:
         """(hbar k)**2 / (2 m); parameter arrays of any shape but () raise
         DomainError."""
-        p._one_configuration("PacketSpec.central_energy")
+        p = p._one_configuration("PacketSpec.central_energy")
         try:
             return (p.hbar * self.wavenumber) ** 2 / (2.0 * p.mass)
         except OverflowError:  # float **, where hbar k is within an ulp of 1.34e154
@@ -445,7 +445,7 @@ def propagate(
     float or a bool raises TypeError).  Parameter arrays of any shape but
     () are refused with DomainError before any run.
     """
-    p._one_configuration("propagate")
+    p = p._one_configuration("propagate")
     if not 0.0 < width <= 1e-2:
         raise ValueError(
             f"regularization width must lie in (0, 1e-2], got {width!r}"

@@ -91,6 +91,18 @@ def test_sweep_usage_errors(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_empty_float_list_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "transmission", "--epsilon", ",", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        " error: argument --epsilon: expected a comma-separated float list\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_coupling_for_a_sweep_without_a_coupling_series_exits_2(how, tmp_path, capsys):
     # tau_vs_coupling sweeps coupling_sq and takes epsilon as its series; a
@@ -171,6 +183,7 @@ def test_config_non_numeric_series_exits_2(value, tmp_path, capsys):
         ("greens", {"potential": 10**400}, "potential must be a number within the float range"),
         ("sweep", {"coupling": [1, -(10**400)]},
          "coupling must be a number or a list of numbers within the float range"),
+        ("verify", [1, 2], "config file must contain a JSON object"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(

@@ -3,9 +3,10 @@
 The oracles and the wave-packet entries take one ``ModelParams`` point, not
 a grid of them.  A field array of any shape but () raises DomainError
 naming the shape (``params._Validated._one_configuration``) before any
-solve, and prints nothing; a 0-d field gives the float call's bits.  Numpy
-alone: ``propagate`` refuses before it factors, so this module runs where
-scipy is not installed.
+solve, and prints nothing; 0-d fields become Python floats, so they give
+the float call's bits or error, over the float range too.  Numpy alone:
+``propagate`` refuses before it factors, so this module runs where scipy
+is not installed.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_oracle_kernels import _wide_draw
 
 from twostate import DomainError, GridSpec, ModelParams, PacketSpec, oracle, propagate, scatter
 from twostate import wavepacket
@@ -75,3 +77,33 @@ def test_a_0d_field_gives_the_float_call(entry, field):
     p = dataclasses.replace(P, **{field: np.array(getattr(P, field))})
     assert p.shape == () and p.is_array
     assert _bits(ENTRIES[entry](p)) == _bits(ENTRIES[entry](P))
+
+
+def _outcome(call, p):
+    """The bits of ``call(p)``, or the type and message of what it raised,
+    a warning included: warnings are errors here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return _bits(call(p))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+
+def test_0d_fields_give_the_float_call_over_the_float_range(capfd):
+    # The entries compute on the Python-float parameters _one_configuration
+    # returns.  On 0-d fields they computed in numpy, which warned where a
+    # step overflowed or underflowed: at 72 of these 400 points for both
+    # grid oracles, 25 for solve_regularized and both dwell times, 4 for
+    # convergence_study and 1 for fd_group_delay; at 73 more the grid
+    # oracles' DomainError named np.float64(...) values
+    mismatches = {}
+    for eps, v, k0, mass, hbar, center in _wide_draw(400):
+        p = ModelParams(eps * v, v, k0, mass=mass, hbar=hbar, center=center)
+        zero_d = ModelParams(*map(np.array, (eps * v, v, k0, mass, hbar, center)))
+        for name, call in ENTRIES.items():
+            want, got = _outcome(call, p), _outcome(call, zero_d)
+            if got != want:
+                mismatches.setdefault(name, (p, got, want))
+    assert mismatches == {}
+    assert capfd.readouterr() == ("", "")

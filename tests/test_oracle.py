@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from test_oracle_kernels import _battery
+from test_oracle_kernels import _battery, _elimination, assert_is_the_elimination
 
 try:
     from scipy import integrate
@@ -115,17 +115,19 @@ def test_grid_spacing_floor():
         greens_grid(p, math.nextafter(floor, 0.0))
 
 
-def test_grid_resolvent_rejects_a_hopping_term_that_squares_to_inf():
-    # kappa = 1e150 sets h near 1e-150, so t = hbar**2 / (2 m h**2) is
-    # finite and t**2 is not
-    with pytest.raises(DomainError, match=r"^the grid oracle's t = hbar\*\*2 / \(2 m h\*\*2\) = "
-                       r"3\.9999999999999993e\+304 squares to inf$"):
-        greens_grid(ModelParams(0.0, 1e300, 1.0))
+def test_grid_resolvent_takes_a_hopping_term_whose_square_is_beyond_the_floats():
+    # kappa = 1e150 sets h near 1e-150, so t = hbar**2 / (2 m h**2) = 4e304
+    # is finite and t**2 is not; the closed form never forms t**2
+    p = ModelParams(0.0, 1e300, 1.0)
+    _, _, h = oracle._grid_scales(p, None)
+    assert_is_the_elimination(greens_grid(p), _elimination(p, h))
+    exact = greens_constant(p.center, p.center, p)
+    assert abs(greens_grid_extrapolated(p) - exact) <= 1e-11 * abs(exact)  # 3.7e-12 measured
 
 
 def _banded_grid(p, spacing):
-    """Reference for greens_grid: solve_banded on the assembled system."""
-    half, h = oracle._grid_scales(p, spacing)
+    """solve_banded on the assembled system of greens_grid's lattice."""
+    p, half, h = oracle._grid_scales(p, spacing)
     n = max(4, int(math.ceil(half / h)))
     h = half / n
     size = 2 * n - 1
@@ -141,14 +143,14 @@ def _banded_grid(p, spacing):
 
 @pytest.mark.parametrize("p", _battery())
 def test_grid_matches_banded_solve(p):
-    _, h = oracle._grid_scales(p, None)
-    coarse, fine = _banded_grid(p, h), _banded_grid(p, h / 2.0)
-    for got, want in (
-        (greens_grid(p), coarse),
-        (greens_grid(p, h / 2.0), fine),
-        (greens_grid_extrapolated(p), (4.0 * fine - coarse) / 3.0),
-    ):
-        assert abs(got - want) <= 2e-11 * abs(want)
+    # the 40-digit elimination solves the assembled matrix: LAPACK's float
+    # solve of it was within 2.71e-11 relative on this battery
+    _, _, h = oracle._grid_scales(p, None)
+    coarse, fine = _elimination(p, h), _elimination(p, h / 2.0)
+    for spacing, want in ((h, coarse), (h / 2.0, fine)):
+        assert abs(_banded_grid(p, spacing) - want) <= 4e-11 * abs(want)
+        assert_is_the_elimination(greens_grid(p, spacing), want)
+    assert_is_the_elimination(greens_grid_extrapolated(p), (4 * fine - coarse) / 3)
 
 
 def test_regularized_solution_is_consistent():

@@ -189,8 +189,8 @@ ORACLES = {
 # 3.1e-15 for the dwell time (exact at 48-76 of 120 points): LAPACK's eigh
 # of the strip's potential matrix does not scale exactly with its entries.
 # Under mass x4 and hbar x2 both were exact at 120 of 120.  The grid
-# oracle's h**2 is libm pow, which missed by 7.5e-12 relative at one point
-# of another draw (ROADMAP item 20), not of this one.
+# oracle forms (hbar / h)**2 as r * r, not with libm pow, so its every step
+# scales exactly where its intermediates are normal floats.
 LENGTH_BOUNDS = {"solve_regularized |T|": 1e-13, "dwell_time_regularized": 1e-14}
 
 

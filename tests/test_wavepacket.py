@@ -559,6 +559,21 @@ def test_a_0d_array_field_is_the_float_call():
         assert getattr(got, field.name).hex() == getattr(floats, field.name).hex(), field.name
 
 
+def test_a_hopping_denominator_that_underflows_is_refused_before_any_step(monkeypatch):
+    # the CLI's packet and grid (dx = 0.17578125) at m = 5e-324, where
+    # 2 m dx**2 rounds to 0
+    def factor(*args):
+        raise AssertionError("the run was factored")
+
+    monkeypatch.setattr(wavepacket, "splu", factor)
+    o = {opt.name: opt.default for opt in _OPTIONS["wavepacket"]}
+    p = ModelParams(0.5, 1.0, 1.0, mass=5e-324, hbar=1e-170)
+    packet = PacketSpec.for_energy(p.energy, p, sigma=o["sigma"], center=o["x0"])
+    grid = GridSpec(o["half_domain"], o["points"], o["dt"], o["steps"])
+    with pytest.raises(ValueError, match=r"^2 m dx\*\*2 underflows to 0 at mass=5e-324, "
+                                         r"dx=0\.17578125$"):
+        propagate(packet, p, width=o["width"], grid=grid)
+
 def test_error_types():
     assert issubclass(BoundaryContaminationError, RuntimeError)
     assert issubclass(NormDriftError, RuntimeError)
