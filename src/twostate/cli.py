@@ -254,10 +254,10 @@ def _cmd_greens(opts: dict) -> int:
     x1, x2 = (_as_float(name, opts[name]) for name in ("x1", "x2"))
     value = greens.greens_constant(x1, x2, p)
     alpha = greens.effective_strength(p)
+    diagonal = greens.greens_constant(p.center, p.center, p)
+    numeric = oracle.greens_grid_extrapolated(p)  # all four before any line is printed
     print(f"greens_value = {value:.15g}")
     print(f"effective_strength = {alpha:.15g}")
-    diagonal = greens.greens_constant(p.center, p.center, p)
-    numeric = oracle.greens_grid_extrapolated(p)
     print(f"grid_oracle = {numeric:.15g}")
     print(f"oracle_gap = {abs(numeric - diagonal):.3e}")
     return 0

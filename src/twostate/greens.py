@@ -26,10 +26,12 @@ __all__ = ["effective_strength", "greens_constant"]
 def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     """Closed-channel Green's function at (x1, x2) for energy p.energy.
 
-    Valid for any E < V including E = 0; the value is strictly negative
-    and symmetric under x1 <-> x2 (it depends only on |x1 - x2|).  It is
-    an array when the parameters are.  Where the plain form may have lost
-    bits, G is ``_mend``'s, or DomainError where that is beyond the floats.
+    Valid for any E < V including E = 0; the value is negative and
+    symmetric under x1 <-> x2 (it depends only on |x1 - x2|), and -0.0
+    only where exp(-kappa |x1 - x2|) takes it below the smallest subnormal.
+    It is an array when the parameters are.  Where the plain form may have
+    lost bits, G is ``_mend``'s, or DomainError where that is beyond the
+    floats: above them, or below them already at x1 = x2.
     Elsewhere G is within 2 (1 + kappa |x1 - x2|) ulp of the exact value:
     exp(-y) turns the rounding of y = kappa |x1 - x2| into about y ulp, a
     backward error of about one ulp in the inputs.
@@ -59,6 +61,13 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
         value = p._mend(lost, value, _exact, "the Green's function overflows at energy="
                         "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
                         "sqrt(m / (2 hbar**2 (V - E))) must stay below about 1.8e308", x1, x2)
+        # G rounds to 0 past the smallest subnormal: exp(-kappa |x1 - x2|)'s
+        # tail, but beyond the floats where G(x, x) itself does
+        zero = value == 0.0
+        scale = p._mend(zero, value, _diagonal, "")
+        p._raise_at(zero & (scale == 0.0), "the Green's function underflows at energy="
+                    "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
+                    "sqrt(m / (2 hbar**2 (V - E))) must stay above about 2.5e-324")
     return value
 
 
@@ -67,6 +76,11 @@ def _exact(f, x1, x2):
     gap = f.potential - f.energy
     decay = (-(2 * f.mass * gap).sqrt() * abs(x1 - x2) / f.hbar).exp()
     return -(f.mass / (2 * gap)).sqrt() / f.hbar * decay
+
+
+def _diagonal(f):
+    """|G(x, x)| at one point on Decimals, capped at 1 so it never overflows."""
+    return min((f.mass / (2 * (f.potential - f.energy))).sqrt() / f.hbar, 1)
 
 
 def effective_strength(p: ModelParams) -> float:

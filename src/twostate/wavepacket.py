@@ -16,9 +16,11 @@ on the grid, channel 2 by its sine coefficients.  S is orthogonal, so the
 norm is that of the stacked vector; channel 2's edge values are two dot
 products with rows of S, and its density on the grid is computed, by one
 batched real FFT, only for snapshot frames.  Each step solves channel 1 by
-two bidiagonal BLAS sweeps over the LU factors of one pivot-free LAPACK
-factorization, plus an exact rank-r Woodbury correction for the r coupled
-cells; channel 2 costs one pass and a dot and an axpy per coupled cell.
+the two bidiagonal sweeps over the LU factors of one pivot-free LAPACK
+factorization, each unrolled by two: a BLAS recurrence over every other
+row and a vectorized pass for the rows between.  An exact rank-r Woodbury
+correction follows for the r coupled cells; channel 2 costs one pass and
+a dot and an axpy per coupled cell.
 Channel 2 is carried only when some cell is coupled, so the free run, the
 r = 0 case of the same step, solves the open channel alone.  The per-step
 norm, edge and centroid sums also run in scipy's BLAS, never numpy's.
@@ -204,10 +206,15 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
     Channel 1's block A1 = 1 + lam T is tridiagonal and strictly diagonally
     dominant (|1 + 2 lam t| > 2 |lam t| for imaginary lam), so zgttrf
     factors it once with no row swaps: A1 = L D U, L unit lower and U unit
-    upper bidiagonal.  U and the unit lower D^-1 L D are kept in one 2 x n
-    band array next to 1/D, so A1^-1 = U^-1 (D^-1 L D)^-1 D^-1 is one
-    multiply, which the step fuses into forming its right-hand side, and
-    two in-place ztbsv sweeps, with no division.  Channel 2's block
+    upper bidiagonal, and A1^-1 = U^-1 (D^-1 L D)^-1 D^-1.  Each of the two
+    unit-bidiagonal sweeps is unrolled by two (recursive doubling): from
+    x[i] = b[i] + a[i] x[i-1] follows x[i] = (b[i] + a[i] b[i-1]) +
+    a[i] a[i-1] x[i-2], so one ztbsv runs over every other row with the
+    two-step coefficients, and one vectorized pass fills the rows between.
+    The forward sweep solves the even rows, the backward one the rows of
+    n - 1's parity.  The step's 2 D^-1, its right-hand side at the coupled
+    cells and its final - phi1 are folded into those passes, which write
+    into buffers made here, with no division.  Channel 2's block
     1 + lam (T + V) is diagonal in the sine basis,
     Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2 is
     eliminated exactly.  With P = S[cells, :] and K = lam g on the r
@@ -237,18 +244,53 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
             f"the channel-1 step matrix 1 + lam T needed row swaps at "
             f"lam t = {lam * t}; use a smaller dt or fewer grid points"
         )
-    band = np.zeros((2, n), dtype=complex, order="F")
-    band[1, :-1] = dl * d[:-1] / d[1:]  # D^-1 L D below its unit diagonal
-    band[0, 1:] = du / d[:-1]  # U above its unit diagonal
     inv_d = 1.0 / d
+    # x[i] = b[i] + low[i] x[i-1] rising, then x[i] += up[i] x[i+1] falling,
+    # is A1^-1 D b; band holds both sweeps' two-step coefficients.
+    low, up = np.pad(-dl * d[:-1] / d[1:], (1, 0)), np.pad(-du / d[:-1], (0, 1))
+    m, q = (n + 1) // 2, (n - 1) % 2
+    even, odd = np.empty(m, dtype=complex), np.empty(n // 2, dtype=complex)
+    half = (even, odd)  # x[0::2], x[1::2]
+    band = np.zeros((2, m), dtype=complex, order="F")
+    band[1, :-1] = -low[2::2] * low[1::2][: m - 1]
+    band[0, 1:] = -up[q::2][:-1] * up[q + 1 :: 2][: m - 1]
+    tmp = np.empty(m, dtype=complex)
 
-    def sweeps(b: np.ndarray) -> np.ndarray:
-        """A1^-1 D b, in place."""
-        ztbsv(1, band, b, lower=1, diag=1, overwrite_x=1)
-        ztbsv(1, band, b, diag=1, overwrite_x=1)
-        return b
+    def fold(target, coef, source):
+        """The pass target += coef * source, through tmp."""
+        return target, coef.copy(), source, tmp[: target.size]
+
+    back, between = half[q], half[1 - q]  # the backward sweep's rows, and the rest
+    stages = (  # (two-step right-hand side, solved rows, lower, rows between)
+        (fold(even[1:], low[2::2], odd[: m - 1]), even, 1,
+         fold(odd, low[1::2], even[: n // 2])),
+        (fold(back[:-1], up[q:-1:2], between[q : q + m - 1]), back, 0,
+         fold(between, up[1 - q :: 2], back[1 - q :])),
+    )
+    twice_inv_d = (2.0 * inv_d[0::2], 2.0 * inv_d[1::2])
+
+    def sweeps(phi1: np.ndarray, kicks) -> list:
+        """phi1 <- A1^-1 (2 phi1 + D e kicks) - phi1 in place, e the
+        coupled cells' columns of the identity; returns A1^-1 (...) at the
+        cells."""
+        for i in (0, 1):
+            np.multiply(phi1[i::2], twice_inv_d[i], out=half[i])
+        for (i, j), kick in zip(spots, kicks):
+            half[i][j] += kick
+        for (target, coef, source, out), solved, lower, after in stages:
+            np.multiply(coef, source, out=out)
+            np.add(target, out, out=target)
+            ztbsv(1, band, solved, lower=lower, diag=1, overwrite_x=1)
+            target, coef, source, out = after
+            np.multiply(coef, source, out=out)
+            np.add(target, out, out=target)
+        s = [half[i][j] for i, j in spots]
+        for i in (0, 1):
+            np.subtract(half[i], phi1[i::2], out=phi1[i::2])
+        return s
 
     cells = np.flatnonzero(gvec)
+    spots = [(site % 2, site // 2) for site in cells.tolist()]
     r = cells.size
     n2 = n if r else 0  # channel 2's order: carried only when a cell is coupled
     kg = lam * gvec[cells]
@@ -258,9 +300,8 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
     p = _sine_rows(n2, cells)
     pl = p * inv2  # P Lam2^-1, one contiguous row per cell
     z = np.zeros((n, r), dtype=complex, order="F")
-    z[cells, np.arange(r)] = inv_d[cells]
-    for column in z.T:
-        sweeps(column)
+    for column, kicks in zip(z.T, np.diag(inv_d[cells])):
+        sweeps(column, kicks)  # A1^-1 e_cell
     zc = z[cells]
     couple = kg[:, None] * (pl @ p.T) * kg
     gain = np.linalg.solve(np.eye(r) - couple @ zc, couple)
@@ -269,19 +310,12 @@ def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
     w[n:] = -pl.T @ (kg[:, None] * (np.eye(r) + zc @ gain))
     # W's subnormal tails carry no significant bits but slow products 100x
     w[np.abs(w) < np.finfo(float).tiny] = 0.0
-    sites, gains = cells.tolist(), (-2.0 * kg * inv_d[cells]).tolist()
+    gains = (-2.0 * kg * inv_d[cells]).tolist()
     rows, columns = list(pl), list(w.T)
-    twice_inv_d = 2.0 * inv_d
-    h = np.empty(n, dtype=complex)
 
     def solve(psi: np.ndarray) -> np.ndarray:
-        phi1, c = psi[:n], psi[n:]
-        np.multiply(phi1, twice_inv_d, out=h)  # D^-1 (2 phi1 - ...)
-        for site, gain, row in zip(sites, gains, rows):
-            h[site] += gain * zdotu(row, c)
-        sweeps(h)
-        s = [h[site] for site in sites]
-        np.subtract(h, phi1, out=phi1)
+        c = psi[n:]
+        s = sweeps(psi[:n], [gain * zdotu(row, c) for gain, row in zip(gains, rows)])
         c *= u
         for column, y in zip(columns, s):
             zaxpy(column, psi, a=y)

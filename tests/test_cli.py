@@ -490,6 +490,20 @@ def test_greens_nonfinite_position_exits_2(name, value, how, tmp_path, capsys):
     assert captured.err == f"error: {name} must be finite, got {value}\n"
 
 
+def test_greens_underflow_exits_2_with_no_output(tmp_path):
+    # G(x, x) is about -7e-451: every value is computed before the first is
+    # printed, so the refusal leaves stdout empty
+    proc = _run_cli(["greens", "--energy", "0.5e300", "--potential", "1e300",
+                     "--mass", "1e-300", "--hbar", "1e150"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: the Green's function underflows at energy=5e+299, potential=1e+300, "
+        "hbar=1e+150, mass=1e-300; sqrt(m / (2 hbar**2 (V - E))) must stay above "
+        "about 2.5e-324\n"
+    )
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

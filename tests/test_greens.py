@@ -152,6 +152,23 @@ def test_greens_overflow_is_a_domain_error(make):
             greens_constant(0.0, 0.0, p)
 
 
+@pytest.mark.parametrize("make", [float, lambda x: np.array([1.0, x])], ids=["float", "array"])
+def test_greens_underflow_is_a_domain_error(make):
+    # sqrt(m / (2 hbar**2 (V - E))) = 1e-450: G(x, x) is below the smallest
+    # subnormal, so are alpha and every amplitude built on it, whatever x1 - x2
+    p = ModelParams(energy=0.5e300, potential=1e300, coupling=1.0, mass=1e-300,
+                    hbar=make(1e150))
+    underflow = (r"^the Green's function underflows at energy=5e\+299, potential=1e\+300, "
+                 r"hbar=1e\+150, mass=1e-300; sqrt\(m / \(2 hbar\*\*2 \(V - E\)\)\) must "
+                 r"stay above about 2.5e-324$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for closed_form in (lambda: greens_constant(0.0, 0.0, p),
+                            lambda: greens_constant(0.0, 1e-300, p),
+                            lambda: effective_strength(p), lambda: solve_amplitudes(p)):
+            with pytest.raises(DomainError, match=underflow):
+                closed_form()
+
 
 def _exact_greens(x1, x2, energy, potential, mass, hbar):
     mp = pytest.importorskip("mpmath")
