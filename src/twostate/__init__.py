@@ -8,10 +8,10 @@ amplitudes, the tunneling-time taxonomy and the transition time, all of
 which are cross-checked here by independent numerical oracles and a
 time-dependent wave-packet experiment.
 
-The closed forms need only ``math`` and numpy, and of the whole package
-only ``propagate`` loads scipy, on its first call.  The names exported
-from ``oracle`` and ``wavepacket`` are still imported on first use, which
-keeps the cost of ``import twostate`` to the closed forms.
+The whole package, the wave packet included, needs only numpy and the
+standard library.  The names exported from ``oracle`` and ``wavepacket``
+are imported on first use, which keeps the cost of ``import twostate`` to
+the closed forms.
 """
 
 import importlib

@@ -271,12 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RunGuardError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
-    except ModuleNotFoundError as exc:
-        if exc.name is None:
-            raise
-        package = exc.name.partition(".")[0]
-        print(f"error: {args.command} needs {package} ({exc})", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

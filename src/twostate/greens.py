@@ -17,8 +17,11 @@ alpha grows monotonically with E and diverges at the threshold E -> V.
 from __future__ import annotations
 
 import math
+import numbers
 
-from .params import _TINY, ModelParams
+import numpy as np
+
+from .params import _TINY, DomainError, ModelParams, _as_float
 
 __all__ = ["effective_strength", "greens_constant"]
 
@@ -29,13 +32,17 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
     Valid for any E < V including E = 0; the value is negative and
     symmetric under x1 <-> x2 (it depends only on |x1 - x2|), and -0.0
     only where exp(-kappa |x1 - x2|) takes it below the smallest subnormal.
-    It is an array when the parameters are.  Where the plain form may have
-    lost bits, G is ``_mend``'s, or DomainError where that is beyond the
-    floats: above them, or below them already at x1 = x2.
+    It is an array when the parameters or the positions are: positions
+    with axes broadcast with the parameters, float ones included.  A
+    position that is not finite raises DomainError naming it.  Where the
+    plain form may have lost bits, G is ``_mend``'s, or DomainError where
+    that is beyond the floats: above them, or below them already at x1 = x2.
     Elsewhere G is within 2 (1 + kappa |x1 - x2|) ulp of the exact value:
     exp(-y) turns the rounding of y = kappa |x1 - x2| into about y ulp, a
     backward error of about one ulp in the inputs.
     """
+    if not (type(x1) is type(x2) is float and math.isfinite(x1) and math.isfinite(x2)):
+        p = _for_positions(p, x1, x2)  # the scalar call skips it, kept fast
     ops = p.ops
     hbar_sq = p._power("hbar", 2)
     # inf where hbar**2 underflows to 0 or is small enough to overflow it;
@@ -69,6 +76,26 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
                     "{energy}, potential={potential}, hbar={hbar}, mass={mass}; "
                     "sqrt(m / (2 hbar**2 (V - E))) must stay above about 2.5e-324")
     return value
+
+
+def _for_positions(p: ModelParams, x1, x2) -> ModelParams:
+    """``p``, with 0-d array fields if it has float ones and a position has
+    axes; DomainError naming a position with a value that is not finite.
+    A real scalar position is checked as the CLI checks it, by
+    ``params._as_float``."""
+    axes = 0
+    for name, x in (("x1", x1), ("x2", x2)):
+        if isinstance(x, numbers.Real):
+            _as_float(name, x)
+            continue
+        values = np.asarray(x, dtype=float)
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise DomainError(f"{name} must be finite, got {float(bad.flat[0])!r}")
+        axes += values.ndim
+    if axes and not p.is_array:
+        p = type(p)(*(np.asarray(getattr(p, name)) for name in p.__match_args__))
+    return p
 
 
 def _exact(f, x1, x2):

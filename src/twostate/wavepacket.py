@@ -7,23 +7,18 @@ uniform grid the Hamiltonian is the model's 2x2 block matrix
 average of the coupling (which represents strips far narrower than the
 grid spacing).  The Cayley step (1 + lam H)^-1 (1 - lam H),
 lam = i dt / 2 hbar, is unitary, so the norm is conserved to rounding
-(well below 1e-8 per step in the free case).  It is applied in place,
-as 2 (1 + lam H)^-1 psi - psi, an exact identity, in one fused update.
+(well below 1e-8 per step in the free case).
 
-The closed channel's block T + V is diagonal in the orthonormal sine
-(DST-I) basis S, so the state is stored as psi = [phi1; S phi2]: channel 1
-on the grid, channel 2 by its sine coefficients.  S is orthogonal, so the
-norm is that of the stacked vector; channel 2's edge values are two dot
-products with rows of S, and its density on the grid is computed, by one
-batched real FFT, only for snapshot frames.  Each step solves channel 1 by
-the two bidiagonal sweeps over the LU factors of one pivot-free LAPACK
-factorization, each unrolled by two: a BLAS recurrence over every other
-row and a vectorized pass for the rows between.  An exact rank-r Woodbury
-correction follows for the r coupled cells; channel 2 costs one pass and
-a dot and an axpy per coupled cell.
-Channel 2 is carried only when some cell is coupled, so the free run, the
-r = 0 case of the same step, solves the open channel alone.  The per-step
-norm, edge and centroid sums also run in scipy's BLAS, never numpy's.
+Both blocks T and T + V are diagonal in the orthonormal sine (DST-I)
+basis S, so the state is stored as its sine coefficients
+c = [S phi1; S phi2], and the step is one multiply per mode followed by
+an exact Woodbury correction of rank 2r for the r coupled cells.  S is
+orthogonal, so the norm is that of c, and the edge values are dot
+products with S's first and last rows.  Channel 1 on the grid, one batched
+real FFT, is computed only where the centroid or a snapshot frame reads
+it.  Channel 2 is carried only when some cell is coupled, so the free run,
+the r = 0 case of the same step, carries the open channel alone.  The
+package needs numpy and the standard library only.
 
 The arrival time is the instant the centroid of the transmitted density
 (open channel restricted to the far side of the strip) crosses the
@@ -61,6 +56,7 @@ __all__ = [
 _EDGE_TOL = 1e-8
 _DRIFT_TOL = 1e-6
 _MASS_FLOOR = 1e-3
+_OBSERVE_STRIDE = 50  # steps between the centroid's observations
 _FRAME_BLOCK = 1024
 
 
@@ -200,128 +196,54 @@ def _dst(c: np.ndarray) -> np.ndarray:
 
 
 def splu(t: float, potential: float, gvec: np.ndarray, lam: complex):
-    """Factor the Crank-Nicolson step for the state [phi1; c], c = S phi2;
-    bench/tracing.py hooks it.
+    """The Crank-Nicolson step on the sine coefficients c = [S phi1; S phi2].
 
-    Channel 1's block A1 = 1 + lam T is tridiagonal and strictly diagonally
-    dominant (|1 + 2 lam t| > 2 |lam t| for imaginary lam), so zgttrf
-    factors it once with no row swaps: A1 = L D U, L unit lower and U unit
-    upper bidiagonal, and A1^-1 = U^-1 (D^-1 L D)^-1 D^-1.  Each of the two
-    unit-bidiagonal sweeps is unrolled by two (recursive doubling): from
-    x[i] = b[i] + a[i] x[i-1] follows x[i] = (b[i] + a[i] b[i-1]) +
-    a[i] a[i-1] x[i-2], so one ztbsv runs over every other row with the
-    two-step coefficients, and one vectorized pass fills the rows between.
-    The forward sweep solves the even rows, the backward one the rows of
-    n - 1's parity.  The step's 2 D^-1, its right-hand side at the coupled
-    cells and its final - phi1 are folded into those passes, which write
-    into buffers made here, with no division.  Channel 2's block
-    1 + lam (T + V) is diagonal in the sine basis,
-    Lam2 = 1 + lam (2t + V - 2t cos(pi m/(n+1))), so channel 2 is
-    eliminated exactly.  With P = S[cells, :] and K = lam g on the r
-    coupled cells, (1 + lam H)^-1 [b1; b2] is [y + W1 s; Lam2^-1 b2 + W2 s]:
-    y = A1^-1 (b1 - E K P Lam2^-1 b2), s = y[cells], and W = [W1; W2] is
-    the exact Woodbury correction built from Z = A1^-1 E and
-    M = K P Lam2^-1 P^T K.
+    The name is that of the sparse LU factor the step once was, kept
+    because bench/tracing.py hooks ``wavepacket.splu`` to time the step's
+    set-up and count its ``solve`` calls.
 
-    ``solve(psi)`` overwrites psi with one whole step,
-    (1 + lam H)^-1 (1 - lam H) psi = 2 (1 + lam H)^-1 psi - psi, and
-    returns it: with b = 2 psi, phi1 <- y + W1 s - phi1 and
-    c <- u c + W2 s, u = 2 Lam2^-1 - 1 being each sine mode's Cayley
-    factor.  That is one A1 solve, one multiply of c by u, and a zdotu and
-    a zaxpy per coupled cell.  With no coupled cell channel 2 is not
-    carried, and the step is 2 A1^-1 phi1 - phi1; ``size`` is the state's
-    length, 2n or n.  scipy is imported here, when called, and by ``_run``
-    when handed the step, so every other name imports on numpy alone.
+    In the sine basis H is D + U C U^T.  D is diagonal: channel 1's mode
+    energies 4t sin^2(theta / 2), theta = pi m / (n+1), m = 1..n, and
+    channel 2's, the same shifted by V.  (The equal form 2t - 2t cos(theta)
+    loses up to 2 eps / theta^2 of relative accuracy at the lowest modes.)
+    U = blockdiag(P^T, P^T) with P = S[cells, :], and C = [[0, g], [g, 0]]
+    holds the r coupled cells' couplings g.  By the Woodbury identity the
+    whole step 2 (1 + lam H)^-1 - 1 is exactly c <- u c - W K W^T c, with
+    u = 2 (1 + lam D)^-1 - 1 each mode's Cayley factor,
+    W = (1 + lam D)^-1 U and K = 2 (I + lam C U^T W)^-1 lam C, all built
+    here once.  Each column of W touches one channel only, so a step is
+    one multiply by u and, per column, a dot and an axpy of length n.
+
+    ``solve(c)`` overwrites c with one step and returns it.  With no
+    coupled cell channel 2 is not carried and the step is c <- u c;
+    ``size`` is the state's length, 2n or n.
     """
-    from scipy.linalg.blas import zaxpy, zdotu, ztbsv
-    from scipy.linalg.lapack import zgttrf
-
     n = gvec.size
-    off = np.full(n - 1, -lam * t)
-    dl, d, du, du2, ipiv, info = zgttrf(off, np.full(n, 1.0 + lam * (2.0 * t)), off)
-    if info or du2.any() or np.any(ipiv != np.arange(1, n + 1)):
-        raise DomainError(
-            f"the channel-1 step matrix 1 + lam T needed row swaps at "
-            f"lam t = {lam * t}; use a smaller dt or fewer grid points"
-        )
-    inv_d = 1.0 / d
-    # x[i] = b[i] + low[i] x[i-1] rising, then x[i] += up[i] x[i+1] falling,
-    # is A1^-1 D b; band holds both sweeps' two-step coefficients.
-    low, up = np.pad(-dl * d[:-1] / d[1:], (1, 0)), np.pad(-du / d[:-1], (0, 1))
-    m, q = (n + 1) // 2, (n - 1) % 2
-    even, odd = np.empty(m, dtype=complex), np.empty(n // 2, dtype=complex)
-    half = (even, odd)  # x[0::2], x[1::2]
-    band = np.zeros((2, m), dtype=complex, order="F")
-    band[1, :-1] = -low[2::2] * low[1::2][: m - 1]
-    band[0, 1:] = -up[q::2][:-1] * up[q + 1 :: 2][: m - 1]
-    tmp = np.empty(m, dtype=complex)
-
-    def fold(target, coef, source):
-        """The pass target += coef * source, through tmp."""
-        return target, coef.copy(), source, tmp[: target.size]
-
-    back, between = half[q], half[1 - q]  # the backward sweep's rows, and the rest
-    stages = (  # (two-step right-hand side, solved rows, lower, rows between)
-        (fold(even[1:], low[2::2], odd[: m - 1]), even, 1,
-         fold(odd, low[1::2], even[: n // 2])),
-        (fold(back[:-1], up[q:-1:2], between[q : q + m - 1]), back, 0,
-         fold(between, up[1 - q :: 2], back[1 - q :])),
-    )
-    twice_inv_d = (2.0 * inv_d[0::2], 2.0 * inv_d[1::2])
-
-    def sweeps(phi1: np.ndarray, kicks) -> list:
-        """phi1 <- A1^-1 (2 phi1 + D e kicks) - phi1 in place, e the
-        coupled cells' columns of the identity; returns A1^-1 (...) at the
-        cells."""
-        for i in (0, 1):
-            np.multiply(phi1[i::2], twice_inv_d[i], out=half[i])
-        for (i, j), kick in zip(spots, kicks):
-            half[i][j] += kick
-        for (target, coef, source, out), solved, lower, after in stages:
-            np.multiply(coef, source, out=out)
-            np.add(target, out, out=target)
-            ztbsv(1, band, solved, lower=lower, diag=1, overwrite_x=1)
-            target, coef, source, out = after
-            np.multiply(coef, source, out=out)
-            np.add(target, out, out=target)
-        s = [half[i][j] for i, j in spots]
-        for i in (0, 1):
-            np.subtract(half[i], phi1[i::2], out=phi1[i::2])
-        return s
-
     cells = np.flatnonzero(gvec)
-    spots = [(site % 2, site // 2) for site in cells.tolist()]
     r = cells.size
-    n2 = n if r else 0  # channel 2's order: carried only when a cell is coupled
-    kg = lam * gvec[cells]
-    modes = np.cos(np.pi * np.arange(1, n2 + 1) / (n2 + 1))
-    inv2 = 1.0 / (1.0 + lam * (2.0 * t + potential - 2.0 * t * modes))
-    u = 2.0 * inv2 - 1.0
-    p = _sine_rows(n2, cells)
-    pl = p * inv2  # P Lam2^-1, one contiguous row per cell
-    z = np.zeros((n, r), dtype=complex, order="F")
-    for column, kicks in zip(z.T, np.diag(inv_d[cells])):
-        sweeps(column, kicks)  # A1^-1 e_cell
-    zc = z[cells]
-    couple = kg[:, None] * (pl @ p.T) * kg
-    gain = np.linalg.solve(np.eye(r) - couple @ zc, couple)
-    w = np.empty((n + n2, r), dtype=complex, order="F")
-    w[:n] = z @ gain
-    w[n:] = -pl.T @ (kg[:, None] * (np.eye(r) + zc @ gain))
-    # W's subnormal tails carry no significant bits but slow products 100x
-    w[np.abs(w) < np.finfo(float).tiny] = 0.0
-    gains = (-2.0 * kg * inv_d[cells]).tolist()
-    rows, columns = list(pl), list(w.T)
+    channels = 2 if r else 1
+    theta = np.pi * np.arange(1, n + 1) / (n + 1)
+    energies = 4.0 * t * np.sin(theta / 2) ** 2 + potential * np.arange(channels)[:, None]
+    inv = 1.0 / (1.0 + lam * energies)  # (1 + lam D)^-1, one row per channel
+    u = (2.0 * inv - 1.0).ravel()
+    p = _sine_rows(n, cells)
+    w = inv[:, None, :] * p  # W's columns, each on its channel's n modes
+    utw = np.zeros((channels * r, channels * r), dtype=complex)
+    for i, block in enumerate(w @ p.T):  # U^T W is block diagonal
+        utw[i * r : (i + 1) * r, i * r : (i + 1) * r] = block
+    lam_c = lam * np.kron(1.0 - np.eye(channels), np.diag(gvec[cells]))
+    k = 2.0 * np.linalg.solve(np.eye(channels * r) + lam_c @ utw, lam_c)
+    columns = [(i, column) for i, block in enumerate(w) for column in block]
 
-    def solve(psi: np.ndarray) -> np.ndarray:
-        c = psi[n:]
-        s = sweeps(psi[:n], [gain * zdotu(row, c) for gain, row in zip(gains, rows)])
+    def solve(c: np.ndarray) -> np.ndarray:
+        parts = c.reshape(channels, n)
+        y = k @ [column @ parts[i] for i, column in columns]
         c *= u
-        for column, y in zip(columns, s):
-            zaxpy(column, psi, a=y)
-        return psi
+        for (i, column), yj in zip(columns, y.tolist()):
+            parts[i] -= yj * column
+        return c
 
-    return SimpleNamespace(solve=solve, size=n + n2)
+    return SimpleNamespace(solve=solve, size=channels * n)
 
 
 def _frame_writer(handle, x: np.ndarray):
@@ -362,80 +284,93 @@ def _frame_writer(handle, x: np.ndarray):
 
 def _run(psi0: np.ndarray, x: np.ndarray, dx: float, step, grid: GridSpec,
          start: int, snapshot_path: str | Path | None = None, stride: int = 1):
-    """Propagate psi0 by ``splu``'s ``step``, whose ``solve`` advances a
-    state of ``size`` in place, channel 2 carried when that exceeds n;
-    return (t_arrival, norm_drift, transmitted_mass), t_arrival when the
-    centroid over x[start:] arrives.
+    """Propagate psi0 by ``splu``'s ``step``, whose ``solve`` advances the
+    sine coefficients [S phi1; S phi2] in place (S phi1 alone when its
+    ``size`` is n); return (t_arrival, norm_drift, transmitted_mass),
+    t_arrival when the centroid over x[start:] arrives.
 
-    The step comes factored, so the snapshot file opens only after the
-    factorization; it is removed if the run raises, a NoCrossingError
-    included (unless it is not a regular file or could not be opened), so
-    a run that does not arrive leaves no file behind.  A snapshot writes
-    |phi1|^2 and |S phi2|^2 in place into one (n, 2) table, which the
-    frame writer formats as it stands.
+    The norm, ||c||^2 dx, and the edge densities, dot products with S's
+    first and last rows in each channel, are checked at every step.  The
+    centroid needs channel 1 on the grid, one ``_dst``, so it is observed
+    every _OBSERVE_STRIDE steps and at the last step, whose transmitted
+    mass is returned.  Where an observed centroid is at or past the
+    detector plane and the one before was not, that bracket is replayed
+    from a copy of the state at its start, with the centroid at every
+    step, and ``_crossing_time`` finds the crossing in it.  This assumes
+    that the centroid does not cross the plane and come back within one
+    stride.
+
+    The step comes ready, so the snapshot file opens only after it is
+    built; it is removed if the run raises, a NoCrossingError included
+    (unless it is not a regular file or could not be opened), so a run
+    that does not arrive leaves no file behind.  A frame writes |phi1|^2
+    and |phi2|^2 in place into one (n, 2) table, which the frame writer
+    formats as it stands; on an observed step it reuses channel 1 on the
+    grid.
     """
     n = x.size
-    carried = step.size > n  # channel 2, only when a cell is coupled
-    from scipy.linalg.blas import ddot, dgemv, zdotu  # loaded by splu
-
-    # [phi1; S phi2]: the norm is the stacked vector's (S is orthogonal).
-    # flat and tail view psi as interleaved (re, im) floats.  Every sum
-    # runs in scipy's BLAS, the OpenBLAS of the solves: numpy's BLAS is a
-    # second library whose thread pool, once woken, competes with scipy's
-    # for the cores during the next solve.
-    psi = np.pad(psi0, (0, step.size - n))
-    flat = psi.view(float)
-    tail = flat[2 * start : 2 * n]
-    tail_dens = np.empty_like(tail)
-    moments = np.ones((tail.size, 2), order="F")  # columns [1, x] of the tail
-    moments[:, 1] = np.repeat(x[start:], 2)
-    sines = psi[n:]
-    first_row, last_row = _sine_rows(n, [0, n - 1]).astype(complex)
+    c = np.zeros(step.size, dtype=complex)
+    c[:n] = _dst(psi0)
+    parts = c.reshape(-1, n)  # S phi1, and S phi2 when carried
+    edge_rows = _sine_rows(n, [0, n - 1]).astype(complex)  # not cast at every dot
     times_out = grid.dt * np.arange(grid.steps + 1)
     cents = np.full(grid.steps + 1, np.nan)
-    dens = np.zeros((n, 2))  # |phi1|^2, |S phi2|^2 (0 if uncoupled) of a snapshot
-    drift = mass = 0.0
+    plane = grid.half_length / 2.0
+    dens = np.zeros((n, 2))  # |phi1|^2, |phi2|^2 (0 if uncoupled) of a frame
+    drift = 0.0
 
-    def observe(k: int) -> None:
-        nonlocal drift, mass
+    def guard(k: int) -> None:
+        nonlocal drift
         t = times_out[k]
-        err = abs(ddot(flat, flat) * dx - 1.0)
+        # per channel: one dot over all 2n values runs threaded in OpenBLAS
+        err = abs(sum(np.vdot(part, part).real for part in parts) * dx - 1.0)
         if not err <= _DRIFT_TOL:
             raise NormDriftError(
                 f"norm drifted by {err:.3e} at t={t} (tolerance {_DRIFT_TOL})"
             )
         drift = max(drift, err)
-        left, right = abs(psi[0]) ** 2, abs(psi[n - 1]) ** 2
-        if carried:
-            left += abs(zdotu(first_row, sines)) ** 2
-            right += abs(zdotu(last_row, sines)) ** 2
-        edge = max(left, right)
+        edge = max(sum(abs(row @ part) ** 2 for part in parts) for row in edge_rows)
         if edge > _EDGE_TOL:
             raise BoundaryContaminationError(
                 f"edge density {edge:.3e} exceeds {_EDGE_TOL} at t={t}; "
                 "enlarge the domain or shorten the run"
             )
-        np.multiply(tail, tail, out=tail_dens)
-        total, moment = dgemv(1.0, moments, tail_dens, trans=1)
-        mass = total * dx
-        if mass > _MASS_FLOOR:
-            cents[k] = moment / total
-        if write is not None and k % stride == 0:
-            np.abs(psi[:n], out=dens[:, 0])
-            if carried:
-                np.abs(_dst(sines), out=dens[:, 1])
-            np.square(dens, out=dens)
-            write(t, dens)
+
+    def centroid(state: np.ndarray, k: int):
+        """Channel 1 of ``state`` on the grid and its transmitted mass;
+        cents[k] is set where the mass exceeds _MASS_FLOOR."""
+        phi1 = _dst(state[:n])
+        tail = phi1[start:]
+        tail_dens = tail.real**2 + tail.imag**2
+        total = tail_dens.sum()
+        if total * dx > _MASS_FLOOR:
+            cents[k] = x[start:] @ tail_dens / total
+        return phi1, total * dx
 
     handle = nullcontext() if snapshot_path is None else open(snapshot_path, "wb")
     try:
         with handle:
             write = None if snapshot_path is None else _frame_writer(handle, x)
-            observe(0)
-            for k in range(1, grid.steps + 1):
-                step.solve(psi)
-                observe(k)
-        return _crossing_time(times_out, cents, grid.half_length / 2.0), float(drift), float(mass)
+            saved, since = c.copy(), 0  # the state at the last observed step
+            for k in range(grid.steps + 1):
+                if k:
+                    step.solve(c)
+                guard(k)
+                phi1 = None
+                if k % _OBSERVE_STRIDE == 0 or k == grid.steps:
+                    phi1, mass = centroid(c, k)
+                    if cents[k] >= plane and not cents[since] >= plane:
+                        for j in range(since + 1, k):
+                            centroid(step.solve(saved), j)
+                    saved[:] = c
+                    since = k
+                if write is not None and k % stride == 0:
+                    np.abs(_dst(c[:n]) if phi1 is None else phi1, out=dens[:, 0])
+                    if len(parts) > 1:
+                        np.abs(_dst(parts[1]), out=dens[:, 1])
+                    np.square(dens, out=dens)
+                    write(times_out[k], dens)
+        return _crossing_time(times_out, cents, plane), float(drift), float(mass)
     except BaseException:  # a device or pipe such as /dev/null is kept
         if snapshot_path is not None and Path(snapshot_path).is_file():
             Path(snapshot_path).unlink(missing_ok=True)
@@ -544,7 +479,7 @@ def _free_arrival(packet: PacketSpec, grid: GridSpec, hop: float, lam: complex,
                   start: int) -> float:
     """Crossing time of the free reference run: the coupling off, on the grid.
 
-    It factors the r = 0 step, which reads no V, and reads nothing but
+    It builds the r = 0 step, which reads no V, and reads nothing but
     these arguments (``hop`` the hopping t, ``lam`` the Cayley factor,
     ``start`` the first grid index past the strip), so they are its cache
     key: calls that share them, such as sweeps of V, k0 or the width at one

@@ -1,10 +1,11 @@
-"""The skip mark for a test that runs a real wave packet.
+"""The skip mark for a test that uses scipy as an independent reference.
 
-``propagate`` imports scipy when first called, so such a test needs scipy;
-``needs_scipy`` skips it, with the import error as its reason, where scipy
-is not installed.  Modules that import scipy themselves guard the import
-and skip as a whole, so that every module still loads on a numpy-only
-install.
+The package runs on numpy alone; a few wave-packet tests check its step
+against SuperLU, LAPACK's tridiagonal solver or scipy's DST, and
+``needs_scipy`` skips them, with the import error as its reason, where
+scipy is not installed.  Modules that import scipy for every test guard
+the import and skip as a whole, so that every module still loads on a
+numpy-only install.
 """
 
 import pytest

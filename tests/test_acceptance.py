@@ -11,7 +11,6 @@ import dataclasses
 import math
 
 import numpy as np
-from needs_scipy import needs_scipy
 
 from twostate import (
     GridSpec,
@@ -71,7 +70,6 @@ def test_criterion_07_dwell_limit_and_taxonomy():
     )
 
 
-@needs_scipy
 def test_criterion_08_wavepacket_diagnostic():
     p = ModelParams(energy=0.25, potential=1.0, coupling=1.0)
     packet = PacketSpec.for_energy(0.25, p, sigma=60.0, center=-300.0)

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from needs_scipy import needs_scipy
 
 import twostate
 from twostate import checks, cli
@@ -391,7 +390,6 @@ def test_verify_reports_failure(monkeypatch, capsys):
     assert "1 of 2 checks failed: beta" in out
 
 
-@needs_scipy
 def test_wavepacket_free_run(capsys):
     rc = cli.main(["wavepacket", "--coupling", "0", *WP_FAST])
     out = capsys.readouterr().out
@@ -402,7 +400,6 @@ def test_wavepacket_free_run(capsys):
     assert "analytic_transition_time" not in vals
 
 
-@needs_scipy
 def test_wavepacket_coupled_run(tmp_path, capsys):
     frames = tmp_path / "frames.csv"
     rc = cli.main(
@@ -421,8 +418,8 @@ def test_wavepacket_coupled_run(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        pytest.param(["--steps", "3000", "--points", "1025"], "edge density", marks=needs_scipy),
-        pytest.param([*WP_FAST, "--steps", "30"], "never crossed", marks=needs_scipy),
+        (["--steps", "3000", "--points", "1025"], "edge density"),
+        ([*WP_FAST, "--steps", "30"], "never crossed"),
         # rejected before the run
         ([*WP_FAST, "--half-domain", "nan"], "must be finite"),
         ([*WP_FAST, "--dt", "inf"], "must be finite"),
@@ -440,7 +437,6 @@ def test_wavepacket_run_guard_exits_2(argv, message, capsys):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
-@needs_scipy
 @pytest.mark.parametrize(("argv", "message"),
                          [(["--half-domain", "180"], "edge density"),
                           (["--steps", "3000"], "edge density"),

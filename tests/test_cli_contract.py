@@ -11,10 +11,9 @@ ZeroDivisionError or a TypeError from arithmetic escapes ``main`` and
 fails the test, as does a numpy RuntimeWarning, which the test settings
 turn into an error.
 
-The wave packet's factorization ``wavepacket.splu`` is replaced by a stub
-that raises a RunGuardError sentinel, so no run starts and scipy is not
-needed; everything the wavepacket command checks before the solve still
-runs.  ``--points``, ``--steps`` and ``--count`` are capped at their
+The wave packet's step builder ``wavepacket.splu`` is replaced by a stub
+that raises a RunGuardError sentinel, so no run starts; everything the
+wavepacket command checks before the step still runs.  ``--points``, ``--steps`` and ``--count`` are capped at their
 documented defaults, so no example allocates a large array.
 """
 

@@ -227,3 +227,33 @@ def test_points_beside_a_mended_one_keep_their_bits():
                                                                  1.0, mass=2.0))
     assert float(unit[0]).hex() == greens_constant(0.0, 1.0, alone).hex() == "-0x1.f158c399cb320p-3"
     assert unit[1] == 0.0  # exp(-1.3e154)
+
+
+def test_array_positions_broadcast_with_float_parameters():
+    # a column of x1 and a row of x2 give a table, as with array parameters
+    p = ModelParams(energy=0.0, potential=1.0, coupling=1.0)
+    x1, x2 = np.array([[0.0], [2.0]]), np.array([0.0, 1.0, 3.0])
+    got = greens_constant(x1, x2, p)
+    arrays = ModelParams(energy=np.array(0.0), potential=1.0, coupling=1.0)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, greens_constant(x1, x2, arrays))
+    for (i, j), value in np.ndenumerate(got):
+        assert value == pytest.approx(greens_constant(x1[i, 0], x2[j], p), rel=1e-15)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x1", "x2"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["float", "array"])
+def test_a_position_that_is_not_finite_is_named(name, value, shape):
+    p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
+    position = value if shape == () else np.array([0.0, value, 1.0])
+    positions = {"x1": 0.0, "x2": 0.0, name: position}
+    with pytest.raises(DomainError, match=rf"^{name} must be finite, got {value}$"):
+        greens_constant(positions["x1"], positions["x2"], p)
+
+
+def test_an_int_position_beyond_the_floats_is_named():
+    # as the CLI refuses it from a config file, not an OverflowError
+    p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
+    with pytest.raises(DomainError, match=r"^x1 must be finite, got 1000000"):
+        greens_constant(10**400, 0.0, p)

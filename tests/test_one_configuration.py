@@ -4,9 +4,8 @@ The oracles and the wave-packet entries take one ``ModelParams`` point, not
 a grid of them.  A field array of any shape but () raises DomainError
 naming the shape (``params._Validated._one_configuration``) before any
 solve, and prints nothing; 0-d fields become Python floats, so they give
-the float call's bits or error, over the float range too.  Numpy alone:
-``propagate`` refuses before it factors, so this module runs where scipy
-is not installed.
+the float call's bits or error, over the float range too.  ``propagate``
+refuses before it builds its step.
 """
 
 import dataclasses
