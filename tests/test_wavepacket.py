@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -266,6 +268,32 @@ def test_channel1_solve_matches_zgttrs(n, t, dt, seed):
     assert stepped is work  # stepped in place
     got = dst(stepped, type=1, norm="ortho")
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _closures(*funcs):
+    """(owner.name, node) of every function and lambda nested in ``funcs``."""
+    found = []
+    for func in funcs:
+        outer = ast.parse(inspect.getsource(func)).body[0]
+        found += [(f"{func.__name__}.{getattr(node, 'name', '<lambda>')}", node)
+                  for node in ast.walk(outer)
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not outer]
+    return found
+
+
+def test_per_step_closures_build_no_matrix():
+    # a step is O(n r): the Woodbury kernel K, the sine rows and their
+    # complex cast are built once, by splu and _run, never in the code that
+    # runs at every step
+    closures = _closures(wavepacket.splu, wavepacket._run)
+    assert {"splu.solve", "_run.guard", "_run.centroid"} <= {
+        name for name, _ in closures}
+    banned = {"_sine_rows", "astype", "eye", "kron", "inv", "outer", "solve"}
+    for name, node in closures:
+        for sub in ast.walk(node):
+            callee = sub.func if isinstance(sub, ast.Call) else None
+            called = getattr(callee, "attr", getattr(callee, "id", None))
+            assert called not in banned, f"{name} calls {called}"
 
 
 @needs_scipy
