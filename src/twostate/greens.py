@@ -80,15 +80,20 @@ def greens_constant(x1: float, x2: float, p: ModelParams) -> float:
 
 def _for_positions(p: ModelParams, x1, x2) -> ModelParams:
     """``p``, with 0-d array fields if it has float ones and a position has
-    axes; DomainError naming a position with a value that is not finite.
-    A real scalar position is checked as the CLI checks it, by
-    ``params._as_float``."""
+    axes; DomainError naming a position with a value that is not finite,
+    an int beyond the floats included.  A real scalar position is checked
+    as the CLI checks it, by ``params._as_float``."""
     axes = 0
     for name, x in (("x1", x1), ("x2", x2)):
         if isinstance(x, numbers.Real):
             _as_float(name, x)
             continue
-        values = np.asarray(x, dtype=float)
+        try:
+            values = np.asarray(x, dtype=float)
+        except OverflowError:  # an int beyond the floats, named as a scalar one is
+            for value in np.asarray(x, dtype=object).flat:
+                _as_float(name, value)
+            raise
         bad = values[~np.isfinite(values)]
         if bad.size:
             raise DomainError(f"{name} must be finite, got {float(bad.flat[0])!r}")

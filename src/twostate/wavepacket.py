@@ -16,9 +16,12 @@ an exact Woodbury correction of rank 2r for the r coupled cells.  S is
 orthogonal, so the norm is that of c, and the edge values are dot
 products with S's first and last rows.  Channel 1 on the grid, one batched
 real FFT, is computed only where the centroid or a snapshot frame reads
-it.  Channel 2 is carried only when some cell is coupled, so the free run,
-the r = 0 case of the same step, carries the open channel alone.  The
-package needs numpy and the standard library only.
+it: the centroid is observed at a fixed stride, and the step at which it
+reaches the detector plane is found by bisecting the stride that brackets
+it, at most log2 of the stride FFTs more.  Channel 2 is carried only when
+some cell is coupled, so the free run, the r = 0 case of the same step,
+carries the open channel alone.  The package needs numpy and the standard
+library only.
 
 The arrival time is the instant the centroid of the transmitted density
 (open channel restricted to the far side of the strip) crosses the
@@ -294,11 +297,17 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, step, grid: GridSpec,
     centroid needs channel 1 on the grid, one ``_dst``, so it is observed
     every _OBSERVE_STRIDE steps and at the last step, whose transmitted
     mass is returned.  Where an observed centroid is at or past the
-    detector plane and the one before was not, that bracket is replayed
-    from a copy of the state at its start, with the centroid at every
-    step, and ``_crossing_time`` finds the crossing in it.  This assumes
-    that the centroid does not cross the plane and come back within one
-    stride.
+    detector plane and the one before was not, the bracket (lo, hi]
+    between them is bisected: a second buffer is stepped from the copy of
+    the state at lo to the midpoint, with no ``_dst`` on the way, and one
+    centroid there keeps the half in which the centroid reaches the plane.
+    On the lower half the buffers swap, so that the copy moves up to the
+    midpoint and the bisection steps at most one stride in all.
+    ``_crossing_time`` then finds the crossing between the adjacent steps
+    lo and hi, with the centroids that observing every step gives them,
+    after at most ceil(log2 _OBSERVE_STRIDE) more ``_dst`` calls.  This
+    assumes that the centroid does not cross the plane and come back
+    within one stride.
 
     The step comes ready, so the snapshot file opens only after it is
     built; it is removed if the run raises, a NoCrossingError included
@@ -352,6 +361,7 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, step, grid: GridSpec,
         with handle:
             write = None if snapshot_path is None else _frame_writer(handle, x)
             saved, since = c.copy(), 0  # the state at the last observed step
+            ahead = np.empty_like(c)  # the state at a bisection's midpoint
             for k in range(grid.steps + 1):
                 if k:
                     step.solve(c)
@@ -359,9 +369,18 @@ def _run(psi0: np.ndarray, x: np.ndarray, dx: float, step, grid: GridSpec,
                 phi1 = None
                 if k % _OBSERVE_STRIDE == 0 or k == grid.steps:
                     phi1, mass = centroid(c, k)
-                    if cents[k] >= plane and not cents[since] >= plane:
-                        for j in range(since + 1, k):
-                            centroid(step.solve(saved), j)
+                    lo, hi = since, k
+                    if cents[hi] >= plane and not cents[lo] >= plane:
+                        while hi - lo > 1:  # the plane is crossed in (lo, hi]
+                            mid = (lo + hi) // 2
+                            ahead[:] = saved  # saved holds the state at lo
+                            for _ in range(mid - lo):
+                                step.solve(ahead)
+                            centroid(ahead, mid)
+                            if cents[mid] >= plane:
+                                hi = mid
+                            else:
+                                lo, saved, ahead = mid, ahead, saved
                     saved[:] = c
                     since = k
                 if write is not None and k % stride == 0:

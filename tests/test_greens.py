@@ -257,3 +257,14 @@ def test_an_int_position_beyond_the_floats_is_named():
     p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
     with pytest.raises(DomainError, match=r"^x1 must be finite, got 1000000"):
         greens_constant(10**400, 0.0, p)
+
+
+@pytest.mark.parametrize("name", ["x1", "x2"])
+@pytest.mark.parametrize("position", [
+    [10**400, 0.0], np.array([0.0, -(10**400)], dtype=object)], ids=["list", "array-like"])
+def test_an_int_beyond_the_floats_among_positions_is_named(name, position):
+    # numpy's float conversion raises an untyped OverflowError for it
+    p = ModelParams(energy=0.5, potential=1.0, coupling=1.0)
+    positions = {"x1": 0.0, "x2": 0.0, name: position}
+    with pytest.raises(DomainError, match=rf"^{name} must be finite, got -?1000000"):
+        greens_constant(positions["x1"], positions["x2"], p)

@@ -530,19 +530,48 @@ SMALL = (PacketSpec.for_energy(0.25, P_SMALL, sigma=45.0, center=-225.0), P_SMAL
     (PACKET, P_COUPLED, GRID), (PACKET, P_COUPLED, GRID_EVEN), SMALL,
 ], ids=["golden", "even", "small"])
 def test_the_observation_stride_changes_no_bit(packet, p, grid, monkeypatch, fresh_reference):
-    # the run observes the centroid every _OBSERVE_STRIDE steps and replays
+    # the run observes the centroid every _OBSERVE_STRIDE steps and bisects
     # the bracket it crosses the plane in, so every stride must give the
     # bits of observing every step; strides 2 and 3 put the crossing at
-    # either end of a bracket
+    # either end of a bracket, and stride 7 makes the bisection halve
+    # brackets of odd length
     hexes = []
-    for stride in (1, 2, 3, wavepacket._OBSERVE_STRIDE):
+    for stride in (1, 2, 3, 7, wavepacket._OBSERVE_STRIDE):
         monkeypatch.setattr(wavepacket, "_OBSERVE_STRIDE", stride)
         wavepacket._free_arrival.cache_clear()
         result = propagate(packet, p, width=1e-3, grid=grid)
         hexes.append(_hexes(result))
-    assert hexes[1:] == hexes[:1] * 3
+    assert hexes[1:] == hexes[:1] * 4
     if grid is SMALL[2]:
         assert result.t_arrival > 500 * grid.dt
+
+
+@pytest.mark.parametrize("packet, p, grid", [(PACKET, P_COUPLED, GRID), SMALL],
+                         ids=["golden", "small"])
+def test_the_crossing_is_found_in_a_few_transforms(packet, p, grid, monkeypatch,
+                                                   fresh_reference):
+    # a run takes one _dst for psi0, one per observed step and, to find the
+    # crossing step in its bracket by bisection, one per halving: at most
+    # ceil(log2 _OBSERVE_STRIDE), so a replay of the bracket with the
+    # centroid at every step, up to a stride's worth, fails
+    dst, run, counts = wavepacket._dst, wavepacket._run, []
+
+    def counted_dst(c):
+        counts[-1] += 1
+        return dst(c)
+
+    def counted_run(*args, **kwargs):
+        counts.append(0)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(wavepacket, "_dst", counted_dst)
+    monkeypatch.setattr(wavepacket, "_run", counted_run)
+    propagate(packet, p, width=1e-3, grid=grid)
+    stride = wavepacket._OBSERVE_STRIDE
+    observed = len(range(0, grid.steps + 1, stride)) + (grid.steps % stride > 0)
+    assert len(counts) == 2  # the coupled run and its free reference
+    for count in counts:
+        assert 1 + observed < count <= 1 + observed + math.ceil(math.log2(stride))
 
 
 def test_boundary_contamination_detected():
