@@ -11,9 +11,8 @@ An optional JSON config file takes the long flag names as keys (hyphens
 or underscores), each value type-checked; explicit flags take precedence
 over config values.  Exit codes: 0 success, 1 verification failure, 2
 usage, config or domain error (an input whose arithmetic would leave the
-float range included), a tripped wave-packet guard, an array too large
-for memory, or a dependency that is not installed (one
-``error: <command> needs <package>`` line).
+float range included), a tripped wave-packet guard, or an array too large
+for memory.
 
 Each subcommand imports the modules it alone needs (``checks``, ``oracle``,
 ``wavepacket``), so that a cold call pays only for its own imports.

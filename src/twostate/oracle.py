@@ -64,8 +64,9 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     energies remain strictly inside (0, V).  It defaults to
     min(1e-6 * V, 1e-3 * min(E, V - E)), which is 1e-6 * V wherever
     1e-3 <= E / V <= 1 - 1e-3 and shrinks with the distance to the
-    nearer end of (0, V) outside that range, so it is always valid.  A
-    quotient beyond the float range raises DomainError.
+    nearer end of (0, V) outside that range, so it is valid wherever it
+    does not underflow to 0; where it does, DomainError.  A quotient beyond
+    the float range raises DomainError.
     """
     p = p._one_configuration("fd_group_delay")
     gap = min(p.energy, p.potential - p.energy)
@@ -73,6 +74,9 @@ def fd_group_delay(p: ModelParams, step: float | None = None) -> float:
     limit = gap / 10.0
     if not 0.0 < h < limit:
         wave_numbers(p)  # at E = 0 the error is the open channel's, not the step's
+        if step is None:
+            raise DomainError(f"the default finite-difference step 1e-3 min(E, V - E) "
+                              f"underflows to 0 at energy={p.energy}, potential={p.potential}")
         raise ValueError(
             f"finite-difference step must lie in (0, {limit!r}), got {h!r}"
         )
@@ -415,10 +419,16 @@ def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
     Gauss-Legendre rule.  Panels inside the strip are no longer than
     20 / max(k, kappa, |q_j|); outside it the solution holds only
     exp(+-i k y) and exp(-kappa |y|), so there they may span
-    20 / max(k, kappa), however fast the strip modes q_j oscillate.
+    20 / max(k, kappa), however fast the strip modes q_j oscillate, and
+    each piece is one panel at least.  Where hbar k underflows to 0 or the
+    dwell time leaves the floats, DomainError.
     """
     p = p._one_configuration("the regularized oracle")
     sol = solve_regularized(p, width)
+    flux = p.hbar * sol.k  # m times the incident flux hbar k / m
+    if flux == 0.0:
+        raise DomainError(f"the dwell time divides by hbar k, which underflows to 0 at "
+                          f"energy={p.energy}, mass={p.mass}, hbar={p.hbar}")
     nodes, weights = _gauss_legendre()
     half = width / 2.0
     outside = 20.0 / max(sol.k, sol.kappa)
@@ -428,7 +438,7 @@ def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
         if b <= a:
             continue
         longest = inside if -half <= a and b <= half else outside
-        panels = math.ceil((b - a) / longest)
+        panels = max(1, math.ceil((b - a) / longest))
         rad = 0.5 * (b - a) / panels
         for first in range(0, panels, _PANELS_PER_CALL):
             count = min(_PANELS_PER_CALL, panels - first)
@@ -437,7 +447,11 @@ def _strip_dwell(p: ModelParams, width: float, pieces: tuple) -> float:
             phi1, phi2 = sol.wavefunction(y + p.center)
             density = (np.abs(phi1) ** 2 + np.abs(phi2) ** 2).reshape(count, -1)
             total += rad * float((density @ weights).sum())
-    return total * p.mass / (p.hbar * sol.k)
+    dwell = total * p.mass / flux
+    if not dwell < math.inf:
+        raise DomainError(f"the dwell time leaves the floats at energy={p.energy}, "
+                          f"mass={p.mass}, hbar={p.hbar}, coupling={p.coupling}: {dwell!r}")
+    return dwell
 
 
 def dwell_time_regularized(p: ModelParams, width: float) -> float:

@@ -86,8 +86,10 @@ class DegenerateCouplingError(DomainError):
 # it overflows, float ** raises OverflowError and arrays give inf, unwarned;
 # where(test, a, b) is a where the test holds and b elsewhere; distance(a, b)
 # is |a - b|, inf where a - b overflows, with no warning; least(*xs) is the
-# smallest of xs that is not NaN, the first never NaN, as min() needs.
-_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any muldiv pow where distance least")
+# smallest of xs that is not NaN, the first never NaN, as min() needs;
+# complex(re, im) joins real and imaginary parts exactly.
+_Ops = namedtuple("_Ops", "sqrt exp cexp atan modulus any muldiv pow where distance least "
+                  "complex")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -124,6 +126,12 @@ def _array_least(*xs) -> np.ndarray:
     return functools.reduce(np.fmin, xs)
 
 
+def _array_complex(re, im) -> np.ndarray:
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def _array_pow(x, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # np.power and x**2 round differently
         return np.float_power(x, n)
@@ -132,12 +140,12 @@ def _array_pow(x, n: int) -> np.ndarray:
 _FLOAT_OPS = _Ops(
     sqrt=math.sqrt, exp=math.exp, cexp=cmath.exp, atan=math.atan, modulus=abs,
     any=bool, muldiv=_float_muldiv, pow=pow, where=_float_where,
-    distance=_float_distance, least=min,
+    distance=_float_distance, least=min, complex=complex,
 )
 _ARRAY_OPS = _Ops(
     sqrt=np.sqrt, exp=np.exp, cexp=np.exp, atan=np.arctan, modulus=_modulus,
     any=np.any, muldiv=_array_muldiv, pow=_array_pow,
-    where=np.where, distance=_array_distance, least=_array_least,
+    where=np.where, distance=_array_distance, least=_array_least, complex=_array_complex,
 )
 
 # the most float64 values one numpy array can hold: point, step and sweep
@@ -152,18 +160,18 @@ _ndarray = np.ndarray
 _TINY = sys.float_info.min  # the smallest normal float
 
 
-def _as_float(name: str, value, kinds: str = "a real number") -> float:
+def _as_float(name: str, value, kinds: str = "a real number", finite: bool = True) -> float:
     """A real scalar as a finite Python float: a bool and a non-real raise
-    TypeError (naming ``kinds``, what ``name`` may be), a NaN, an infinity
-    and an int or a fraction beyond the float range a DomainError naming
-    ``name``."""
+    TypeError (naming ``kinds``, what ``name`` may be), a NaN or an
+    infinity (unless not ``finite``) and an int or a fraction beyond the
+    float range a DomainError naming ``name``."""
     if not isinstance(value, numbers.Real) or type(value) is bool:
         raise TypeError(f"{name} must be {kinds}, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got {value!r:.24}...") from None
-    if not _isfinite(number):
+    if finite and not _isfinite(number):
         raise DomainError(f"{name} must be finite, got {number!r}")
     return number
 
@@ -191,11 +199,12 @@ class _Validated:
     (a bool or a non-real is refused with TypeError) and must be finite, and
     the first condition that fails raises DomainError.  With a numpy array
     among the fields, every field becomes a float array (0-d for a scalar,
-    which ``_as_float`` converts first, so a scalar that is not finite is
-    named before any array point) and the fields must broadcast together,
-    else ValueError; np.isfinite and the conditions are ANDed over the grid,
-    and at the first point outside the domain the scalar constructor runs,
-    so the error is the one a scalar call at that point raises.
+    which ``_as_float`` converts first, so a scalar that is no real number
+    or an int beyond the floats is named before any array point) and the
+    fields must broadcast together, else ValueError; np.isfinite and the
+    conditions are ANDed over the grid, and at the first point outside the
+    domain the scalar constructor runs, so the error is the one a scalar
+    call at that point raises, a scalar field's NaN or infinity included.
     """
 
     # set by validation when the fields are arrays
@@ -222,16 +231,16 @@ class _Validated:
             raise DomainError(message.format(**vars(self)))
         self._adopt_arrays()
 
-    def _store_float(self, name: str, value) -> float:
+    def _store_float(self, name: str, value, finite: bool = True) -> float:
         """Store a real scalar field as a Python float (see ``_as_float``)."""
-        value = _as_float(name, value, "a real number or a float array")
+        value = _as_float(name, value, "a real number or a float array", finite)
         object.__setattr__(self, name, value)
         return value
 
     def _adopt_arrays(self) -> None:
         names = self.__match_args__
         values = [getattr(self, name) for name in names]
-        arrays = [np.asarray(v if isinstance(v, _ndarray) else self._store_float(n, v),
+        arrays = [np.asarray(v if isinstance(v, _ndarray) else self._store_float(n, v, False),
                              dtype=float) for n, v in zip(names, values)]
         try:
             shape = np.broadcast_shapes(*(a.shape for a in arrays))

@@ -84,14 +84,22 @@ def solve_amplitudes(p: ModelParams) -> Amplitudes:
     p._raise_at(abs(phase) == math.inf, "2 k xc overflows at center={center}, energy="
                 "{energy}, mass={mass}, hbar={hbar}, so the reflection phase "
                 "exp(2 i k xc) is undefined in floats")
-    transmission = 1.0 / (1.0 + 1j * ratio)
-    reflection0 = transmission - 1.0
-    reflection = reflection0 * ops.cexp(1j * phase)
+    denominator = 1.0 + 1j * ratio
+    transmission = 1.0 / denominator
+    # B = C - 1 = -u (u + i v), u = ratio / |1 + i ratio| and v = 1 / |1 + i
+    # ratio|, times exp(2 i k xc), in real operations, so that floats and
+    # arrays give the same bits: numpy's complex division and product round
+    # otherwise than CPython's, and a component of B small by cancellation
+    # then differs far beyond an ulp
+    norm = ops.modulus(denominator)
+    u, v = ratio / norm, 1.0 / norm
+    turn = ops.cexp(1j * phase)
+    c, s = turn.real, turn.imag
     return Amplitudes(
-        reflection=reflection,
+        reflection=ops.complex(-u * (u * c - v * s), -u * (u * s + v * c)),
         transmission=transmission,
         transmission_prob=ops.modulus(transmission) ** 2,
-        reflection_prob=ops.modulus(reflection0) ** 2,
+        reflection_prob=ops.modulus(transmission - 1.0) ** 2,
         transmission_phase=ops.atan(-ratio),
         reflection_phase=ops.atan(ops.where(p.coupling == 0.0, math.nan, ops.muldiv(1.0, 1.0, ratio))),
     )

@@ -109,23 +109,30 @@ class PacketSpec:
     ) -> "PacketSpec":
         """Packet whose carrier wavenumber matches a target central energy,
         converted like the fields (``params._as_float``); parameter arrays
-        of any shape but () raise DomainError."""
+        of any shape but () raise DomainError, as does a wavenumber that
+        underflows to 0."""
         p = p._one_configuration("PacketSpec.for_energy")
         energy = _as_float("energy", energy)
         if energy <= 0.0:
             raise DomainError("packet energy must be positive")
         kbar = math.sqrt(2.0 * p.mass * energy) / p.hbar
+        if kbar == 0.0:
+            raise DomainError(f"packet wavenumber sqrt(2 m E) / hbar underflows to 0 at "
+                              f"energy={energy}, mass={p.mass}, hbar={p.hbar}")
         return cls(center=center, wavenumber=kbar, sigma=sigma)
 
     def central_energy(self, p: ModelParams) -> float:
         """(hbar k)**2 / (2 m); parameter arrays of any shape but () raise
-        DomainError."""
+        DomainError, as does a value beyond the floats."""
         p = p._one_configuration("PacketSpec.central_energy")
         try:
-            return (p.hbar * self.wavenumber) ** 2 / (2.0 * p.mass)
+            energy = (p.hbar * self.wavenumber) ** 2 / (2.0 * p.mass)
         except OverflowError:  # float **, where hbar k is within an ulp of 1.34e154
-            raise DomainError(f"(hbar k)**2 overflows at hbar={p.hbar}, "
-                              f"k={self.wavenumber}") from None
+            energy = math.inf
+        if energy == math.inf:
+            raise DomainError(f"(hbar k)**2 overflows at hbar={p.hbar}, k={self.wavenumber} "
+                              f"(divided by 2 m at mass={p.mass})")
+        return energy
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from closed_form_draws import _rel, assert_passed, model_failures, reduced_failures
+from contract_draw import _rel
 
 from twostate import (
     ConventionError,
@@ -344,11 +344,3 @@ def test_empty_arrays_give_empty_results():
     r = ReducedParams(np.empty(0), 1.0, 1.0)
     assert transition_time(r).shape == (0,)
     assert solve_amplitudes(expand_reduced(r)).transmission.shape == (0,)
-
-
-def test_array_mask_agrees_with_scalar_checks():
-    # an array raises the scalar error of its first bad point, so a later
-    # point failing an earlier rule does not change the message; checked on
-    # every example of the shared closed-form draws
-    assert_passed(model_failures(), "constructor")
-    assert_passed(reduced_failures(), "constructor")

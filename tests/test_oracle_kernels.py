@@ -11,7 +11,6 @@ module runs where scipy is not installed.
 """
 
 import cmath
-import dataclasses
 import functools
 import math
 import random
@@ -19,8 +18,9 @@ import warnings
 
 import numpy as np
 import pytest
+from contract_draw import _bits
 
-from twostate import DomainError, ModelParams, greens_constant, oracle
+from twostate import DomainError, ModelParams, oracle
 
 
 def _battery(count=16, seed=8):
@@ -32,10 +32,6 @@ def _battery(count=16, seed=8):
         eps = rng.choice((rng.uniform(0.1, 0.45), rng.uniform(0.55, 0.9)))
         points.append(ModelParams(energy=eps * v, potential=v, coupling=rng.uniform(0.5, 2.0)))
     return points
-
-
-def _bits(*values) -> list[str]:
-    return [float(v).hex() for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +164,6 @@ def _plain_dwell(p, width, pieces):
     return total * p.mass / (p.hbar * sol.k)
 
 
-def _complex_bits(a) -> tuple:
-    a = np.asarray(a, dtype=complex)
-    return a.shape, np.stack([a.real, a.imag], axis=-1).tobytes()
-
-
 SOLUTION_CASES = [
     (ModelParams(0.3, 1.0, 0.0), 1e-2),  # k0 = 0: an eigenvector entry is 0
     (ModelParams(0.7, 1.3, 0.8, mass=0.9, hbar=1.4, center=0.3), 1e-3),
@@ -208,7 +199,7 @@ def test_wavefunction_is_the_plain_formula(p, width):
     sol = oracle.solve_regularized(p, width)
     for name, x in _positions(width, p.center).items():
         got, want = sol.wavefunction(x), _plain_wavefunction(sol, x)
-        assert [_complex_bits(v) for v in got] == [_complex_bits(v) for v in want], name
+        assert _bits(got) == _bits(want), name
 
 
 @pytest.mark.parametrize(("p", "width"), SOLUTION_CASES)
@@ -339,71 +330,3 @@ def test_oracles_refuse_what_the_floats_cannot_hold(call, p, match, capfd):
             call(p)
     assert capfd.readouterr() == ("", "")
 
-
-def _wide_draw(count, seed=22):
-    """Seeded (eps, V, k0, m, hbar, center) points over the float range: V
-    and k0 log-uniform in [1e-300, 1e300], eps uniform in [0, 1), m and hbar
-    log-uniform in [1e-100, 1e100], center uniform in [-5, 5]."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        v, k0 = 10.0 ** rng.uniform(-300.0, 300.0, 2)
-        eps = rng.uniform()
-        mass, hbar = 10.0 ** rng.uniform(-100.0, 100.0, 2)
-        yield tuple(map(float, (eps, v, k0, mass, hbar, rng.uniform(-5.0, 5.0))))
-
-
-ORACLES = {
-    "fd_group_delay": oracle.fd_group_delay,
-    "greens_grid": oracle.greens_grid,
-    "greens_grid_extrapolated": oracle.greens_grid_extrapolated,
-    "solve_regularized": lambda p: oracle.solve_regularized(p, 1e-3),
-    "convergence_study": oracle.convergence_study,
-    "dwell_time_regularized": lambda p: oracle.dwell_time_regularized(p, 1e-3),
-    "dwell_time_window": lambda p: oracle.dwell_time_window(p, 1e-3, 0.5),
-}
-
-
-def _finite(value) -> bool:
-    """Every number of a result, dataclass fields and tuple items in turn,
-    is finite; convergence_study's order may be its documented +inf where
-    every error sits below 1e-12."""
-    if isinstance(value, oracle.ConvergenceReport) and max(value.errors) < 1e-12:
-        value = value.errors
-    if dataclasses.is_dataclass(value):
-        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
-        return all(map(_finite, value))
-    return bool(np.isfinite(value).all())
-
-
-def test_every_oracle_gives_a_finite_value_or_a_domain_error(capfd):
-    # of the 300 points, the grid oracle refuses 65, the regularized solve
-    # 200 and extremum_search, whose bracket suits V near 1, all but 2; the
-    # grid oracle's finite values are within 1e-8 of the closed form
-    breaches = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for point in _wide_draw(300):
-            eps, v, k0, mass, hbar, center = point
-            calls = {"extremum_search": lambda: oracle.extremum_search(eps, v)}
-            try:
-                p = ModelParams(eps * v, v, k0, mass=mass, hbar=hbar, center=center)
-            except DomainError:
-                pass
-            else:
-                calls.update({name: lambda call=call: call(p) for name, call in ORACLES.items()})
-            for name, call in calls.items():
-                try:
-                    value = call()
-                except DomainError:
-                    continue
-                except Exception as exc:  # a warning too: warnings are errors here
-                    value = exc
-                if isinstance(value, Exception) or not _finite(value):
-                    breaches.setdefault(name, (point, value))
-                elif name == "greens_grid_extrapolated":
-                    exact = greens_constant(p.center, p.center, p)
-                    if not abs(value - exact) <= 1e-8 * abs(exact):
-                        breaches.setdefault(name, (point, value, exact))
-    assert breaches == {}
-    assert capfd.readouterr() == ("", "")

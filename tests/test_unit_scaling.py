@@ -24,6 +24,7 @@ import warnings
 from typing import NamedTuple
 
 import pytest
+from contract_draw import _bits
 
 from twostate import (
     ModelParams,
@@ -96,12 +97,6 @@ POINTS = _draw(200, seed=37)
 ORACLE_POINTS = _draw(120, seed=38)
 
 
-def _bits(*values) -> list[str]:
-    """Each value's bits, a complex value's two parts on their own."""
-    return [part.hex() for v in values for part in (
-        (v.real, v.imag) if isinstance(v, complex) else (v,))]
-
-
 def _check(form, scale_inputs, factor, points):
     """The points where ``form`` on the scaled inputs is not ``factor``
     times its value, bit for bit."""
@@ -111,7 +106,7 @@ def _check(form, scale_inputs, factor, points):
         for point in points:
             want = [factor * v for v in form(*point)]
             got = form(*scale_inputs(*point))
-            if _bits(*got) != _bits(*want):
+            if _bits(tuple(got)) != _bits(tuple(want)):
                 misses.append(point)
     return misses
 

@@ -165,6 +165,20 @@ def test_delay_result_fields_are_float(coupled_result, free_result):
             assert type(getattr(result, field.name)) is float, field.name
 
 
+def _cayley(t, potential, gvec, lam):
+    """The assembled Cayley step in real space: 1 - lam H as CSR and SuperLU's
+    factors of 1 + lam H, H the hopping t of channel 1 alone where gvec is
+    all 0, else of both channels, coupled by gvec, channel 2 at potential."""
+    n = gvec.size
+    kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
+    ham = kinetic
+    if gvec.any():
+        g = sparse.diags(gvec)
+        ham = sparse.bmat([[kinetic, g], [g, kinetic + potential * sparse.identity(n)]])
+    one = sparse.identity(ham.shape[0])
+    return (one - lam * ham).tocsr(), superlu((one + lam * ham).tocsc())
+
+
 def _superlu_factor(t, potential, gvec, lam):
     """Reference for wavepacket.splu: a Cayley stepper by SuperLU on the
     assembled 1 + lam H.
@@ -174,24 +188,14 @@ def _superlu_factor(t, potential, gvec, lam):
     sine basis that the package carries the state in.
     """
     n = gvec.size
-    kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
-    ham = kinetic
-    coupled = gvec.any()
-    if coupled:
-        g = sparse.diags(gvec)
-        ham = sparse.bmat(
-            [[kinetic, g], [g, kinetic + potential * sparse.identity(n)]]
-        )
-    one = sparse.identity(ham.shape[0])
-    forward = (one - lam * ham).tocsr()
-    lu = superlu((one + lam * ham).tocsc())
+    forward, lu = _cayley(t, potential, gvec, lam)
 
     def solve(c):
         real = dst(c.reshape(-1, n), type=1, norm="ortho").ravel()
         c[:] = dst(lu.solve(forward @ real).reshape(-1, n), type=1, norm="ortho").ravel()
         return c
 
-    return SimpleNamespace(solve=solve, size=ham.shape[0])
+    return SimpleNamespace(solve=solve, size=forward.shape[0])
 
 
 def test_sine_transform_is_its_own_inverse_and_matches_dense_rows():
@@ -334,12 +338,7 @@ def _reference_frames(packet, p, width, grid, stride):
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
     t = p.hbar**2 / (2.0 * p.mass * dx**2)
     lam = 1j * grid.dt / (2.0 * p.hbar)
-    kinetic = sparse.diags([-t, 2.0 * t, -t], offsets=[-1, 0, 1], shape=(n, n))
-    g = sparse.diags(wavepacket._coupling_cells(x, dx, p, width))
-    ham = sparse.bmat([[kinetic, g], [g, kinetic + p.potential * sparse.identity(n)]])
-    one = sparse.identity(2 * n)
-    forward = (one - lam * ham).tocsr()
-    backward = superlu((one + lam * ham).tocsc())
+    forward, backward = _cayley(t, p.potential, wavepacket._coupling_cells(x, dx, p, width), lam)
     frames = []
     for step in range(grid.steps + 1):
         if step % stride == 0:

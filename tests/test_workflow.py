@@ -5,9 +5,11 @@ PyYAML resolves a repeated mapping key by keeping the last value, so a job
 whose header line is lost silently merges its ``runs-on`` and ``steps`` into
 the job above it.  The loader here rejects repeated keys instead.
 
-A job that ran a hand-kept list of test modules would test less than tier-1
-and, as hypothesis takes literals from the loaded modules into its pool,
-draw other examples; the tests that need scipy skip themselves instead.
+A job that ran a hand-kept list of test modules would test less than
+tier-1 and, as hypothesis takes literals from the loaded package modules
+into its pool, draw other CLI contract examples (the library contract's
+seeded numpy draw is the same in any job); the tests that need scipy skip
+themselves instead.
 """
 
 import re
