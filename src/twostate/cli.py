@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -155,6 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("greens", "closed-channel Green's function", _cmd_greens),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        # argparse by itself reads only -1 and -1.5 as negative numbers and
+        # takes --x1 -1e-3 for a flag with no value: read every text that
+        # begins as a negative float() text does (-1e-3, -.5, -inf) as a value
+        cmd._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         if name == "sweep":
             cmd.add_argument("quantity", choices=sweep.QUANTITIES)
         for opt in _OPTIONS[name]:

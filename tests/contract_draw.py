@@ -1,5 +1,5 @@
-"""The library contract's seeded draw and checks, and the result helpers the
-tests share.
+"""The suite's seeded draws, the library contract's checks, and the result
+helpers the tests share.
 
 One seeded numpy generator draws every point once per session, so every job
 and test order sees the same points.  A field is a signed log-uniform
@@ -23,6 +23,21 @@ the first bad point.  Each entry of ``ONE_CONFIGURATION`` gives a finite
 value or its typed error on floats, the same bits or error with float and
 0-d fields mixed, and a DomainError on one-point arrays;
 ``greens_grid_extrapolated`` is within 1e-8 of ``greens_constant``.
+
+The suite's other property tests draw from the same seeded generator, once
+per session too, and fail through ``first_breach`` at the first drawn input
+that breaks them:
+
+- ``cli_calls``: 300 calls of each CLI subcommand (``test_cli_contract``),
+  after two fixed ``greens`` calls; floats from ``_value``, integers from
+  below -2**63 up to the option's largest value (beyond 2**63 for
+  ``--stride``, which has none), each option a ``--name=value`` flag, a
+  ``--name value`` flag or a config value (at times a JSON integer beyond
+  2**1024 for a float);
+- ``sweep_specs``: 200 sweep specs over the sweeps' ranges
+  (``test_sweep_arrays``);
+- ``step_draws``: a fixed row and 60 sizes, hoppings, time steps and seeds
+  for the wave packet's free step (``test_wavepacket``).
 """
 
 import dataclasses
@@ -34,7 +49,7 @@ import warnings
 import numpy as np
 
 from twostate import DomainError, GridSpec, ModelParams, PacketSpec, RunGuardError
-from twostate import greens, oracle, params, propagate, scatter, times
+from twostate import greens, oracle, params, propagate, scatter, sweep, times
 
 SEED = 24
 EDGES = (0.0, 5e-324, sys.float_info.min, sys.float_info.max)  # each with either sign
@@ -433,9 +448,120 @@ def configuration(pair, entry: str) -> None:
 
 
 def first_breach(check, examples, *args) -> None:
-    """Fail with the first example at which ``check(example, *args)`` fails."""
+    """Fail with the first example at which ``check(example, *args)`` fails,
+    an escaping exception or exit included."""
     for example in examples:
         try:
             check(example, *args)
-        except AssertionError as failure:
-            raise AssertionError(f"contract broken at {example}: {failure}") from failure
+        except (Exception, SystemExit) as failure:
+            raise AssertionError(f"contract broken at {example}: {failure!r}") from failure
+
+
+CLI_MODEL = {"potential": 1.0, "coupling": 1.0, "mass": 0.5, "hbar": 1.0}
+# each drawn option of each subcommand: a float's default, a list's default
+# in a list, an integer's largest value (None: unbounded) or the texts an
+# option takes; --points, --steps and --count go no higher than their
+# defaults, so no call allocates a large array
+CLI_OPTIONS = {
+    "sweep": {"potential": sweep.DEFAULT_POTENTIAL, "from": 0.5, "to": 0.5,
+              "count": sweep.DEFAULT_COUNT, "margin": 1e-4, "format": ("csv", "svg", "both")},
+    "greens": {"x1": 1.0, "x2": 1.0, "energy": 0.5, **CLI_MODEL},
+    "wavepacket": {"energy": 0.25, **CLI_MODEL, "width": 1e-3, "sigma": 60.0, "x0": -300.0,
+                   "half_domain": 720.0, "points": 8193, "dt": 0.5, "steps": 1380,
+                   "stride": None},
+}
+SWEEP_SERIES = {"epsilon": {"epsilon": [0.25]},
+                "coupling_sq": {"coupling": [1.0], "coupling_sq": [4.0]}}
+
+
+def _offset(rng) -> int:
+    """A non-negative integer, log-uniform up to 2**80."""
+    return int(math.ldexp(rng.uniform(), int(rng.integers(81))))
+
+
+def _option(rng, kind):
+    """A value for an option of ``CLI_OPTIONS``: from ``_value``, one to
+    three of them, an integer at most the largest value, or one of the texts."""
+    if isinstance(kind, tuple):
+        return kind[rng.integers(len(kind))]
+    if isinstance(kind, list):
+        return [_value(rng, kind[0]) for _ in range(rng.integers(1, 4))]
+    if isinstance(kind, float):
+        return _value(rng, kind)
+    if kind is None:
+        return _offset(rng) * (-1, 1)[rng.integers(2)]
+    return kind - _offset(rng)
+
+
+@functools.cache
+def cli_calls(command: str) -> tuple:
+    """(argv, config) pairs: the fixed ones, then 300 of a drawn subset of
+    the subcommand's options (a sweep's quantity drawn, with its series), in
+    drawn order, each a flag spelt ``--name=value`` or ``--name value``, or
+    a config value, where a float may be a JSON integer beyond 2**1024;
+    the rest take their defaults."""
+    rng = np.random.default_rng([SEED, 4, list(CLI_OPTIONS).index(command)])
+    calls = {"greens": [
+        # k0**2 and G are finite, their product is not
+        (["greens", "--coupling=1e150", "--hbar=1e-150"], {}),
+        # 2 m (V - E) overflows, so kappa is inf, yet G at x1 = x2 is finite
+        (["greens", "--energy=0.25", "--potential=4.49423283715579e307", "--mass=2"], {}),
+    ]}.get(command, [])
+    for _ in range(300):
+        argv, options, config = [command], CLI_OPTIONS[command], {}
+        if command == "sweep":
+            argv.append(sweep.QUANTITIES[rng.integers(len(sweep.QUANTITIES))])
+            options = {**options, **SWEEP_SERIES[sweep.QUANTITY_ROWS[argv[1]].series]}
+        for name in rng.permutation(sorted(options))[:rng.integers(len(options) + 1)].tolist():
+            value = _option(rng, options[name])
+            if rng.integers(2):
+                if isinstance(value, float) and rng.integers(2):  # any JSON integer is a number
+                    value = (2**1024 + _offset(rng)) * (1 if value >= 0 else -1)
+                config[name] = value
+            else:
+                text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+                flag = "--" + name.replace("_", "-")
+                argv += [f"{flag}={text}"] if rng.integers(2) else [flag, text]
+        calls.append((argv, config))
+    return tuple(calls)
+
+
+def _within(rng, low: float, high: float) -> float:
+    """``low`` or ``high``, one time in eight each, else uniform between."""
+    pick = rng.integers(8)
+    return (low, high)[pick] if pick < 2 else float(rng.uniform(low, high))
+
+
+@functools.cache
+def sweep_specs() -> tuple:
+    """200 (quantity, series, potential, start, stop, count, margin) rows:
+    V in [0.05, 20], one to four series values, eps in [0.01, 0.99] with k0**2
+    from [0, 5] to [5.5, 50], or k0**2 in [0, 100] ([1e-3, 100] for tau)
+    with eps from [0, 0.45] to [0.55, 1]; 2 to 60 points, margin in
+    [1e-6, 0.1]."""
+    rng = np.random.default_rng([SEED, 5])
+    rows = []
+    for _ in range(200):
+        quantity = sweep.QUANTITIES[rng.integers(len(sweep.QUANTITIES))]
+        coupling = quantity == "tau_vs_coupling"
+        low = 0.0 if quantity == "transmission" else 1e-3
+        low, high = (0.01, 0.99) if coupling else (low, 100.0)
+        series = tuple(_within(rng, low, high) for _ in range(rng.integers(1, 5)))
+        start, stop = ((0.0, 5.0), (5.5, 50.0)) if coupling else ((0.0, 0.45), (0.55, 1.0))
+        rows.append((quantity, series, _within(rng, 0.05, 20.0), _within(rng, *start),
+                     _within(rng, *stop), int(rng.integers(2, 61)), _within(rng, 1e-6, 0.1)))
+    return tuple(rows)
+
+
+@functools.cache
+def step_draws() -> tuple:
+    """(n, t, dt, seed) rows: the fixed one, then 60 with n in [3, 2048], t
+    in [1e-2, 1e6] and dt in [1e-3, 10] log-uniform, and b's seed."""
+    rng = np.random.default_rng([SEED, 6])
+    # lam t near 4.5e5: the lowest modes' energies 2t - 2t cos(theta) lose
+    # 2 eps / theta**2 of their bits there, 4t sin(theta / 2)**2 none
+    rows = [(1138, 108812.83556933902, 8.287088054028713, 0)]
+    for _ in range(60):
+        t, dt = 10.0 ** rng.uniform((-2.0, -3.0), (6.0, 1.0))
+        rows.append((int(rng.integers(3, 2049)), float(t), float(dt), int(rng.integers(2**32))))
+    return tuple(rows)

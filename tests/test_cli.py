@@ -500,6 +500,26 @@ def test_greens_underflow_exits_2_with_no_output(tmp_path):
     )
 
 
+@pytest.mark.parametrize(("argv", "err"), [
+    (["greens", "--x1", "-1e-3"], ""),
+    (["greens", "--x1", "-inf"], "error: x1 must be finite, got -inf\n"),
+    (["sweep", "transmission", "--from", "-1e-3"], ""),
+    (["sweep", "tau_vs_coupling", "--epsilon", "-1e-3,0.5"],
+     "error: epsilon must lie in (0, 1), got -0.001\n"),
+    (["wavepacket", "--coupling", "0", *WP_FAST, "--x0", "-1e2"], ""),
+], ids=["greens", "greens-inf", "sweep", "sweep-list", "wavepacket"])
+def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(argv, err, tmp_path,
+                                                                      capsys):
+    # argparse by itself takes only -1 and -1.5 for negative numbers
+    out = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert cli.main([*argv, *out]) == (2 if err else 0)
+    spaced = capsys.readouterr()
+    assert spaced.err == err
+    assert cli.main([*joined, *out]) == (2 if err else 0)
+    assert capsys.readouterr() == spaced
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -12,10 +12,9 @@ import math
 import re
 from pathlib import Path
 
+import contract_draw as draw
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twostate import (
     DegenerateCouplingError,
@@ -158,29 +157,17 @@ def test_rejections_are_typed_where_the_closed_forms_type_them():
         run_sweep(_spec("transmission", (1.0,), math.nan))
 
 
-@st.composite
-def specs(draw):
-    quantity = draw(st.sampled_from(QUANTITIES))
-    potential = draw(st.floats(0.05, 20.0))
-    if quantity == "tau_vs_coupling":
-        series = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4))
-        start, stop = draw(st.floats(0.0, 5.0)), draw(st.floats(5.5, 50.0))
-    else:
-        low = 0.0 if quantity == "transmission" else 1e-3
-        series = draw(st.lists(st.floats(low, 100.0), min_size=1, max_size=4))
-        start, stop = draw(st.floats(0.0, 0.45)), draw(st.floats(0.55, 1.0))
-    return _spec(quantity, tuple(series), potential, start, stop,
-                 count=draw(st.integers(2, 60)), margin=draw(st.floats(1e-6, 0.1)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(spec=specs())
-def test_random_specs_equal_the_scalar_loop(spec):
+def _equals_the_scalar_loop(row):
+    spec = _spec(*row)
     for got, want in zip(_array_columns(spec), _scalar_columns(spec), strict=True):
         if spec.quantity == "phase":
             assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
         else:
             np.testing.assert_array_equal(got, want)
+
+
+def test_random_specs_equal_the_scalar_loop():
+    draw.first_breach(_equals_the_scalar_loop, draw.sweep_specs())
 
 
 def _counting(monkeypatch, module, name, calls):
